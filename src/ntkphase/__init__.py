@@ -40,7 +40,6 @@ from .predictor import (
     max_learning_rate,
     mean_predict,
     ordered_limit_predictor,
-    predictor_decay,
 )
 from .propagation import (
     CnnKernel,
@@ -67,7 +66,14 @@ from .propagation import (
     step_fcn,
     step_scalar,
 )
-from .spectra import RateFit, SpectrumSummary, fit_rate, kappa_trajectory, spectrum
-from .sweep import SweepConfig, SweepOutput, SweepResult, emit_phase_diagram, run_sweep
+from .spectra import RateFit, SpectrumSummary, fit_rate, spectrum
+from .sweep import (
+    SweepConfig,
+    SweepOutput,
+    SweepResult,
+    kappa_trajectory,
+    predictor_decay,
+    run_sweep,
+)
 
 __version__ = "0.1.0"

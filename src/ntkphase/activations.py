@@ -36,6 +36,7 @@ __all__ = ["Activation", "ActivationKernel", "diag_second_moment"]
 
 _DOMAIN_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
+_QUAD_CHUNK = 2**18  # integrand values per _quad_smooth chunk
 
 
 class Activation(str, enum.Enum):
@@ -105,21 +106,25 @@ def _relu_tdot(qstar, q):
 def _quad_smooth(phi, qstar, q, nodes):
     """Tensor Gauss-Hermite for E[phi(u) phi(v)], Cholesky-whitened.
 
-    Loops over the outer rule so peak memory stays at (entries x nodes)
-    even when ``q`` is a large block array.
+    Evaluates the full nodes x nodes rule over chunks of entries holding at
+    most ``_QUAD_CHUNK`` integrand values, so a scalar call is one
+    vectorized evaluation and a large block array stays within that bound.
     """
     x, w = _hermgauss(nodes)
     q = np.asarray(q, dtype=float)
     l11 = math.sqrt(qstar)
-    l21 = q / l11
+    l21 = (q / l11).ravel()
     l22 = np.sqrt(np.maximum(qstar - l21 * l21, 0.0))
     sqrt2 = math.sqrt(2.0)
     pu = phi(sqrt2 * l11 * x) * w
-    acc = np.zeros_like(l21)
-    for i in range(nodes):
-        v = sqrt2 * (l21[..., None] * x[i] + l22[..., None] * x)  # (..., n)
-        acc += pu[i] * (phi(v) @ w)
-    return acc / math.pi
+    chunk = max(1, _QUAD_CHUNK // (nodes * nodes))
+    acc = np.empty_like(l21)
+    for s in range(0, l21.size, chunk):
+        a = l21[s : s + chunk, None, None]
+        b = l22[s : s + chunk, None, None]
+        v = sqrt2 * (a * x[:, None] + b * x)  # (entries, outer, inner)
+        acc[s : s + chunk] = (phi(v) @ w) @ pu
+    return acc.reshape(q.shape) / math.pi
 
 
 def _relu_quad_pieces(kappa, nodes):

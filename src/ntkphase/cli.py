@@ -55,7 +55,7 @@ def _coerce(name: str, raw: str):
         return [SweepOutput(v.strip()) for v in raw.split(",") if v]
     if name in ("m", "n", "spatial_size", "filter_halfwidth", "seed", "n_features"):
         return int(raw)
-    if name in ("ridge", "dropout_keep"):
+    if name == "ridge":
         return float(raw)
     if name == "activation":
         return Activation(raw)
@@ -98,7 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # usage error; argparse's own code 2 would read as per-point failures
     try:
         cfg = _build_config(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

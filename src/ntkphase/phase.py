@@ -66,7 +66,6 @@ class Hyperparams:
     sigma_w2: float
     sigma_b2: float
     activation: Activation
-    depth: int = 1
     architecture: Architecture = Architecture.FCN
     spatial_size: int = 1
     dropout_keep: float = 1.0
@@ -74,12 +73,10 @@ class Hyperparams:
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))
         object.__setattr__(self, "architecture", Architecture(self.architecture))
-        if self.sigma_w2 < 0 or self.sigma_b2 < 0:
+        if not (self.sigma_w2 >= 0 and self.sigma_b2 >= 0):  # also rejects NaN
             raise ValueError("variances must be nonnegative")
         if self.sigma_w2 == 0 and self.sigma_b2 == 0:
             raise ValueError("sigma_w2 and sigma_b2 cannot both vanish")
-        if self.depth < 1:
-            raise ValueError("depth must be positive")
         if self.architecture is Architecture.FCN and self.spatial_size != 1:
             raise ValueError("FCN requires spatial_size == 1")
         if self.spatial_size < 1:
@@ -118,9 +115,6 @@ class AsymptoticPrediction:
     lambda_max: float
     lambda_bulk: float
     kappa: float
-    mean_pred_norm_scale: float
-    valid_for: str  # "ntk" | "nngp"
-    source: str = "table_phase_formula"
 
     def __post_init__(self):
         if self.kappa < 1.0:
@@ -341,16 +335,12 @@ def predict_spectrum(
                 lambda_max=(m * d + 3.0) * l * q / (4.0 * d),
                 lambda_bulk=3.0 * l * q / (4.0 * d),
                 kappa=(m * d + 3.0) / 3.0,
-                mean_pred_norm_scale=d / l,
-                valid_for=kind,
             )
         bulk = q * (4.5 * math.pi**2) / l**2
         return AsymptoticPrediction(
             lambda_max=m * q,
             lambda_bulk=bulk / d,
             kappa=max(d * m * q / bulk, 1.0),
-            mean_pred_norm_scale=1.0 / l,
-            valid_for=kind,
         )
 
     if kind == "ntk":
@@ -362,24 +352,18 @@ def predict_spectrum(
                 lambda_max=m * ph.pstar,
                 lambda_bulk=rate / d,
                 kappa=max(d * m * ph.pstar / rate, 1.0) if rate > 0 else math.inf,
-                mean_pred_norm_scale=1.0,
-                valid_for=kind,
             )
         if ph.phase is Phase.CRITICAL:
             return AsymptoticPrediction(
                 lambda_max=(m * d + 2.0) * l * q / (3.0 * d),
                 lambda_bulk=2.0 * l * q / (3.0 * d),
                 kappa=(m * d + 2.0) / 2.0,
-                mean_pred_norm_scale=d / l,
-                valid_for=kind,
             )
         p_l = _p_diag(q, chi1, l)
         return AsymptoticPrediction(
             lambda_max=p_l / d,
             lambda_bulk=p_l / d,
             kappa=1.0,
-            mean_pred_norm_scale=d * l * _pow(chi_c / chi1, l),
-            valid_for=kind,
         )
 
     if ph.phase is Phase.ORDERED:
@@ -387,16 +371,12 @@ def predict_spectrum(
             lambda_max=m * q,
             lambda_bulk=_pow(chi1, l) / d,
             kappa=max(d * m * q * _pow(chi1, -l), 1.0),
-            mean_pred_norm_scale=1.0,
-            valid_for=kind,
         )
     if ph.phase is Phase.CRITICAL:
         return AsymptoticPrediction(
             lambda_max=m * q,
             lambda_bulk=1.0 / (l * d),
             kappa=max(d * m * float(l), 1.0),
-            mean_pred_norm_scale=1.0 / l,
-            valid_for=kind,
         )
     if c >= 1.0:
         raise UndefinedPredictionError("chaotic NNGP prediction requires cstar < 1")
@@ -404,8 +384,6 @@ def predict_spectrum(
         lambda_max=((1.0 - c) / d + m * c) * q,
         lambda_bulk=(1.0 - c) * q / d,
         kappa=1.0 + d * m * c / (1.0 - c),
-        mean_pred_norm_scale=d * chi_c**l,
-        valid_for=kind,
     )
 
 

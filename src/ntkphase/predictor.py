@@ -3,33 +3,22 @@ ordered-phase infinite-depth predictor.
 
 The mean predictor maps centered train labels to test outputs through
 K_test,train @ (K_train,train + ridge)^{-1}; its Frobenius norm along a
-depth trajectory is the generalization metric, and the gradient-flow
-dynamics below reproduce it in the infinite-time limit.
+depth trajectory is the generalization metric (``predictor_decay`` in
+``ntkphase.sweep``), and the gradient-flow dynamics below reproduce it in
+the infinite-time limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .activations import ActivationKernel
 from .errors import IllConditionedError, SingularKernelError
-from .phase import Architecture, Hyperparams, Phase, PhaseReport, analyze
-from .propagation import (
-    KernelPair,
-    ReadoutMode,
-    init_cnn_kernels,
-    init_kernels,
-    normalize_inputs,
-    normalize_inputs_cnn,
-    paper_layer,
-    propagate_cnn,
-    propagate_fcn,
-    readout,
-)
+from .phase import Phase, PhaseReport
+from .propagation import KernelPair, paper_layer
 from .spectra import SpectrumSummary
 
 __all__ = [
@@ -39,7 +28,6 @@ __all__ = [
     "mean_predict",
     "dynamics",
     "max_learning_rate",
-    "predictor_decay",
     "ordered_limit_predictor",
 ]
 
@@ -130,55 +118,6 @@ def max_learning_rate(spec: SpectrumSummary) -> float:
     if spec.lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
     return 2.0 / spec.lambda_max
-
-
-def _propagated_pairs(
-    h: Hyperparams,
-    k: ActivationKernel,
-    X_joint: np.ndarray,
-    depths: Sequence[int],
-    filter_halfwidth: int,
-) -> List[KernelPair]:
-    if h.architecture is Architecture.FCN:
-        return propagate_fcn(init_kernels(X_joint), h, k, depths)
-    mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
-    ck = init_cnn_kernels(X_joint, filter_halfwidth)
-    return [readout(c, mode) for c in propagate_cnn(ck, h, k, depths)]
-
-
-def predictor_decay(
-    h: Hyperparams,
-    X_train: np.ndarray,
-    X_test: np.ndarray,
-    Y: np.ndarray,
-    depths: Sequence[int],
-    *,
-    backend: str = "closed",
-    nodes: int = 128,
-    filter_halfwidth: int = 1,
-    report: PhaseReport | None = None,
-) -> Dict[str, List[Tuple[int, float]]]:
-    """Frobenius norm of the zero-ridge mean prediction along a trajectory.
-
-    Returns series for both kernels keyed "ntk"/"nngp"; labels are centered
-    internally and inputs normalized to the solved variance fixed point.
-    """
-    rep = report if report is not None else analyze(h, backend, nodes)
-    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
-    Yc = center_labels(Y)
-    m = np.asarray(X_train).shape[0]
-    if h.architecture is Architecture.FCN:
-        X_joint = normalize_inputs(np.vstack([X_train, X_test]), rep.qstar)
-    else:
-        X_joint = normalize_inputs_cnn(np.concatenate([X_train, X_test]), rep.qstar)
-    out: Dict[str, List[Tuple[int, float]]] = {"ntk": [], "nngp": []}
-    for kp in _propagated_pairs(h, k, X_joint, depths, filter_halfwidth):
-        for kind in ("ntk", "nngp"):
-            K = getattr(kp, kind)
-            task = RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=Yc)
-            norm = float(np.linalg.norm(mean_predict(task)))
-            out[kind].append((kp.depth, norm))
-    return out
 
 
 def ordered_limit_predictor(

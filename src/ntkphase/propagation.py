@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -166,19 +166,24 @@ def step_fcn(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> KernelPair:
     return KernelPair(nngp=nngp, ntk=ntk, depth=kp.depth + 1)
 
 
+def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> list:
+    """Apply ``step`` repeatedly, collecting the state at each requested depth."""
+    want = sorted(set(depths))
+    if want and want[0] < state.depth:
+        raise ValueError("requested depth precedes the current state")
+    out = []
+    for target in want:
+        while state.depth < target:
+            state = step(state, h, k)
+        out.append(state)
+    return out
+
+
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (ascending) depths."""
-    out = []
-    want = sorted(set(depths))
-    if want and want[0] < kp.depth:
-        raise ValueError("requested depth precedes the current state")
-    for target in want:
-        while kp.depth < target:
-            kp = step_fcn(kp, h, k)
-        out.append(kp)
-    return out
+    return _walk(kp, step_fcn, h, k, depths)
 
 
 def step_scalar(s: ScalarKernelState, h: Hyperparams, k: ActivationKernel) -> ScalarKernelState:
@@ -198,12 +203,7 @@ def step_scalar(s: ScalarKernelState, h: Hyperparams, k: ActivationKernel) -> Sc
 def propagate_scalar(
     s: ScalarKernelState, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[ScalarKernelState]:
-    out = []
-    for target in sorted(set(depths)):
-        while s.depth < target:
-            s = step_scalar(s, h, k)
-        out.append(s)
-    return out
+    return _walk(s, step_scalar, h, k, depths)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,8 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
     m, n_ch, d = X.shape
     if 2 * halfwidth + 1 > d:
         raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    nngp = np.empty((len(pairs), d, d))
-    for idx, (i, j) in enumerate(pairs):
-        nngp[idx] = X[i].T @ X[j] / n_ch
+    i, j = np.triu_indices(m)  # pair_index order
+    nngp = np.matmul(X[i].transpose(0, 2, 1), X[j]) / n_ch
     return CnnKernel(
         nngp=nngp,
         ntk=nngp.copy(),
@@ -267,7 +265,8 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
 
 
 def _diag_pair_indices(ck: CnnKernel) -> np.ndarray:
-    return np.array([ck.pair_index(i, i) for i in range(ck.m)])
+    i = np.arange(ck.m)
+    return i * ck.m - i * (i - 1) // 2  # pair_index(i, i)
 
 
 def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
@@ -275,16 +274,14 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     t = k.t_map(ck.nngp)
     td = k.t_dot(ck.nngp)
     nngp = h.sigma_w2 * apply_A(t, ck.filter_halfwidth) + h.sigma_b2
-    diag_idx = _diag_pair_indices(ck)
     ar = np.arange(ck.spatial_size)
-    pix = nngp[diag_idx][:, ar, ar]
-    drift = np.max(np.abs(pix - k.qstar))
+    pixel_diag = (_diag_pair_indices(ck)[:, None], ar, ar)  # (sample, pixel) self-covariances
+    drift = np.max(np.abs(nngp[pixel_diag] - k.qstar))
     if drift > _DIAG_DRIFT_TOL:
         raise DiagonalDriftError(
             f"pixel diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    for idx in diag_idx:
-        np.fill_diagonal(nngp[idx], k.qstar)
+    nngp[pixel_diag] = k.qstar
     ntk = nngp + apply_A(h.sigma_w2 * td * ck.ntk, ck.filter_halfwidth)
     return CnnKernel(
         nngp=nngp,
@@ -299,12 +296,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
 def propagate_cnn(
     ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[CnnKernel]:
-    out = []
-    for target in sorted(set(depths)):
-        while ck.depth < target:
-            ck = step_cnn(ck, h, k)
-        out.append(ck)
-    return out
+    return _walk(ck, step_cnn, h, k, depths)
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
@@ -316,16 +308,14 @@ def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
         reduce = lambda blocks: np.trace(blocks, axis1=-2, axis2=-1) / d
     else:
         reduce = lambda blocks: blocks.mean(axis=(-2, -1))
-    vals_n = reduce(ck.nngp)
-    vals_t = reduce(ck.ntk)
-    nngp = np.empty((ck.m, ck.m))
-    ntk = np.empty((ck.m, ck.m))
-    for i in range(ck.m):
-        for j in range(i, ck.m):
-            idx = ck.pair_index(i, j)
-            nngp[i, j] = nngp[j, i] = vals_n[idx]
-            ntk[i, j] = ntk[j, i] = vals_t[idx]
-    return KernelPair(nngp=nngp, ntk=ntk, depth=ck.depth)
+    i, j = np.triu_indices(ck.m)  # pair_index order
+
+    def square(blocks):
+        out = np.empty((ck.m, ck.m))
+        out[i, j] = out[j, i] = reduce(blocks)
+        return out
+
+    return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,19 @@
-"""Eigenvalue summaries, condition numbers and empirical rate fits."""
+"""Eigenvalue summaries, condition numbers and empirical rate fits.
+
+Depth trajectories of these summaries (``kappa_trajectory``) are built by
+the one kernel-trajectory pipeline in ``ntkphase.sweep``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .activations import ActivationKernel
 from .errors import NtkPhaseError
-from .phase import Architecture, Hyperparams, PhaseReport, analyze
-from .propagation import (
-    KernelPair,
-    ReadoutMode,
-    init_cnn_kernels,
-    init_kernels,
-    normalize_inputs,
-    normalize_inputs_cnn,
-    propagate_cnn,
-    propagate_fcn,
-    readout,
-)
 
-__all__ = ["SpectrumSummary", "RateFit", "spectrum", "fit_rate", "kappa_trajectory"]
+__all__ = ["SpectrumSummary", "RateFit", "spectrum", "fit_rate"]
 
 
 class AsymmetryError(NtkPhaseError, ValueError):
@@ -109,37 +100,3 @@ def fit_rate(series: Sequence[Tuple[float, float]], model: str = "log_linear") -
         r2=min(max(r2, 0.0), 1.0),
         window=(float(depths.min()), float(depths.max())),
     )
-
-
-def kappa_trajectory(
-    h: Hyperparams,
-    X: np.ndarray,
-    depths: Sequence[int],
-    *,
-    backend: str = "closed",
-    nodes: int = 128,
-    filter_halfwidth: int = 1,
-    report: Optional[PhaseReport] = None,
-) -> Dict[str, List[SpectrumSummary]]:
-    """Spectrum summaries of both kernels along a depth trajectory.
-
-    ``X`` is the raw dataset: rows for FCN, (samples, channels, pixels) for
-    the convolutional architectures, which are read out per
-    ``h.architecture`` (flatten or pool) before the eigendecomposition.
-    Inputs are normalized to the solved variance fixed point internally.
-    """
-    if any(d2 <= d1 for d1, d2 in zip(depths, list(depths)[1:])):
-        raise ValueError("depths must be strictly increasing")
-    rep = report if report is not None else analyze(h, backend, nodes)
-    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
-    if h.architecture is Architecture.FCN:
-        kp0 = init_kernels(normalize_inputs(X, rep.qstar))
-        pairs = propagate_fcn(kp0, h, k, depths)
-    else:
-        mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
-        ck = init_cnn_kernels(normalize_inputs_cnn(X, rep.qstar), filter_halfwidth)
-        pairs = [readout(c, mode) for c in propagate_cnn(ck, h, k, depths)]
-    return {
-        "ntk": [spectrum(kp.ntk, kp.depth) for kp in pairs],
-        "nngp": [spectrum(kp.nngp, kp.depth) for kp in pairs],
-    }

@@ -1,4 +1,10 @@
-"""Hyperparameter-grid sweeps and deterministic table emission.
+"""Kernel trajectories, hyperparameter-grid sweeps and deterministic table
+emission.
+
+``_trajectory`` is the one pipeline from raw inputs to the joint NNGP/NTK
+matrices along depth (normalize -> init -> propagate -> readout); the sweep,
+``kappa_trajectory`` and ``predictor_decay`` all build their kernels through
+it.
 
 A sweep evaluates every (sigma_w2, sigma_b2) grid point independently:
 phase analysis, kernel trajectories over the requested depths, spectrum
@@ -20,9 +26,9 @@ import enum
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +38,14 @@ from .errors import NtkPhaseError, UndefinedPredictionError
 from .phase import (
     Architecture,
     Hyperparams,
+    PhaseReport,
     analyze,
     critical_sigma_w2,
     predict_spectrum,
 )
 from .predictor import RegressionTask, center_labels, dynamics, mean_predict
 from .propagation import (
+    KernelPair,
     ReadoutMode,
     init_cnn_kernels,
     init_kernels,
@@ -47,9 +55,16 @@ from .propagation import (
     propagate_fcn,
     readout,
 )
-from .spectra import spectrum
+from .spectra import SpectrumSummary, spectrum
 
-__all__ = ["SweepOutput", "SweepConfig", "SweepResult", "run_sweep", "emit_phase_diagram"]
+__all__ = [
+    "SweepOutput",
+    "SweepConfig",
+    "SweepResult",
+    "run_sweep",
+    "kappa_trajectory",
+    "predictor_decay",
+]
 
 
 class SweepOutput(str, enum.Enum):
@@ -103,7 +118,6 @@ class SweepConfig:
     spatial_size: int = 6
     filter_halfwidth: int = 1
     ridge: float = 0.0
-    dropout_keep: float = 1.0
     seed: int = 0
     n_features: int = 32
     generator: DataGenerator = DataGenerator.GAUSSIAN_IID
@@ -123,6 +137,10 @@ class SweepConfig:
         object.__setattr__(self, "outputs", tuple(SweepOutput(o) for o in self.outputs))
         if not self.sigma_w2_grid or not self.sigma_b2_grid:
             raise ValueError("grids must be nonempty")
+        if not all(0.0 <= v < math.inf for v in self.sigma_w2_grid + self.sigma_b2_grid):
+            raise ValueError("grid values must be finite and nonnegative")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be finite and nonnegative")
         if list(self.depths) != sorted(set(self.depths)) or self.depths[0] < 1:
             raise ValueError("depths must be strictly increasing positive integers")
         if self.m < 2 or self.m % 2:
@@ -211,8 +229,85 @@ def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:
         activation=cfg.activation,
         architecture=cfg.architecture,
         spatial_size=cfg.spatial_size if cfg.architecture is not Architecture.FCN else 1,
-        dropout_keep=cfg.dropout_keep,
     )
+
+
+def _trajectory(
+    h: Hyperparams,
+    k: ActivationKernel,
+    X: np.ndarray,
+    depths: Sequence[int],
+    filter_halfwidth: int,
+) -> List[KernelPair]:
+    """Joint NNGP/NTK matrices of the raw inputs ``X`` at the requested depths.
+
+    ``X`` holds rows for FCN and (samples, channels, pixels) for the
+    convolutional architectures, which are read out per ``h.architecture``
+    (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
+    mean-square ``k.qstar``, the solved variance fixed point.
+    """
+    if h.architecture is Architecture.FCN:
+        return propagate_fcn(init_kernels(normalize_inputs(X, k.qstar)), h, k, depths)
+    mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
+    ck = init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), filter_halfwidth)
+    return [readout(c, mode) for c in propagate_cnn(ck, h, k, depths)]
+
+
+def kappa_trajectory(
+    h: Hyperparams,
+    X: np.ndarray,
+    depths: Sequence[int],
+    *,
+    backend: str = "closed",
+    nodes: int = 128,
+    filter_halfwidth: int = 1,
+    report: Optional[PhaseReport] = None,
+) -> Dict[str, List[SpectrumSummary]]:
+    """Spectrum summaries of both kernels along a depth trajectory.
+
+    ``X`` is the raw dataset (see ``_trajectory``); the summaries cover all
+    of its rows.
+    """
+    if any(d2 <= d1 for d1, d2 in zip(depths, list(depths)[1:])):
+        raise ValueError("depths must be strictly increasing")
+    rep = report if report is not None else analyze(h, backend, nodes)
+    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
+    pairs = _trajectory(h, k, X, depths, filter_halfwidth)
+    return {
+        "ntk": [spectrum(kp.ntk, kp.depth) for kp in pairs],
+        "nngp": [spectrum(kp.nngp, kp.depth) for kp in pairs],
+    }
+
+
+def predictor_decay(
+    h: Hyperparams,
+    X_train: np.ndarray,
+    X_test: np.ndarray,
+    Y: np.ndarray,
+    depths: Sequence[int],
+    *,
+    backend: str = "closed",
+    nodes: int = 128,
+    filter_halfwidth: int = 1,
+    report: Optional[PhaseReport] = None,
+) -> Dict[str, List[Tuple[int, float]]]:
+    """Frobenius norm of the zero-ridge mean prediction along a trajectory.
+
+    Returns series for both kernels keyed "ntk"/"nngp"; labels are centered
+    internally and the raw train and test inputs propagated jointly.
+    """
+    rep = report if report is not None else analyze(h, backend, nodes)
+    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
+    Yc = center_labels(Y)
+    m = np.asarray(X_train).shape[0]
+    X = np.concatenate([X_train, X_test])
+    out: Dict[str, List[Tuple[int, float]]] = {"ntk": [], "nngp": []}
+    for kp in _trajectory(h, k, X, depths, filter_halfwidth):
+        for kind in out:
+            K = getattr(kp, kind)
+            task = RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=Yc)
+            out[kind].append((kp.depth, float(np.linalg.norm(mean_predict(task)))))
+    return out
 
 
 def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float):
@@ -246,20 +341,8 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
 
     try:
         k = ActivationKernel(h.activation, rep.qstar, nodes=128)
-        if cfg.architecture is Architecture.FCN:
-            X = normalize_inputs(np.vstack([data.X_train, data.X_test]), rep.qstar)
-            pairs = propagate_fcn(init_kernels(X), h, k, cfg.depths)
-        else:
-            X = normalize_inputs_cnn(
-                np.concatenate([data.X_train, data.X_test]), rep.qstar
-            )
-            mode = (
-                ReadoutMode.POOL
-                if cfg.architecture is Architecture.CNN_P
-                else ReadoutMode.FLATTEN
-            )
-            ck = init_cnn_kernels(X, cfg.filter_halfwidth)
-            pairs = [readout(c, mode) for c in propagate_cnn(ck, h, k, cfg.depths)]
+        X = np.concatenate([data.X_train, data.X_test])
+        pairs = _trajectory(h, k, X, cfg.depths, cfg.filter_halfwidth)
 
         m = cfg.m
         for kp in pairs:
@@ -382,11 +465,3 @@ def run_sweep(
             _write_json(p, name, _COLUMNS[out], rows)
             paths.append(p)
     return SweepResult(paths=paths, n_point_errors=n_errors)
-
-
-def emit_phase_diagram(
-    cfg: SweepConfig, out_dir, threads: int = 1, formats: Sequence[str] = ("csv",)
-) -> SweepResult:
-    """Phase-diagram table only (grid rows plus the transition curve)."""
-    cfg = replace(cfg, outputs=(SweepOutput.PHASE_DIAGRAM,))
-    return run_sweep(cfg, out_dir, threads=threads, formats=formats)

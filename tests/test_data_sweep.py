@@ -9,9 +9,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ntkphase import normalize_inputs
+from ntkphase import Hyperparams, kappa_trajectory, normalize_inputs, predictor_decay
 from ntkphase.cli import main as cli_main
-from ntkphase.data import DataGenerator, generate_data, normals
+from ntkphase.data import DataGenerator, cnn_inputs, generate_data, normals
 from ntkphase.sweep import SweepConfig, SweepOutput, run_sweep
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ntkphase/schemas/output_schema.json"
@@ -56,6 +56,11 @@ class TestSweepConfig:
             SweepConfig(depths=(4, 2))
         with pytest.raises(ValueError):
             SweepConfig(m=7)
+        for bad in (dict(sigma_w2_grid=(float("nan"),)), dict(sigma_w2_grid=(1.0, math.inf)),
+                    dict(sigma_b2_grid=(-0.5,)), dict(ridge=float("nan")),
+                    dict(ridge=math.inf), dict(ridge=-1e-3)):
+            with pytest.raises(ValueError):
+                SweepConfig(**bad)
 
     def test_json_roundtrip(self, tmp_path):
         cfg = SweepConfig(sigma_w2_grid=(1.0, 2.0), depths=(1, 3), outputs=("kappa",))
@@ -170,6 +175,53 @@ class TestRunSweep:
         assert len((tmp_path / "kappa.csv").read_text().splitlines()) == 1 + 1 * 2 * 2
 
 
+def _read_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _in_row_order(series):
+    """(kind, item) pairs in the sweep's row order: by depth, ntk before nngp."""
+    return [(kind, item) for pair in zip(series["ntk"], series["nngp"])
+            for kind, item in zip(("ntk", "nngp"), pair)]
+
+
+class TestSinglePipeline:
+    """The sweep's kernels come from the same pipeline as the library calls."""
+
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_p"])
+    def test_sweep_rows_equal_library_trajectories(self, tmp_path, architecture):
+        d, m, n, n_features, seed, depths = 4, 6, 2, 8, 3, (1, 3, 6)
+        cfg = SweepConfig(
+            architecture=architecture, sigma_w2_grid=(1.5,), sigma_b2_grid=(0.5,),
+            depths=depths, m=m, n=n, n_features=n_features, spatial_size=d, seed=seed,
+            outputs=(SweepOutput.KAPPA, SweepOutput.PREDICTOR_DECAY),
+        )
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+        if architecture == "fcn":
+            data = generate_data(m, n, n_features, DataGenerator.GAUSSIAN_IID, seed)
+            X_train, X_test, Y = data.X_train, data.X_test, data.Y
+            h = Hyperparams(1.5, 0.5, "erf")
+        else:
+            X = cnn_inputs(m + n, n_features, d, seed)
+            X_train, X_test = X[:m], X[m:]
+            Y = np.array([[1.0]] * (m // 2) + [[-1.0]] * (m // 2))
+            h = Hyperparams(1.5, 0.5, "erf", architecture=architecture, spatial_size=d)
+
+        cols = ("lambda_max", "lambda_bulk", "lambda_min", "kappa", "kappa_bulk")
+        rows = _read_rows(tmp_path / "kappa.csv")
+        assert [(int(r["depth"]), r["kind"], *(float(r[c]) for c in cols)) for r in rows] == [
+            (s.depth, kind, *(getattr(s, c) for c in cols))
+            for kind, s in _in_row_order(kappa_trajectory(h, X_train, depths))
+        ]
+        rows = _read_rows(tmp_path / "predictor_decay.csv")
+        assert [(int(r["depth"]), r["kind"], float(r["pred_norm"])) for r in rows] == [
+            (depth, kind, norm)
+            for kind, (depth, norm) in _in_row_order(predictor_decay(h, X_train, X_test, Y, depths))
+        ]
+
+
 class TestPhaseDiagramOutput:
     def test_relu_transition_at_two(self, tmp_path):
         cfg = SweepConfig(
@@ -245,6 +297,16 @@ class TestCli:
         rc = cli_main(["sweep", "--m", "7", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--sigma-w2-grid", "nan"],
+        ["--sigma-w2-grid", "inf"],
+        ["--sigma-b2-grid", "-0.5"],
+        ["--format", "xml"],
+        ["--dropout-keep", "0.5"],
+    ])
+    def test_bad_value_or_usage_exit_code(self, tmp_path, flags):
+        assert cli_main(["sweep", *flags, "--out", str(tmp_path)]) == 1
+
     def test_partial_failure_exit_code(self, tmp_path):
         rc = cli_main([
             "trajectory", "--activation", "relu", "--sigma-w2-grid", "4.0",
@@ -252,6 +314,16 @@ class TestCli:
             "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    def test_unknown_config_key_exits_one(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "dropout_keep": 0.5}))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--help"])
+        assert exc.value.code == 0
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -34,6 +34,13 @@ def erf_kernel(qstar):
     return ActivationKernel(Activation.ERF, qstar)
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize("sw2, sb2", [(float("nan"), 0.5), (1.0, float("nan")), (-1.0, 0.5)])
+    def test_rejects_nan_and_negative_variances(self, sw2, sb2):
+        with pytest.raises(ValueError):
+            Hyperparams(sw2, sb2, "erf")
+
+
 class TestQstar:
     def test_constant_map(self):
         assert solve_qstar(Hyperparams(0.0, 0.7, "erf")) == pytest.approx(0.7, abs=1e-12)

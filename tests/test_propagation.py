@@ -28,6 +28,7 @@ from ntkphase import (
     normalize_inputs,
     normalize_inputs_cnn,
     paper_layer,
+    propagate_cnn,
     propagate_fcn,
     propagate_scalar,
     readout,
@@ -164,6 +165,32 @@ class TestStepFcn:
                 kp = step_fcn(kp, h, k)
                 assert np.linalg.eigvalsh(kp.nngp).min() >= -1e-9
                 assert np.linalg.eigvalsh(kp.ntk).min() >= -1e-9
+
+
+def _fcn_start(rep):
+    return init_kernels(normalize_inputs(normals(2, (3, 8)), rep.qstar))
+
+
+def _cnn_start(rep):
+    return init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 6, 4, seed=2), rep.qstar), 1)
+
+
+def _scalar_start(rep):
+    return ScalarKernelState(rep.qstar, 0.2 * rep.qstar, rep.qstar, 0.2 * rep.qstar, 0)
+
+
+@pytest.mark.parametrize(
+    "propagate, start",
+    [(propagate_fcn, _fcn_start), (propagate_cnn, _cnn_start), (propagate_scalar, _scalar_start)],
+    ids=["fcn", "cnn", "scalar"],
+)
+def test_propagate_rejects_depth_before_state(propagate, start):
+    h, rep, k = erf_setup(2.0, 0.5)
+    state = propagate(start(rep), h, k, [3])[0]
+    assert state.depth == 3
+    with pytest.raises(ValueError):
+        propagate(state, h, k, [2, 5])
+    assert [s.depth for s in propagate(state, h, k, [3, 5])] == [3, 5]
 
 
 class TestStepScalar:
@@ -436,6 +463,23 @@ class TestCnnInit:
         ck = init_cnn_kernels(X, 1)
         np.testing.assert_allclose(ck.block(0, 1), ck.block(1, 0).T, atol=0)
         np.testing.assert_allclose(np.diagonal(ck.block(2, 2)), 1.0, atol=1e-12)
+
+    def test_blocks_and_readout_match_pair_loop(self):
+        h, rep, k = erf_setup(4.0, 0.5)
+        hc = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=5)
+        X = normalize_inputs_cnn(cnn_inputs(4, 6, 5, seed=3), rep.qstar)
+        ck = init_cnn_kernels(X, 1)
+        for i in range(4):
+            for j in range(i, 4):
+                assert np.array_equal(ck.nngp[ck.pair_index(i, j)], X[i].T @ X[j] / 6)
+        ck = step_cnn(step_cnn(ck, hc, k), hc, k)
+        for mode, reduce in ((ReadoutMode.FLATTEN, lambda b: np.trace(b) / 5),
+                             (ReadoutMode.POOL, np.mean)):
+            out = readout(ck, mode)
+            for i in range(4):
+                for j in range(4):
+                    assert out.nngp[i, j] == reduce(ck.nngp[ck.pair_index(i, j)])
+                    assert out.ntk[i, j] == reduce(ck.ntk[ck.pair_index(i, j)])
 
     def test_window_validation(self):
         X = cnn_inputs(2, 4, 3, seed=0)
