@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activations import Activation, ActivationKernel, diag_second_moment
+from .activations import _PHI, Activation, ActivationKernel, diag_second_moment
 from .errors import (
     BracketError,
     CovarianceDomainError,
@@ -45,6 +45,7 @@ __all__ = [
 PHASE_TOL = 1e-8  # |chi1 - 1| below this counts as critical
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 10_000
+_BRACKET_DOUBLINGS = 64
 
 
 class Architecture(str, enum.Enum):
@@ -247,47 +248,42 @@ def analyze(h: Hyperparams, backend: str = "closed", nodes: int = 128) -> PhaseR
     )
 
 
-def critical_sigma_w2(
-    sigma_b2: float,
-    k: ActivationKernel,
-    bracket=(1e-3, 20.0),
-    tol: float = 1e-10,
-) -> float:
-    """Weight variance on the order-to-chaos line at the given bias variance.
+def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
+    """Weight variance on the order-to-chaos line chi1 = 1 at ``sigma_b2``.
 
-    Root of chi1(sigma_w2) = 1 by bisection; each trial re-solves the
-    variance fixed point.  ``k`` supplies activation/backend only.
+    The line is parameterized by its variance fixed point q: with
+    V(q) = E[phi(u)^2] and D(q) = E[phi'(u)^2], u ~ N(0, q), it is
+    sigma_w2 = 1/D(q), sigma_b2 = q - V(q)/D(q).  One bisection in q solves
+    the second equation; the bracket starts at [0, max(1, 2 sigma_b2)] and
+    its upper end doubles until it holds the root.  At sigma_b2 = 0 the
+    root is the q -> 0 limit 1/phi'(0)^2 (pi/4 for Erf, 1 for Tanh).  ReLU
+    has D = 1/2 at every q, so its line is sigma_w2 = 2 at every sigma_b2
+    (for sigma_b2 > 0 the q -> inf limit).  ``k`` supplies activation,
+    backend and nodes only.
     """
-    if sigma_b2 < 0:
-        raise ValueError("sigma_b2 must be nonnegative")
+    if not 0.0 <= sigma_b2 < math.inf:  # also rejects NaN
+        raise ValueError("sigma_b2 must be finite and nonnegative")
+    if k.activation is Activation.RELU:
+        return 2.0
+    if sigma_b2 == 0.0:
+        return 1.0 / float(_PHI[k.activation][1](0.0)) ** 2
 
-    def chi1_at(sw2: float) -> float:
-        h = Hyperparams(sw2, sigma_b2, k.activation)
-        try:
-            q = solve_qstar(h, k)
-        except NonConvergenceError as exc:
-            # A truly diverging variance map is past the transition; a
-            # bounded-but-slow iterate (ReLU arbitrarily near criticality)
-            # still determines the sign of chi1 - 1, so evaluate there.
-            if not math.isfinite(exc.last_iterate):
-                return math.inf
-            q = exc.last_iterate
-        kk = ActivationKernel(k.activation, max(q, 1e-12), k.backend, k.nodes)
-        return sw2 * kk.t_dot(kk.qstar)
+    def line(q: float):  # (sigma_b2, sigma_w2) at fixed point q on the line
+        d = ActivationKernel(k.activation, q, k.backend, k.nodes).t_dot(q)
+        return q - float(diag_second_moment(k.activation, q, k.nodes)) / d, 1.0 / d
 
-    lo, hi = bracket
-    flo, fhi = chi1_at(lo) - 1.0, chi1_at(hi) - 1.0
-    if flo * fhi > 0:
-        raise BracketError(
-            f"chi1 - 1 has no sign change on [{lo}, {hi}] at sigma_b2={sigma_b2}"
-        )
-    while hi - lo > tol:
+    lo, hi = 0.0, max(1.0, 2.0 * sigma_b2)
+    for _ in range(_BRACKET_DOUBLINGS):
+        if line(hi)[0] > sigma_b2:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise BracketError(f"no order-to-chaos point with q below {hi} at sigma_b2={sigma_b2}")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (lo, mid) if line(mid)[0] > sigma_b2 else (mid, hi)
         mid = 0.5 * (lo + hi)
-        if (chi1_at(mid) - 1.0) * flo > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return line(hi)[1]
 
 
 def _pool_factor(h: Hyperparams) -> int:

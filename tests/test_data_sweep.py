@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -292,6 +295,24 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "kappa.csv").exists() and (tmp_path / "spectrum.csv").exists()
+
+    def test_phase_diagram_does_not_import_scipy_optimize(self, tmp_path):
+        # importing scipy.optimize adds ~16 MB to the CLI's peak resident set; a
+        # fresh process is needed because this module imports it itself
+        code = (
+            "import sys\n"
+            "from ntkphase.cli import main\n"
+            "rc = main(['phase-diagram', '--activation', 'erf', '--sigma-w2-grid', '1.0,4.0',\n"
+            f"           '--sigma-b2-grid', '0.05,0.5', '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_config_error_exit_code(self, tmp_path):
         rc = cli_main(["sweep", "--m", "7", "--out", str(tmp_path)])

@@ -132,6 +132,39 @@ class TestCriticalLine:
         k = erf_kernel(1.0)
         assert critical_sigma_w2(0.0, k) <= critical_sigma_w2(2.0, k)
 
+    @pytest.mark.parametrize("sb2", [0.0, 0.05, 0.5])
+    def test_relu_line_is_exactly_two(self, sb2):
+        assert critical_sigma_w2(sb2, ActivationKernel(Activation.RELU, 1.0)) == 2.0
+
+    @pytest.mark.parametrize("activation, limit", [("erf", math.pi / 4), ("tanh", 1.0)],
+                             ids=["erf", "tanh"])
+    def test_zero_bias_limit_is_inverse_slope_at_origin(self, activation, limit):
+        # sigma_b2 = 0 puts the fixed point at q = 0, where chi1 = sigma_w2 phi'(0)^2
+        k = ActivationKernel(activation, 1.0)
+        assert critical_sigma_w2(0.0, k) == pytest.approx(limit, rel=1e-12)
+
+    @pytest.mark.parametrize("sb2", [float("nan"), math.inf, -0.5])
+    def test_rejects_bad_bias_variance(self, sb2):
+        with pytest.raises(ValueError):
+            critical_sigma_w2(sb2, erf_kernel(1.0))
+
+    @pytest.mark.parametrize("sb2", [0.05, 0.5, 2.0])
+    def test_tanh_transition_is_critical(self, sb2):
+        sw2 = critical_sigma_w2(sb2, ActivationKernel(Activation.TANH, 1.0))
+        assert analyze(Hyperparams(sw2, sb2, "tanh")).phase is Phase.CRITICAL
+
+    @pytest.mark.parametrize("sb2", [
+        0.05,
+        0.5,
+        pytest.param(2.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "128-node Gauss-Hermite t_dot for tanh is ~2e-4 low at q* = 4.8, "
+            "so the line moves 2.3e-4 between 128 and 160 nodes"))),
+    ])
+    def test_tanh_transition_matches_160_node_quadrature(self, sb2):
+        sw2 = critical_sigma_w2(sb2, ActivationKernel(Activation.TANH, 1.0))
+        oracle = critical_sigma_w2(sb2, ActivationKernel("tanh", 1.0, "quadrature", 160))
+        assert sw2 == pytest.approx(oracle, rel=1e-5)
+
     def test_phase_changes_once_along_slice(self):
         phases = []
         for sw2 in np.linspace(0.5, 5.0, 25):
