@@ -37,6 +37,9 @@ __all__ = ["Activation", "ActivationKernel", "diag_second_moment"]
 _DOMAIN_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_CHUNK = 2**18  # integrand values per _quad_smooth chunk
+_GEMV_BLOCK = 4  # entries per _quad_smooth padding block
+# numpy's hermgauss loses its weights past 370 nodes (all zero at 371, NaN from 372)
+_MAX_NODES = 370
 
 
 class Activation(str, enum.Enum):
@@ -60,6 +63,11 @@ def _laggauss(n: int):
     jac = np.diag(2.0 * k + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
     return nodes, vecs[0] ** 2
+
+
+def _check_nodes(nodes: int) -> None:
+    if not 2 <= nodes <= _MAX_NODES:
+        raise ValueError(f"{nodes} quadrature nodes; need between 2 and {_MAX_NODES}")
 
 
 def _norm_pdf(z):
@@ -107,24 +115,35 @@ def _quad_smooth(phi, qstar, q, nodes):
     """Tensor Gauss-Hermite for E[phi(u) phi(v)], Cholesky-whitened.
 
     Evaluates the full nodes x nodes rule over chunks of entries holding at
-    most ``_QUAD_CHUNK`` integrand values, so a scalar call is one
-    vectorized evaluation and a large block array stays within that bound.
+    most ``_QUAD_CHUNK`` integrand values (or one block of four entries), so
+    a scalar call is one vectorized evaluation and a large block array stays
+    within that bound.
+
+    The last contraction is one BLAS gemv per chunk.  OpenBLAS sums its rows
+    in blocks of four and rounds a trailing one to three rows differently,
+    so chunks hold whole blocks and an array is padded to whole blocks: an
+    entry's value then does not depend on its place in the array (a CNN
+    kernel that holds offset 0 alone maps to the same bits).  A lone entry
+    is not padded and keeps its single-row rounding.
     """
     x, w = _hermgauss(nodes)
     q = np.asarray(q, dtype=float)
     l11 = math.sqrt(qstar)
     l21 = (q / l11).ravel()
     l22 = np.sqrt(np.maximum(qstar - l21 * l21, 0.0))
+    if l21.size > 1:
+        pad = (0, -l21.size % _GEMV_BLOCK)
+        l21, l22 = np.pad(l21, pad), np.pad(l22, pad)
     sqrt2 = math.sqrt(2.0)
     pu = phi(sqrt2 * l11 * x) * w
-    chunk = max(1, _QUAD_CHUNK // (nodes * nodes))
+    chunk = _GEMV_BLOCK * max(1, _QUAD_CHUNK // (_GEMV_BLOCK * nodes * nodes))
     acc = np.empty_like(l21)
     for s in range(0, l21.size, chunk):
         a = l21[s : s + chunk, None, None]
         b = l22[s : s + chunk, None, None]
         v = sqrt2 * (a * x[:, None] + b * x)  # (entries, outer, inner)
         acc[s : s + chunk] = (phi(v) @ w) @ pu
-    return acc.reshape(q.shape) / math.pi
+    return acc[: q.size].reshape(q.shape) / math.pi
 
 
 def _relu_quad_pieces(kappa, nodes):
@@ -189,6 +208,7 @@ def diag_second_moment(activation: Activation, q, nodes: int = 128):
     This is the map whose fixed point sets the normalized variance; unlike
     the off-diagonal maps it takes the common variance itself as argument.
     """
+    _check_nodes(nodes)
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise CovarianceDomainError("variance must be nonnegative")
@@ -208,8 +228,9 @@ class ActivationKernel:
     backend "closed" uses the arcsine/arc-cosine closed forms where they
     exist (Erf, ReLU); Tanh always evaluates by quadrature.  backend
     "quadrature" forces the Gaussian-quadrature route with ``nodes`` points
-    per rule, which is the independent oracle the closed forms are checked
-    against.  Instances are immutable and safe to share across threads.
+    per rule (2 to 370), which is the independent oracle the closed forms
+    are checked against.  Instances are immutable and safe to share across
+    threads.
     """
 
     activation: Activation
@@ -222,8 +243,7 @@ class ActivationKernel:
             raise ValueError("qstar must be positive")
         if self.backend not in ("closed", "quadrature"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.nodes < 2:
-            raise ValueError("need at least 2 quadrature nodes")
+        _check_nodes(self.nodes)
         object.__setattr__(self, "activation", Activation(self.activation))
 
     # -- helpers ----------------------------------------------------------

@@ -2,9 +2,17 @@
 
 Covers dense matrix propagation over a dataset (fully-connected), the
 two-point scalar recursions, 1-D convolutional kernels with circular
-padding (block tensors and the diagonal-averaging operator), flatten/pool
-readouts, the penultimate-layer dropout correction, and the continuum
-residual-network flows.
+padding (pixel-offset storage and the diagonal-averaging operator),
+flatten/pool readouts, the penultimate-layer dropout correction, and the
+continuum residual-network flows.
+
+Convolutional kernels are stored by pixel offset, not as d x d blocks:
+entry ``[o, a]`` of a pair is the covariance of pixel a of the first sample
+with pixel (a + o) mod d of the second.  The diagonal-averaging operator
+shifts both pixel indices together and the Gaussian maps act entry by
+entry, so every offset evolves on its own; a flatten readout reads only
+offset 0, and a kernel may carry offset 0 alone.  Pooling and
+``CnnKernel.block`` need every offset.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -40,6 +48,8 @@ __all__ = [
     "step_scalar",
     "propagate_scalar",
     "apply_A",
+    "blocks_to_offsets",
+    "offsets_to_blocks",
     "fourier_eigs",
     "normalize_inputs_cnn",
     "init_cnn_kernels",
@@ -91,14 +101,16 @@ class ResidualVariant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CnnKernel:
-    """Pixel-pixel kernel blocks for a 1-D convolutional network.
+    """Pixel-pixel kernels of a 1-D convolutional network, stored by offset.
 
-    Only the upper triangle of sample pairs is stored: ``nngp[pair_index(i, j)]``
-    is the d x d block of covariances between pixels of sample i and sample j;
-    the (j, i) block is its transpose.
+    Only the upper triangle of sample pairs is stored, and each pair by
+    pixel offset: ``nngp[pair_index(i, j), o, a]`` is the covariance between
+    pixel a of sample i and pixel (a + o) mod d of sample j.  The offset
+    axis holds all d offsets, or offset 0 alone, which is all a flatten
+    readout reads; ``block`` and pooling need every offset.
     """
 
-    nngp: np.ndarray  # (n_pairs, d, d)
+    nngp: np.ndarray  # (n_pairs, n_offsets, d)
     ntk: np.ndarray
     m: int
     spatial_size: int
@@ -111,8 +123,9 @@ class CnnKernel:
         return i * self.m - (i * (i - 1)) // 2 + (j - i)
 
     def block(self, i: int, j: int, kind: str = "nngp") -> np.ndarray:
+        """The d x d block of covariances between pixels of sample i and j."""
         arr = self.nngp if kind == "nngp" else self.ntk
-        b = arr[self.pair_index(i, j)]
+        b = offsets_to_blocks(arr[self.pair_index(i, j)])
         return b if i <= j else b.T
 
 
@@ -210,19 +223,52 @@ def propagate_scalar(
 # convolutional path
 
 
-def apply_A(block: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Average the 2k+1 circular diagonal shifts of a pixel-pixel block."""
-    block = np.asarray(block, dtype=float)
-    d = block.shape[-1]
+def apply_A(K: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Average the 2k+1 circular diagonal shifts of offset-stored kernels.
+
+    A diagonal shift of a block moves both pixel indices together, so on
+    the offset layout it is a circular shift along the position (last)
+    axis; each offset is averaged on its own.
+    """
+    K = np.asarray(K, dtype=float)
+    d = K.shape[-1]
     if 2 * halfwidth + 1 > d:
         raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
-    if halfwidth == 0:
-        return block.copy()
-    acc = block.copy()
+    acc = K.copy()
     for beta in range(1, halfwidth + 1):
-        acc += np.roll(block, (-beta, -beta), axis=(-2, -1))
-        acc += np.roll(block, (beta, beta), axis=(-2, -1))
-    return acc / (2 * halfwidth + 1)
+        # in place, no shifted copies: acc[a] += K[a + beta], then acc[a] += K[a - beta] (mod d)
+        acc[..., :-beta] += K[..., beta:]
+        acc[..., -beta:] += K[..., :beta]
+        acc[..., beta:] += K[..., :-beta]
+        acc[..., :beta] += K[..., -beta:]
+    acc /= 2 * halfwidth + 1
+    return acc
+
+
+def _gather_square(X: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+    """Copy of X whose trailing d x d entry [r, c] is the flat entry ``flat_index[r, c]``."""
+    flat = X.reshape(*X.shape[:-2], -1)
+    return np.take(flat, flat_index.ravel(), axis=-1).reshape(X.shape)
+
+
+def blocks_to_offsets(blocks: np.ndarray) -> np.ndarray:
+    """(..., d, d) blocks to the offset layout: ``[..., o, a] = B[..., a, (a + o) mod d]``."""
+    blocks = np.asarray(blocks, dtype=float)
+    d = blocks.shape[-1]
+    o, a = np.indices((d, d))
+    return _gather_square(blocks, a * d + (a + o) % d)
+
+
+def offsets_to_blocks(K: np.ndarray) -> np.ndarray:
+    """C-contiguous (..., d, d) blocks, ``B[a, b] = K[(b - a) mod d, a]``, from every offset."""
+    K = np.asarray(K, dtype=float)
+    n_offsets, d = K.shape[-2:]
+    if n_offsets != d:
+        raise ValueError(
+            f"pooling and d x d blocks need every pixel offset; this kernel stores {n_offsets} of {d}"
+        )
+    a, b = np.indices((d, d))
+    return _gather_square(K, (b - a) % d * d + a)
 
 
 def fourier_eigs(d: int, halfwidth: int) -> np.ndarray:
@@ -247,13 +293,13 @@ def normalize_inputs_cnn(X: np.ndarray, qstar: float) -> np.ndarray:
 
 
 def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
-    """Input-layer pixel-pixel blocks from channel second moments."""
+    """Input-layer pixel-pixel kernels (every offset) from channel second moments."""
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
     if 2 * halfwidth + 1 > d:
         raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
     i, j = np.triu_indices(m)  # pair_index order
-    nngp = np.matmul(X[i].transpose(0, 2, 1), X[j]) / n_ch
+    nngp = blocks_to_offsets(np.matmul(X[i].transpose(0, 2, 1), X[j]) / n_ch)
     return CnnKernel(
         nngp=nngp,
         ntk=nngp.copy(),
@@ -274,8 +320,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     t = k.t_map(ck.nngp)
     td = k.t_dot(ck.nngp)
     nngp = h.sigma_w2 * apply_A(t, ck.filter_halfwidth) + h.sigma_b2
-    ar = np.arange(ck.spatial_size)
-    pixel_diag = (_diag_pair_indices(ck)[:, None], ar, ar)  # (sample, pixel) self-covariances
+    pixel_diag = (_diag_pair_indices(ck), 0)  # offset 0 of (i, i): the pixel variances
     drift = np.max(np.abs(nngp[pixel_diag] - k.qstar))
     if drift > _DIAG_DRIFT_TOL:
         raise DiagonalDriftError(
@@ -300,19 +345,18 @@ def propagate_cnn(
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
-    """Collapse spatial indices: flatten averages the block trace, pooling
-    averages the whole block."""
+    """Collapse spatial indices: flatten averages the block trace (offset 0
+    over positions), pooling averages the whole block (every offset)."""
     mode = ReadoutMode(mode)
-    d = ck.spatial_size
     if mode is ReadoutMode.FLATTEN:
-        reduce = lambda blocks: np.trace(blocks, axis1=-2, axis2=-1) / d
+        reduce = lambda K: K[:, 0].mean(axis=-1)
     else:
-        reduce = lambda blocks: blocks.mean(axis=(-2, -1))
+        reduce = lambda K: offsets_to_blocks(K).mean(axis=(-2, -1))
     i, j = np.triu_indices(ck.m)  # pair_index order
 
-    def square(blocks):
+    def square(K):
         out = np.empty((ck.m, ck.m))
-        out[i, j] = out[j, i] = reduce(blocks)
+        out[i, j] = out[j, i] = reduce(K)
         return out
 
     return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)

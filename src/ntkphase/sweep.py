@@ -26,7 +26,7 @@ import enum
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -244,12 +244,16 @@ def _trajectory(
     ``X`` holds rows for FCN and (samples, channels, pixels) for the
     convolutional architectures, which are read out per ``h.architecture``
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
-    mean-square ``k.qstar``, the solved variance fixed point.
+    mean-square ``k.qstar``, the solved variance fixed point.  Pixel offsets
+    evolve independently and flatten reads only offset 0, so cnn_f
+    propagates offset 0 alone.
     """
     if h.architecture is Architecture.FCN:
         return propagate_fcn(init_kernels(normalize_inputs(X, k.qstar)), h, k, depths)
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
     ck = init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), filter_halfwidth)
+    if mode is ReadoutMode.FLATTEN:
+        ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
     return [readout(c, mode) for c in propagate_cnn(ck, h, k, depths)]
 
 

@@ -74,6 +74,16 @@ class TestQuadratureBackend:
         grid = np.linspace(-1.1, 1.1, 7)
         np.testing.assert_allclose(k.t_map(grid), [k.t_map(q) for q in grid], rtol=1e-15)
 
+    @pytest.mark.parametrize("nodes", [128, 200])
+    def test_array_entry_does_not_depend_on_its_position(self, nodes):
+        # a CNN kernel holding fewer pixel offsets must map its entries to the same bits
+        k = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes)
+        grid = np.linspace(-0.95, 0.95, 11)
+        full = k.t_dot(grid)
+        for start in range(4):
+            for stop in range(start + 2, grid.size + 1):
+                np.testing.assert_array_equal(k.t_dot(grid[start:stop]), full[start:stop])
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize(
@@ -132,6 +142,24 @@ class TestDomainsAndErrors:
             ActivationKernel(Activation.ERF, 0.0)
         with pytest.raises(ValueError):
             ActivationKernel(Activation.ERF, 1.0, backend="magic")
+
+    @pytest.mark.parametrize("nodes", [371, 400])
+    def test_node_count_past_hermgauss_range_raises(self, nodes):
+        # numpy's hermgauss weights are all zero at 371 nodes and NaN from 372
+        with pytest.raises(ValueError, match=f"{nodes} quadrature nodes"):
+            ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=nodes)
+        with pytest.raises(ValueError, match=f"{nodes} quadrature nodes"):
+            diag_second_moment(Activation.TANH, 1.0, nodes)
+
+    def test_largest_node_count_is_accurate(self):
+        erf = ActivationKernel(Activation.ERF, 1.0, "quadrature", nodes=370)
+        assert erf.t_map(0.5) == pytest.approx(ERF_TMAP_AT_HALF, abs=1e-8)
+        tanh = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=370)
+        ref = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=200)
+        assert tanh.t_dot(0.5) == pytest.approx(ref.t_dot(0.5), rel=1e-12)
+        assert diag_second_moment(Activation.TANH, 1.0, 370) == pytest.approx(
+            diag_second_moment(Activation.TANH, 1.0, 200), rel=1e-12
+        )
 
 
 class TestMapProperties:

@@ -193,7 +193,7 @@ def _in_row_order(series):
 class TestSinglePipeline:
     """The sweep's kernels come from the same pipeline as the library calls."""
 
-    @pytest.mark.parametrize("architecture", ["fcn", "cnn_p"])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_p", "cnn_f"])
     def test_sweep_rows_equal_library_trajectories(self, tmp_path, architecture):
         d, m, n, n_features, seed, depths = 4, 6, 2, 8, 3, (1, 3, 6)
         cfg = SweepConfig(

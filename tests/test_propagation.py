@@ -1,9 +1,11 @@
 """Depth recursions: dense, scalar, convolutional, dropout and residual flows."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntkphase import (
     Activation,
@@ -37,9 +39,11 @@ from ntkphase import (
     step_fcn,
     step_scalar,
 )
+from ntkphase import propagation
 from ntkphase.data import cnn_inputs, normals, shift_register_inputs
-from ntkphase.propagation import CnnKernel
+from ntkphase.propagation import CnnKernel, blocks_to_offsets, offsets_to_blocks
 from ntkphase.spectra import fit_rate
+from ntkphase.sweep import _trajectory
 
 
 def erf_setup(sw2, sb2):
@@ -258,31 +262,36 @@ class TestStepScalar:
         assert (s.p_diag - s.p_ab) / 2000 == pytest.approx(0.75, rel=0.02)
 
 
+def apply_A_block(B, halfwidth):
+    """The diagonal-averaging operator on d x d blocks, through the offset layout."""
+    return offsets_to_blocks(apply_A(blocks_to_offsets(B), halfwidth))
+
+
 class TestConvolutionOperator:
     def test_halfwidth_zero_is_identity(self):
         B = normals(0, (5, 5))
-        np.testing.assert_array_equal(apply_A(B, 0), B)
+        np.testing.assert_array_equal(apply_A_block(B, 0), B)
 
     def test_constant_block_unchanged(self):
         B = np.full((6, 6), 2.5)
-        np.testing.assert_allclose(apply_A(B, 2), B, atol=1e-15)
+        np.testing.assert_allclose(apply_A_block(B, 2), B, atol=1e-15)
 
     def test_hand_unrolled_basis_block(self):
         B = np.zeros((4, 4))
         B[0, 0] = 1.0
-        A = apply_A(B, 1)
+        A = apply_A_block(B, 1)
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = expected[3, 3] = 1 / 3
         np.testing.assert_allclose(A, expected, atol=1e-15)
 
     def test_window_too_large(self):
         with pytest.raises(WindowError):
-            apply_A(np.zeros((3, 3)), 2)
+            apply_A(blocks_to_offsets(np.zeros((3, 3))), 2)
 
     def test_symmetry_preserved(self):
         B = normals(1, (6, 6))
         B = B + B.T
-        A = apply_A(B, 1)
+        A = apply_A_block(B, 1)
         np.testing.assert_allclose(A, A.T, atol=1e-15)
 
     def test_fourier_eigs_hand_values(self):
@@ -366,6 +375,54 @@ class TestStepCnn:
         assert math.exp(fit.slope) == pytest.approx(rho1 * rep.chi_c, rel=0.05)
 
 
+class TestOffsetStorage:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 9), lead=st.integers(1, 3), seed=st.integers(0, 10**6))
+    def test_blocks_offsets_round_trip(self, d, lead, seed):
+        B = normals(seed, (lead, d, d))
+        offsets = blocks_to_offsets(B)
+        a, o = seed % d, (seed // d) % d
+        assert offsets[-1, o, a] == B[-1, a, (a + o) % d]
+        back = offsets_to_blocks(offsets)
+        assert back.flags.c_contiguous
+        np.testing.assert_array_equal(back, B)
+        np.testing.assert_array_equal(blocks_to_offsets(offsets_to_blocks(B)), B)
+
+    def test_offset_zero_kernel_has_no_pool_or_blocks(self):
+        ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 6, 5, seed=1), 1.0), 1)
+        ck0 = replace(ck, nngp=ck.nngp[:, :1], ntk=ck.ntk[:, :1])
+        assert (ck.nngp.shape[1], ck0.nngp.shape[1]) == (5, 1)
+        flat = readout(ck, ReadoutMode.FLATTEN)
+        np.testing.assert_array_equal(readout(ck0, ReadoutMode.FLATTEN).nngp, flat.nngp)
+        with pytest.raises(ValueError, match="every pixel offset"):
+            readout(ck0, ReadoutMode.POOL)
+        with pytest.raises(ValueError, match="every pixel offset"):
+            ck0.block(0, 1)
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh", "relu"])
+    @pytest.mark.parametrize("d, hw", [(5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2)])
+    def test_cnn_f_trajectory_matches_every_offset(self, monkeypatch, activation, d, hw):
+        h = Hyperparams(1.5, 0.5, activation, architecture="cnn_f", spatial_size=d)
+        k = ActivationKernel(h.activation, analyze(h).qstar)
+        X = cnn_inputs(3, 6, d, seed=d + hw)
+        depths = [1, 3]
+        full = [readout(c, ReadoutMode.FLATTEN) for c in propagate_cnn(
+            init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), hw), h, k, depths)]
+        stepped = []
+
+        def spy(ck, *args):
+            stepped.append(ck.nngp.shape[1])  # offsets carried
+            return step_cnn(ck, *args)
+
+        monkeypatch.setattr(propagation, "step_cnn", spy)
+        fast = _trajectory(h, k, X, depths, hw)
+        assert stepped == [1, 1, 1]
+        for a, b in zip(fast, full, strict=True):
+            assert a.depth == b.depth
+            np.testing.assert_array_equal(a.nngp, b.nngp)
+            np.testing.assert_array_equal(a.ntk, b.ntk)
+
+
 class TestReadout:
     def make_idealized(self, p, p_ab, d):
         m = 2
@@ -375,7 +432,8 @@ class TestReadout:
         blocks[0] = diag_block       # pair (0, 0)
         blocks[1] = np.full((d, d), p_ab)  # pair (0, 1)
         blocks[2] = diag_block       # pair (1, 1)
-        return CnnKernel(nngp=blocks.copy(), ntk=blocks.copy(), m=m,
+        offsets = blocks_to_offsets(blocks)
+        return CnnKernel(nngp=offsets.copy(), ntk=offsets.copy(), m=m,
                          spatial_size=d, filter_halfwidth=1, depth=7)
 
     def test_pool_formula_on_idealized_blocks(self):
@@ -489,15 +547,16 @@ class TestCnnInit:
         ck = init_cnn_kernels(X, 1)
         for i in range(4):
             for j in range(i, 4):
-                assert np.array_equal(ck.nngp[ck.pair_index(i, j)], X[i].T @ X[j] / 6)
+                assert np.array_equal(ck.block(i, j), X[i].T @ X[j] / 6)
         ck = step_cnn(step_cnn(ck, hc, k), hc, k)
         for mode, reduce in ((ReadoutMode.FLATTEN, lambda b: np.trace(b) / 5),
                              (ReadoutMode.POOL, np.mean)):
             out = readout(ck, mode)
             for i in range(4):
                 for j in range(4):
-                    assert out.nngp[i, j] == reduce(ck.nngp[ck.pair_index(i, j)])
-                    assert out.ntk[i, j] == reduce(ck.ntk[ck.pair_index(i, j)])
+                    lo, hi = min(i, j), max(i, j)  # the stored (upper-triangle) block
+                    assert out.nngp[i, j] == reduce(ck.block(lo, hi, "nngp"))
+                    assert out.ntk[i, j] == reduce(ck.block(lo, hi, "ntk"))
 
     def test_window_validation(self):
         X = cnn_inputs(2, 4, 3, seed=0)
