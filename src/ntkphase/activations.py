@@ -249,7 +249,16 @@ class ActivationKernel:
     # -- helpers ----------------------------------------------------------
 
     def _check_domain(self, q, strict: bool = False):
+        """``q`` as floats, clipped into [-qstar, qstar] if it overshoots.
+
+        One min/max pass decides: an array already inside the domain is
+        returned as it is, and only one that reaches past it (or holds a NaN,
+        which hides its reach) gets the full check and a clipped copy.
+        """
         q = np.asarray(q, dtype=float)
+        reach = max(-q.min(), q.max()) if q.size else 0.0  # NaN if q holds a NaN
+        if reach < self.qstar or (reach == self.qstar and not strict):
+            return q
         bound = self.qstar * (1.0 + _DOMAIN_SLACK)
         if np.any(np.abs(q) > bound):
             raise CovarianceDomainError(

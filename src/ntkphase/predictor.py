@@ -6,6 +6,14 @@ K_test,train @ (K_train,train + ridge)^{-1}; its Frobenius norm along a
 depth trajectory is the generalization metric (``predictor_decay`` in
 ``ntkphase.sweep``), and the gradient-flow dynamics below reproduce it in
 the infinite-time limit.
+
+The Cholesky solves and the singular-kernel eigenvalue fallback go through
+``scipy.linalg``, as ``spectra.spectrum`` does: numpy and scipy each link
+their own OpenBLAS, and keeping the sweep's dense factorizations in one
+library keeps them on one BLAS thread pool instead of two that contend for
+the cores.  ``dynamics`` stays on ``numpy.linalg.eigh``: scipy's ``evd``
+driver returns eigenvectors that differ in the last bits, which moves the
+precision-limited deep-depth training traces.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 from .errors import IllConditionedError, SingularKernelError
 from .phase import Phase, PhaseReport
@@ -71,7 +79,7 @@ def _spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         try:
             return cho_solve(cho_factor(A + jitter * np.eye(A.shape[0]), lower=True), B)
         except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
+            min_eig = float(eigvalsh(0.5 * (A + A.T), driver="evd", check_finite=False)[0])
             raise SingularKernelError("train-train kernel is not positive definite", min_eig)
 
 

@@ -2,6 +2,18 @@
 
 Depth trajectories of these summaries (``kappa_trajectory``) are built by
 the one kernel-trajectory pipeline in ``ntkphase.sweep``.
+
+Eigenvalues come from ``scipy.linalg.eigvalsh`` with the ``evd`` driver:
+the same LAPACK ``syevd`` on the same lower triangle as
+``numpy.linalg.eigvalsh``, so the values are identical.  numpy and scipy
+each link their own OpenBLAS with its own worker threads; the predictor's
+Cholesky solves already run through scipy, so computing spectra there too
+keeps the sweep's dense factorizations on one thread pool instead of two
+that contend for the cores (on a 2-vCPU host, alternating the two libraries
+made each 128 x 128 eigensolve about ten times slower than back to back).
+``check_finite=False`` keeps numpy's outcome on a non-finite kernel (NaN
+eigenvalues, or ``LinAlgError`` where LAPACK cannot converge) instead of
+scipy's finite-input ``ValueError``.
 """
 
 from __future__ import annotations
@@ -10,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .errors import NtkPhaseError
 
@@ -53,7 +66,7 @@ def spectrum(M: np.ndarray, depth: int = 0) -> SpectrumSummary:
     asym = float(np.max(np.abs(M - M.T)))
     if asym > 1e-10 * scale:
         raise AsymmetryError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
+    eigs = eigvalsh(0.5 * (M + M.T), driver="evd", check_finite=False)[::-1]
     lam_max, lam_min = float(eigs[0]), float(eigs[-1])
     lam_bulk = float(eigs[1]) if eigs.size > 1 else lam_max
     kappa = lam_max / lam_min if lam_min > 0 else np.inf

@@ -349,11 +349,14 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
         pairs = _trajectory(h, k, X, cfg.depths, cfg.filter_halfwidth)
 
         m = cfg.m
+        ntk_summ = None  # the last depth's NTK summary, reused for eta
         for kp in pairs:
             for kind in ("ntk", "nngp"):
                 K = getattr(kp, kind)
                 if SweepOutput.KAPPA in rows or SweepOutput.SPECTRUM in rows:
                     summ = spectrum(K[:m, :m], kp.depth)
+                    if kind == "ntk":
+                        ntk_summ = summ
                 if SweepOutput.KAPPA in rows:
                     try:
                         pred = predict_spectrum(rep, h, m, kp.depth + 1, kind).kappa
@@ -386,8 +389,9 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
         if SweepOutput.DYNAMICS_TRACE in rows:
             kp = pairs[-1]
             K = kp.ntk
-            summ = spectrum(K[:m, :m], kp.depth)
-            eta = 1.0 / summ.lambda_max
+            if ntk_summ is None:
+                ntk_summ = spectrum(K[:m, :m], kp.depth)
+            eta = 1.0 / ntk_summ.lambda_max
             times = np.logspace(-2.0, 2.0, 9)
             task = RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=data.Y)
             trace = dynamics(task, eta, times)

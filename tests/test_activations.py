@@ -162,6 +162,90 @@ class TestDomainsAndErrors:
         )
 
 
+class TestDomainCheck:
+    """Off-diagonals at, inside and past the [-q*, q*] domain and its slack."""
+
+    QSTAR = 1.3
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    def test_entries_exactly_at_the_edges(self, activation):
+        k = ActivationKernel(activation, self.QSTAR)
+        q = np.array([-self.QSTAR, 0.4, self.QSTAR])
+        np.testing.assert_allclose(k.t_map(q), [k.t_map(v) for v in q], rtol=1e-14)
+        np.testing.assert_allclose(k.t_dot(q), [k.t_dot(v) for v in q], rtol=1e-14)
+        if activation == "relu":
+            assert k.t_map(self.QSTAR) == self.QSTAR / 2.0
+            assert k.t_dot(self.QSTAR) == 0.5
+
+    def test_in_range_array_is_not_copied(self):
+        k = ActivationKernel(Activation.ERF, self.QSTAR)
+        q = np.array([-self.QSTAR, 0.0, self.QSTAR])
+        assert k._check_domain(q) is q
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    def test_overshoot_inside_slack_is_clipped(self, activation):
+        k = ActivationKernel(activation, self.QSTAR)
+        over = self.QSTAR * (1.0 + 5e-13)
+        assert over > self.QSTAR
+        q = np.array([-over, 0.4, over])
+        np.testing.assert_array_equal(k._check_domain(q), [-self.QSTAR, 0.4, self.QSTAR])
+        np.testing.assert_array_equal(k.t_map(q), k.t_map([-self.QSTAR, 0.4, self.QSTAR]))
+        np.testing.assert_array_equal(k.t_dot(q), k.t_dot([-self.QSTAR, 0.4, self.QSTAR]))
+        assert k.t_map(over) == k.t_map(self.QSTAR)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overshoot_past_slack_raises_with_reach(self, sign):
+        k = ActivationKernel(Activation.ERF, self.QSTAR)
+        q = np.array([0.2, sign * 1.30001, 0.1])
+        message = r"^\|q_ab\| up to 1\.30001 exceeds qstar=1\.3$"
+        with pytest.raises(CovarianceDomainError, match=message):
+            k.t_map(q)
+        with pytest.raises(CovarianceDomainError, match=r"up to 1\.30001 exceeds"):
+            k.t_dot(sign * 1.30001)
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    def test_nan_passes_through(self, activation):
+        k = ActivationKernel(activation, self.QSTAR)
+        out = k.t_map(np.array([0.2, np.nan, -0.5]))
+        assert np.isnan(out[1])
+        np.testing.assert_array_equal(out[[0, 2]], k.t_map(np.array([0.2, -0.5])))
+        assert math.isnan(k.t_dot(float("nan")))
+
+    def test_nan_does_not_hide_an_overshoot(self):
+        k = ActivationKernel(Activation.ERF, self.QSTAR)
+        with pytest.raises(CovarianceDomainError, match="exceeds qstar"):
+            k.t_map(np.array([np.nan, 2.0]))
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    def test_zero_dimensional_input_returns_float(self, activation):
+        k = ActivationKernel(activation, self.QSTAR)
+        for f in (k.t_map, k.t_dot):
+            outs = [f(q) for q in (np.array(0.3), np.float64(0.3), 0.3)]
+            assert all(type(out) is float for out in outs)
+            assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array(self, shape):
+        for activation in ("erf", "relu"):
+            k = ActivationKernel(activation, self.QSTAR)
+            for f in (k.t_map, k.t_dot):
+                out = f(np.empty(shape))
+                assert isinstance(out, np.ndarray) and out.shape == shape
+
+    def test_relu_t_ddot_is_strict_at_the_edges(self):
+        k = ActivationKernel(Activation.RELU, self.QSTAR)
+        inside = self.QSTAR * (1.0 - 1e-9)
+        assert k.t_ddot(inside) > 0.0 and k.t_ddot(-inside) > 0.0
+        for q in (self.QSTAR, -self.QSTAR, self.QSTAR * (1.0 + 5e-13)):
+            with pytest.raises(CovarianceDomainError, match="strictly inside"):
+                k.t_ddot(q)
+        with pytest.raises(CovarianceDomainError, match="exceeds qstar"):
+            k.t_ddot(1.30001)
+        # the smooth activations' t_ddot is defined at the edge itself
+        erf = ActivationKernel(Activation.ERF, self.QSTAR)
+        assert math.isfinite(erf.t_ddot(self.QSTAR))
+
+
 class TestMapProperties:
     @settings(max_examples=40, deadline=None)
     @given(

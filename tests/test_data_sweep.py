@@ -225,6 +225,44 @@ class TestSinglePipeline:
         ]
 
 
+class TestDynamicsStepSize:
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            (SweepOutput.KAPPA, SweepOutput.DYNAMICS_TRACE),
+            (SweepOutput.SPECTRUM, SweepOutput.DYNAMICS_TRACE),
+            (SweepOutput.DYNAMICS_TRACE,),
+        ],
+    )
+    def test_eta_reuses_the_last_ntk_summary(self, tmp_path, monkeypatch, outputs):
+        import ntkphase.sweep as sweep
+
+        calls = []
+        original = sweep.spectrum
+
+        def counting(M, depth=0):
+            calls.append(depth)
+            return original(M, depth)
+
+        monkeypatch.setattr(sweep, "spectrum", counting)
+        depths = (1, 2, 5)
+        cfg = SweepConfig(**{**SMALL, "depths": depths, "outputs": outputs})
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+        points = len(cfg.sigma_w2_grid)
+        if len(outputs) == 1:
+            assert calls == [depths[-1]] * points
+        else:
+            assert calls == [d for d in depths for _kind in ("ntk", "nngp")] * points
+
+        data = sweep._dataset(cfg)
+        rows = _read_rows(tmp_path / "dynamics.csv")
+        for sw2 in cfg.sigma_w2_grid:
+            h = sweep._hyperparams(cfg, sw2, cfg.sigma_b2_grid[0])
+            summ = kappa_trajectory(h, data.X_train, depths)["ntk"][-1]
+            etas = {float(r["eta"]) for r in rows if float(r["sigma_w2"]) == sw2}
+            assert etas == {1.0 / summ.lambda_max}
+
+
 class TestPhaseDiagramOutput:
     def test_relu_transition_at_two(self, tmp_path):
         cfg = SweepConfig(

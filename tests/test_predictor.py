@@ -99,6 +99,17 @@ class TestMeanPredict:
             mean_predict(RegressionTask(K_dd=K, K_td=np.ones((1, 2)), Y=Y))
         assert exc.value.min_eigenvalue == pytest.approx(-0.5)
 
+    def test_singular_fallback_does_not_call_numpy_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        K = np.diag([1.0, -0.5])
+        Y = center_labels(np.array([[1.0], [-1.0]]))
+        with pytest.raises(SingularKernelError) as exc:
+            mean_predict(RegressionTask(K_dd=K, K_td=np.ones((1, 2)), Y=Y))
+        assert exc.value.min_eigenvalue == -0.5
+
     def test_uncentered_labels_rejected(self):
         with pytest.raises(ValueError):
             RegressionTask(K_dd=np.eye(2), K_td=np.eye(2), Y=np.array([[1.0], [0.5]]))

@@ -72,6 +72,55 @@ class TestSpectrum:
         assert s.kappa >= s.kappa_bulk >= 1.0
 
 
+class TestSpectrumSolver:
+    """``spectrum`` runs LAPACK through scipy; it must agree with numpy's solver."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_matches_numpy_eigvalsh(self, n, definite):
+        A = normals(n, (n, n))
+        M = A @ A.T + 0.1 * np.eye(n) if definite else A + A.T
+        ref = np.linalg.eigvalsh(M)[::-1]
+        s = spectrum(M, depth=3)
+        np.testing.assert_allclose(s.eigenvalues, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        assert s.lambda_max == s.eigenvalues[0] and s.lambda_min == s.eigenvalues[-1]
+        assert s.depth == 3
+        if definite:
+            assert s.lambda_min > 0 and s.kappa == s.lambda_max / s.lambda_min
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[2.0, math.nan], [math.nan, 2.0]],
+            [[2.0, math.nan, 0.0], [math.nan, 2.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    def test_nan_entry_gives_nan_eigenvalues(self, M):
+        s = spectrum(np.array(M))
+        assert np.isnan(s.eigenvalues).sum() == 2
+        ref = np.linalg.eigvalsh(M)[::-1]
+        np.testing.assert_array_equal(np.isnan(s.eigenvalues), np.isnan(ref))
+
+    def test_nan_diagonal_fails_like_numpy(self):
+        # LAPACK cannot converge here; the error is numpy's LinAlgError type,
+        # not the finite-input ValueError of a checked scipy call
+        M = np.diag([1.0, math.nan, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(M)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectrum(M)
+
+    def test_does_not_call_numpy_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh called")
+
+        A = normals(4, (6, 6))
+        M = A @ A.T + np.eye(6)
+        ref = spectrum(M).eigenvalues
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        np.testing.assert_array_equal(spectrum(M).eigenvalues, ref)
+
+
 class TestFitRate:
     def test_exact_geometric_series(self):
         fit = fit_rate([(l, 2.0**l) for l in range(3, 11)], "log_linear")
