@@ -79,11 +79,24 @@ def _norm_pdf(z):
 
 
 def _erf_t(qstar, q):
-    return (2.0 / math.pi) * np.arcsin(2.0 * q / (1.0 + 2.0 * qstar))
+    if np.ndim(q) == 0:
+        return (2.0 / math.pi) * np.arcsin(2.0 * q / (1.0 + 2.0 * qstar))
+    out = 2.0 * q  # the one temporary; the rest runs in place, in the same order
+    out /= 1.0 + 2.0 * qstar
+    np.arcsin(out, out=out)
+    out *= 2.0 / math.pi
+    return out
 
 
 def _erf_tdot(qstar, q):
-    return (4.0 / math.pi) / np.sqrt((1.0 + 2.0 * qstar) ** 2 - 4.0 * q * q)
+    if np.ndim(q) == 0:
+        return (4.0 / math.pi) / np.sqrt((1.0 + 2.0 * qstar) ** 2 - 4.0 * q * q)
+    out = 4.0 * q
+    out *= q
+    np.subtract((1.0 + 2.0 * qstar) ** 2, out, out=out)
+    np.sqrt(out, out=out)
+    np.divide(4.0 / math.pi, out, out=out)
+    return out
 
 
 def _erf_tddot(qstar, q):
@@ -280,7 +293,9 @@ class ActivationKernel:
         if self._use_closed():
             out = (_erf_t if self.activation is Activation.ERF else _relu_t)(self.qstar, q)
         elif self.activation is Activation.RELU:
-            out = np.vectorize(lambda s: _quad_relu_t(self.qstar, s, self.nodes))(q)
+            out = np.vectorize(
+                lambda s: _quad_relu_t(self.qstar, s, self.nodes), otypes=[float]
+            )(q)
         else:
             out = _quad_smooth(_PHI[self.activation][0], self.qstar, q, self.nodes)
         return float(out) if scalar else np.asarray(out)
@@ -292,7 +307,9 @@ class ActivationKernel:
         if self._use_closed():
             out = (_erf_tdot if self.activation is Activation.ERF else _relu_tdot)(self.qstar, q)
         elif self.activation is Activation.RELU:
-            out = np.vectorize(lambda s: _quad_relu_tdot(self.qstar, s, self.nodes))(q)
+            out = np.vectorize(
+                lambda s: _quad_relu_tdot(self.qstar, s, self.nodes), otypes=[float]
+            )(q)
         else:
             out = _quad_smooth(_PHI[self.activation][1], self.qstar, q, self.nodes)
         return float(out) if scalar else np.asarray(out)
@@ -310,7 +327,7 @@ class ActivationKernel:
             out = _erf_tddot(self.qstar, q)
             return float(out) if scalar else np.asarray(out)
         q = self._check_domain(q_ab, strict=(self.activation is Activation.RELU))
-        out = np.vectorize(self._fd_second)(q)
+        out = np.vectorize(self._fd_second, otypes=[float])(q)
         return float(out) if scalar else np.asarray(out)
 
     def _fd_second(self, q: float) -> float:

@@ -14,6 +14,16 @@ entry, so every offset evolves on its own; a flatten readout reads only
 offset 0, and a kernel may carry offset 0 alone.  Pooling and
 ``CnnKernel.block`` need every offset.
 
+The state is C-contiguous, so ``apply_A`` adds each shifted neighbour as
+one contiguous add over the flat buffer and then redoes only the columns
+that wrap around a row.  ``step_cnn`` checks the covariance domain once on
+the whole state and then runs tile by tile, each tile a run of whole sample
+pairs of about ``_TILE_ENTRIES`` entries, so every pass stays in cache.
+Each entry sees the same operations in the same order as in one pass over
+the whole state, so the result does not depend on the tile size.  Tiles
+hold whole pairs (and never a lone entry) because tanh quadrature rounds a
+one-entry array differently from the same entry in a longer one.
+
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
 the closed-form depth laws (whose recursion starts from zero); see
@@ -62,6 +72,7 @@ __all__ = [
 ]
 
 _DIAG_DRIFT_TOL = 1e-8
+_TILE_ENTRIES = 2**16  # kernel entries per step_cnn tile: a few passes fit in L2
 
 
 def paper_layer(depth: int) -> int:
@@ -223,24 +234,38 @@ def propagate_scalar(
 # convolutional path
 
 
-def apply_A(K: np.ndarray, halfwidth: int) -> np.ndarray:
+def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.ndarray:
     """Average the 2k+1 circular diagonal shifts of offset-stored kernels.
 
     A diagonal shift of a block moves both pixel indices together, so on
     the offset layout it is a circular shift along the position (last)
-    axis; each offset is averaged on its own.
+    axis; each offset is averaged on its own.  The result goes to ``out``
+    (C-contiguous, the shape of ``K``, not overlapping it) when given.
+
+    Each shift is one add over the flat C-ordered buffer, which is right
+    except in the ``beta`` columns of each row that wrap around: those are
+    summed from the row's other end before the add and written back after
+    it.  Entry a gets ``((K[a] + K[a+1]) + K[a-1]) + K[a+2] ...`` (mod d).
     """
-    K = np.asarray(K, dtype=float)
+    K = np.ascontiguousarray(K, dtype=float)
     d = K.shape[-1]
     if 2 * halfwidth + 1 > d:
         raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
-    acc = K.copy()
+    if out is None:
+        acc = K.copy()
+    else:
+        if out.shape != K.shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {K.shape}")
+        acc = out
+        acc[...] = K
+    flat, acc_flat = K.reshape(-1), acc.reshape(-1)
     for beta in range(1, halfwidth + 1):
-        # in place, no shifted copies: acc[a] += K[a + beta], then acc[a] += K[a - beta] (mod d)
-        acc[..., :-beta] += K[..., beta:]
-        acc[..., -beta:] += K[..., :beta]
-        acc[..., beta:] += K[..., :-beta]
-        acc[..., :beta] += K[..., -beta:]
+        wrap = acc[..., -beta:] + K[..., :beta]  # acc[a] += K[a + beta - d]
+        acc_flat[:-beta] += flat[beta:]  # acc[a] += K[a + beta]
+        acc[..., -beta:] = wrap
+        wrap = acc[..., :beta] + K[..., -beta:]  # acc[a] += K[a - beta + d]
+        acc_flat[beta:] += flat[:-beta]  # acc[a] += K[a - beta]
+        acc[..., :beta] = wrap
     acc /= 2 * halfwidth + 1
     return acc
 
@@ -315,19 +340,53 @@ def _diag_pair_indices(ck: CnnKernel) -> np.ndarray:
     return i * ck.m - i * (i - 1) // 2  # pair_index(i, i)
 
 
+def _pair_tiles(n_pairs: int, pair_size: int) -> List[slice]:
+    """Runs of whole sample pairs holding about ``_TILE_ENTRIES`` entries each.
+
+    No tile is a lone entry unless the whole state is: tanh quadrature
+    rounds a one-entry array differently from the same entry in a longer one.
+    """
+    per_tile = max(_TILE_ENTRIES // pair_size, 2 if pair_size == 1 else 1)
+    starts = list(range(0, n_pairs, per_tile))
+    if pair_size == 1 and len(starts) > 1 and n_pairs - starts[-1] == 1:
+        starts.pop()  # fold a trailing lone entry into the tile before it
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_pairs])]
+
+
 def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
-    """One convolutional layer: pointwise maps, then diagonal averaging."""
-    t = k.t_map(ck.nngp)
-    td = k.t_dot(ck.nngp)
-    nngp = h.sigma_w2 * apply_A(t, ck.filter_halfwidth) + h.sigma_b2
-    pixel_diag = (_diag_pair_indices(ck), 0)  # offset 0 of (i, i): the pixel variances
-    drift = np.max(np.abs(nngp[pixel_diag] - k.qstar))
+    """One convolutional layer: pointwise maps, then diagonal averaging.
+
+    Runs tile by tile over whole sample pairs so that every pass stays in
+    cache; each entry sees the same operations in the same order as the
+    untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
+    T_dot(K) * ntk)``, so the result does not depend on the tile size.
+    """
+    q = k._check_domain(ck.nngp)  # one check, so an error quotes the global maximum
+    hw = ck.filter_halfwidth
+    nngp = np.empty_like(q)
+    ntk = np.empty_like(q)
+    diag = _diag_pair_indices(ck)
+    drifts = []
+    for s in _pair_tiles(q.shape[0], q[0].size):
+        tile_nngp, tile_ntk = nngp[s], ntk[s]
+        apply_A(k.t_map(q[s]), hw, out=tile_nngp)
+        tile_nngp *= h.sigma_w2
+        tile_nngp += h.sigma_b2
+        lo, hi = np.searchsorted(diag, [s.start, s.stop])
+        if hi > lo:
+            pixel_diag = (diag[lo:hi] - s.start, 0)  # offset 0 of (i, i): the pixel variances
+            drifts.append(np.max(np.abs(tile_nngp[pixel_diag] - k.qstar)))
+            tile_nngp[pixel_diag] = k.qstar
+        td = k.t_dot(q[s])
+        td *= h.sigma_w2
+        td *= ck.ntk[s]
+        apply_A(td, hw, out=tile_ntk)
+        tile_ntk += tile_nngp
+    drift = np.max(drifts)
     if drift > _DIAG_DRIFT_TOL:
         raise DiagonalDriftError(
             f"pixel diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    nngp[pixel_diag] = k.qstar
-    ntk = nngp + apply_A(h.sigma_w2 * td * ck.ntk, ck.filter_halfwidth)
     return CnnKernel(
         nngp=nngp,
         ntk=ntk,

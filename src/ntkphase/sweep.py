@@ -246,7 +246,8 @@ def _trajectory(
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
     mean-square ``k.qstar``, the solved variance fixed point.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
-    propagates offset 0 alone.
+    propagates offset 0 alone.  The CNN state advances one requested depth
+    at a time and is read out at once, so only one state is held.
     """
     if h.architecture is Architecture.FCN:
         return propagate_fcn(init_kernels(normalize_inputs(X, k.qstar)), h, k, depths)
@@ -254,7 +255,11 @@ def _trajectory(
     ck = init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), filter_halfwidth)
     if mode is ReadoutMode.FLATTEN:
         ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
-    return [readout(c, mode) for c in propagate_cnn(ck, h, k, depths)]
+    pairs = []
+    for depth in sorted(set(depths)):
+        (ck,) = propagate_cnn(ck, h, k, [depth])
+        pairs.append(readout(ck, mode))
+    return pairs
 
 
 def kappa_trajectory(

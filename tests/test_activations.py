@@ -226,11 +226,13 @@ class TestDomainCheck:
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_array(self, shape):
-        for activation in ("erf", "relu"):
-            k = ActivationKernel(activation, self.QSTAR)
-            for f in (k.t_map, k.t_dot):
-                out = f(np.empty(shape))
-                assert isinstance(out, np.ndarray) and out.shape == shape
+        for activation in Activation:
+            for backend in ("closed", "quadrature"):
+                k = ActivationKernel(activation, self.QSTAR, backend)
+                for f in (k.t_map, k.t_dot, k.t_ddot):
+                    out = f(np.empty(shape))
+                    assert isinstance(out, np.ndarray) and out.shape == shape
+                    assert out.dtype == float
 
     def test_relu_t_ddot_is_strict_at_the_edges(self):
         k = ActivationKernel(Activation.RELU, self.QSTAR)

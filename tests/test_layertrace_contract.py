@@ -20,3 +20,29 @@ def test_every_traced_name_is_an_attribute_of_its_owner():
     assert plan
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in plan if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_cnn_trajectory_reaches_the_traced_cnn_names():
+    # step_cnn works tile by tile; its maps and averaging must still go
+    # through the wrapped names, or a traced CNN run would report no
+    # activation or apply_A work without saying so.
+    from ntkphase import ActivationKernel, Hyperparams, analyze
+    from ntkphase.data import cnn_inputs
+    from ntkphase.sweep import _trajectory
+
+    h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+    k = ActivationKernel(h.activation, analyze(h).qstar)
+    tracer = _load_layertrace().Tracer()
+    with tracer.installed():
+        pairs = _trajectory(h, k, cnn_inputs(4, 3, 6, seed=0), [1, 3], 1)
+    assert [kp.depth for kp in pairs] == [1, 3]
+    calls = {name: tracer.stats[name].calls for name in (
+        "propagation.apply_A", "ActivationKernel.t_map", "ActivationKernel.t_dot",
+        "sweep.propagate_cnn", "sweep.readout", "propagation.step_cnn",
+    )}
+    assert calls == {
+        "propagation.apply_A": 6, "ActivationKernel.t_map": 3, "ActivationKernel.t_dot": 3,
+        "sweep.propagate_cnn": 2, "sweep.readout": 2, "propagation.step_cnn": 3,
+    }
+    state_entries = 10 * 6 * 6  # 4 samples -> 10 pairs, 6 offsets x 6 positions
+    assert tracer.metrics()["activations.entries"] == 2 * 3 * state_entries

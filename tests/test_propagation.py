@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ntkphase import (
     Activation,
     ActivationKernel,
+    CovarianceDomainError,
     DiagonalDriftError,
     Hyperparams,
     OdeKernelState,
@@ -294,6 +295,28 @@ class TestConvolutionOperator:
         A = apply_A_block(B, 1)
         np.testing.assert_allclose(A, A.T, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 8, 32])
+    @pytest.mark.parametrize("layout", ["every_offset", "offset_0"])
+    def test_matches_roll_reference_bit_for_bit(self, d, layout):
+        K = normals(d, (4, d if layout == "every_offset" else 1, d))
+        for hw in range((d - 1) // 2 + 1):
+            ref = K.copy()
+            for beta in range(1, hw + 1):  # same summation order: +beta, then -beta
+                ref = ref + np.roll(K, -beta, axis=-1)
+                ref = ref + np.roll(K, beta, axis=-1)
+            ref = ref / (2 * hw + 1)
+            np.testing.assert_array_equal(apply_A(K, hw), ref)
+            out = np.full_like(K, np.nan)
+            assert apply_A(K, hw, out=out) is out
+            np.testing.assert_array_equal(out, ref)
+
+    def test_out_must_be_contiguous_and_shaped(self):
+        K = normals(2, (3, 6, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_A(K, 1, out=np.empty((3, 6, 12))[..., ::2])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_A(K, 1, out=np.empty((3, 6, 5)))
+
     def test_fourier_eigs_hand_values(self):
         np.testing.assert_allclose(fourier_eigs(4, 1), [1.0, 1 / 3, -1 / 3, 1 / 3], atol=1e-14)
 
@@ -373,6 +396,87 @@ class TestStepCnn:
                 amps.append((l, np.abs(np.fft.fft(v))[1]))
         fit = fit_rate(amps, "log_linear")
         assert math.exp(fit.slope) == pytest.approx(rho1 * rep.chi_c, rel=0.05)
+
+
+def _step_cnn_untiled(ck, h, k):
+    """The layer step as one pass over the whole state (the tiled step's oracle)."""
+    nngp = h.sigma_w2 * apply_A(k.t_map(ck.nngp), ck.filter_halfwidth) + h.sigma_b2
+    i = np.arange(ck.m)
+    nngp[i * ck.m - i * (i - 1) // 2, 0] = k.qstar
+    ntk = nngp + apply_A(h.sigma_w2 * k.t_dot(ck.nngp) * ck.ntk, ck.filter_halfwidth)
+    return replace(ck, nngp=nngp, ntk=ntk, depth=ck.depth + 1)
+
+
+class TestTiledStepCnn:
+    @staticmethod
+    def state(activation, architecture, m=5, d=6, hw=1):
+        h = Hyperparams(1.5, 0.5, activation, architecture=architecture, spatial_size=d)
+        k = ActivationKernel(h.activation, analyze(h).qstar)
+        ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(m, 4, d, seed=m + d), k.qstar), hw)
+        if architecture == "cnn_f":
+            ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
+        return h, k, ck
+
+    def test_tiles_cover_whole_pairs_and_no_lone_entry(self, monkeypatch):
+        for tile_entries in (1, 2, 7, 36, 2**16):
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
+            for n_pairs in (1, 2, 3, 15, 16, 17):
+                for pair_size in (1, 2, 6, 36):
+                    tiles = propagation._pair_tiles(n_pairs, pair_size)
+                    assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
+                    assert tiles[-1].stop == n_pairs
+                    sizes = [(t.stop - t.start) * pair_size for t in tiles]
+                    assert min(sizes) >= min(2, n_pairs * pair_size)
+                    # a trailing lone entry is folded into the tile before it
+                    assert max(sizes) <= max(tile_entries, pair_size, 2) + (pair_size == 1)
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    @pytest.mark.parametrize("architecture, d, hw", [
+        ("cnn_p", 6, 1), ("cnn_p", 5, 2), ("cnn_f", 6, 1), ("cnn_f", 1, 0),
+    ])
+    def test_step_does_not_depend_on_the_tile_size(
+        self, monkeypatch, activation, architecture, d, hw
+    ):
+        h, k, ck0 = self.state(activation, architecture, d=d, hw=hw)
+        pair_size = ck0.nngp[0].size
+        # one pair, a run that does not divide the 15 pairs, the whole state
+        for tile_entries in (1, 4 * pair_size, ck0.nngp.size):
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
+            ck, ref = ck0, ck0
+            for _ in range(3):
+                ck, ref = step_cnn(ck, h, k), _step_cnn_untiled(ref, h, k)
+                np.testing.assert_array_equal(ck.nngp, ref.nngp)
+                np.testing.assert_array_equal(ck.ntk, ref.ntk)
+            assert ck.depth == 3
+
+    def test_step_leaves_its_input_unchanged(self):
+        h, k, ck = self.state("erf", "cnn_p")
+        before = (ck.nngp.copy(), ck.ntk.copy())
+        step_cnn(ck, h, k)
+        np.testing.assert_array_equal(ck.nngp, before[0])
+        np.testing.assert_array_equal(ck.ntk, before[1])
+
+    def test_overshoot_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
+        h, k, ck = self.state("erf", "cnn_p")
+        nngp = ck.nngp.copy()
+        nngp[0, 1, 0] = 1.1 * k.qstar
+        nngp[-1, 1, 0] = 1.3 * k.qstar  # the larger one in the last tile
+        with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
+            step_cnn(replace(ck, nngp=nngp), h, k)
+
+    def test_drift_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+        h, k, ck = self.state("erf", "cnn_p")
+        nngp = ck.nngp.copy()
+        nngp[0, 0] *= 0.999  # pair (0, 0), the first tile
+        nngp[-1, 0] *= 0.99  # pair (m-1, m-1), the last tile, drifts further
+        drifted = replace(ck, nngp=nngp)
+        ref = h.sigma_w2 * apply_A(k.t_map(nngp), ck.filter_halfwidth) + h.sigma_b2
+        first, last = (np.max(np.abs(ref[p, 0] - k.qstar)) for p in (0, -1))
+        assert last > first > 1e-8
+        with pytest.raises(DiagonalDriftError, match=f"drifted {last:.3e} from"):
+            step_cnn(drifted, h, k)
 
 
 class TestOffsetStorage:
