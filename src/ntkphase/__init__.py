@@ -6,6 +6,7 @@ from .data import DataGenerator, SyntheticDataset, generate_data, normals, shift
 from .errors import (
     BracketError,
     CovarianceDomainError,
+    DegenerateFixedPointError,
     DiagonalDriftError,
     IllConditionedError,
     NonConvergenceError,

@@ -10,11 +10,15 @@ class CovarianceDomainError(NtkPhaseError, ValueError):
 
 
 class NonConvergenceError(NtkPhaseError, RuntimeError):
-    """Fixed-point iteration did not converge; carries the last iterate."""
+    """No finite fixed point to converge to; carries the last iterate."""
 
     def __init__(self, message: str, last_iterate: float):
         super().__init__(f"{message} (last iterate: {last_iterate!r})")
         self.last_iterate = last_iterate
+
+
+class DegenerateFixedPointError(NtkPhaseError, ValueError):
+    """The variance fixed point is q* = 0, where the normalized kernels are undefined."""
 
 
 class BracketError(NtkPhaseError, ValueError):

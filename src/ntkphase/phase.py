@@ -2,8 +2,10 @@
 spectrum predictions for the kernel recursions.
 
 The recursion q -> sigma_w2 * T(q) + sigma_b2 has a stable diagonal fixed
-point qstar; the off-diagonal correlation map has fixed point cstar.  The
-linearized slopes at those points (chi1 at c=1, chi_c at cstar) classify the
+point qstar and the off-diagonal correlation map a fixed point cstar, both
+solved directly: ReLU's qstar in closed form, the others by one bisection;
+a point without a finite positive qstar raises at once.  The linearized
+slopes at those points (chi1 at c=1, chi_c at cstar) classify the
 hyperparameters into the ordered (chi1 < 1), chaotic (chi1 > 1) and critical
 (chi1 = 1) regimes and set every large-depth law exported from here.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,6 +23,7 @@ from .activations import _PHI, Activation, ActivationKernel, diag_second_moment
 from .errors import (
     BracketError,
     CovarianceDomainError,
+    DegenerateFixedPointError,
     NonConvergenceError,
     UndefinedPredictionError,
 )
@@ -43,8 +46,6 @@ __all__ = [
 ]
 
 PHASE_TOL = 1e-8  # |chi1 - 1| below this counts as critical
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 10_000
 _BRACKET_DOUBLINGS = 64
 
 
@@ -122,53 +123,57 @@ class AsymptoticPrediction:
             raise ValueError("condition number prediction below 1")
 
 
-def _damped_fixed_point(f, x0: float, what: str) -> float:
-    """Iterate x -> f(x), halving the step whenever the local slope exceeds 1."""
-    x = float(x0)
-    for _ in range(_FP_MAX_ITER):
-        fx = f(x)
-        delta = fx - x
-        if abs(delta) < _FP_TOL:
-            return fx
-        h = max(1e-7, 1e-7 * abs(x))
-        slope = (f(x + h) - f(x - h)) / (2.0 * h) if x - h > 0 else (f(x + h) - fx) / h
-        x = x + 0.5 * delta if abs(slope) > 1.0 else fx
-    raise NonConvergenceError(f"{what} fixed point did not converge", x)
+def _bisect(left, lo: float, hi: float) -> float:
+    """``hi`` once the midpoint of [lo, hi] equals an end; ``left(x)`` is True below the root."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if left(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _zero_bias_edge(activation: Activation) -> float:
+    """sigma_w2 above which q = 0 repels the sigma_b2 = 0 diagonal map: 1/phi'(0)^2, ReLU 2."""
+    return 2.0 if activation is Activation.RELU else 1.0 / float(_PHI[activation][1](0.0)) ** 2
 
 
 def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float = 1.0) -> float:
-    """Stable fixed point of the diagonal variance map.
+    """Stable fixed point of the diagonal variance map, solved directly.
 
-    Starts from the normalized input variance ``q0``; at a point where the
-    map is the identity (critical ReLU) this returns ``q0`` itself, matching
-    the convention that inputs keep their normalized variance.  ``k`` only
-    supplies activation/backend choices; its own qstar is ignored.
+    ReLU: sigma_b2 / (1 - sigma_w2/2), or ``q0`` where the map is the identity
+    (sigma_w2 = 2, sigma_b2 = 0).  Erf/Tanh: E[phi^2] < 1, so one bisection on
+    (0, sigma_w2 + sigma_b2].  Raises, before any map evaluation,
+    ``NonConvergenceError`` where ReLU has no finite fixed point and
+    ``DegenerateFixedPointError`` where q* = 0 (sigma_b2 = 0 and
+    sigma_w2 phi'(0)^2 <= 1).  ``k`` supplies activation and nodes only.
     """
-    activation = k.activation if k is not None else h.activation
-    nodes = k.nodes if k is not None else 128
-
-    def f(q):
-        return h.sigma_w2 * float(diag_second_moment(activation, q, nodes)) + h.sigma_b2
-
-    return _damped_fixed_point(f, q0, "diagonal variance")
+    act, nodes = (k.activation, k.nodes) if k is not None else (h.activation, 128)
+    sw2, sb2 = h.sigma_w2, h.sigma_b2
+    if act is Activation.RELU and sw2 >= 2.0:
+        if sw2 == 2.0 and sb2 == 0.0:
+            return float(q0)
+        raise NonConvergenceError(f"no finite variance fixed point at ({sw2}, {sb2})", math.inf)
+    if sb2 == 0.0 and sw2 <= _zero_bias_edge(act):
+        raise DegenerateFixedPointError(f"variance fixed point is q* = 0 at ({sw2}, 0)")
+    if act is Activation.RELU:
+        return sb2 / (1.0 - sw2 / 2.0)
+    return _bisect(lambda q: sw2 * diag_second_moment(act, q, nodes) + sb2 > q, 0.0, sw2 + sb2)
 
 
 def solve_cstar(h: Hyperparams, k: ActivationKernel) -> float:
     """Stable fixed point of the off-diagonal correlation map.
 
-    c = 1 is always a fixed point; it is stable iff chi1 <= 1, in which case
-    1 is returned directly (convergence to it is sub-geometric on the
-    critical line, so iteration is reserved for the chaotic branch).
+    c = 1 is always a fixed point, stable iff chi1 <= 1.  Past that the map is
+    convex on [0, 1] with slope chi1 > 1 at 1, so one bisection finds its one
+    crossing in (0, 1); an odd activation at sigma_b2 = 0 fixes exactly c = 0.
     """
     qstar = k.qstar
     chi1 = h.sigma_w2 * k.t_dot(qstar)
     if chi1 <= 1.0 + PHASE_TOL:
         return 1.0
-
-    def f(c):
-        return (h.sigma_w2 * k.t_map(c * qstar) + h.sigma_b2) / qstar
-
-    return _damped_fixed_point(f, 0.5, "off-diagonal correlation")
+    if h.sigma_b2 == 0.0 and k.activation is not Activation.RELU:
+        return 0.0
+    return _bisect(lambda c: (h.sigma_w2 * k.t_map(c * qstar) + h.sigma_b2) / qstar > c, 0.0, 1.0)
 
 
 def slopes(h: Hyperparams, k: ActivationKernel, cstar: float):
@@ -257,16 +262,13 @@ def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
     the second equation; the bracket starts at [0, max(1, 2 sigma_b2)] and
     its upper end doubles until it holds the root.  At sigma_b2 = 0 the
     root is the q -> 0 limit 1/phi'(0)^2 (pi/4 for Erf, 1 for Tanh).  ReLU
-    has D = 1/2 at every q, so its line is sigma_w2 = 2 at every sigma_b2
-    (for sigma_b2 > 0 the q -> inf limit).  ``k`` supplies activation,
-    backend and nodes only.
+    has D = 1/2 at every q, so its line is sigma_w2 = 2 at every sigma_b2 (the
+    q -> inf limit).  ``k`` supplies activation, backend and nodes only.
     """
     if not 0.0 <= sigma_b2 < math.inf:  # also rejects NaN
         raise ValueError("sigma_b2 must be finite and nonnegative")
-    if k.activation is Activation.RELU:
-        return 2.0
-    if sigma_b2 == 0.0:
-        return 1.0 / float(_PHI[k.activation][1](0.0)) ** 2
+    if k.activation is Activation.RELU or sigma_b2 == 0.0:
+        return _zero_bias_edge(k.activation)
 
     def line(q: float):  # (sigma_b2, sigma_w2) at fixed point q on the line
         d = ActivationKernel(k.activation, q, k.backend, k.nodes).t_dot(q)
@@ -279,11 +281,7 @@ def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
         lo, hi = hi, 2.0 * hi
     else:
         raise BracketError(f"no order-to-chaos point with q below {hi} at sigma_b2={sigma_b2}")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (lo, mid) if line(mid)[0] > sigma_b2 else (mid, hi)
-        mid = 0.5 * (lo + hi)
-    return line(hi)[1]
+    return line(_bisect(lambda q: line(q)[0] <= sigma_b2, lo, hi))[1]
 
 
 def _pool_factor(h: Hyperparams) -> int:

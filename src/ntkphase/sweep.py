@@ -427,8 +427,8 @@ def _transition_rows(cfg: SweepConfig) -> List[list]:
                  rep.phase, rep.xi1, rep.xi_c, rep.xi_star, None]
             )
         except (NtkPhaseError, ValueError) as exc:
-            # keep the solved transition location even when the fixed point
-            # at it is degenerate (ReLU at zero bias variance)
+            # keep the solved transition location even when there is no
+            # usable fixed point at it (ReLU with bias, Erf/Tanh at q* = 0)
             out.append(
                 [sw2_c, sb2, None, None, None, None, "critical", None, None, None,
                  f"{type(exc).__name__}: {exc}"]

@@ -140,12 +140,12 @@ class TestRunSweep:
         assert f"{value:.17g}" == qstar_cell
 
     def test_crash_isolation(self, tmp_path):
-        # relu at (4.0, 0.0) has no variance fixed point; the healthy point
-        # must still produce complete rows
+        # relu at (4.0, 0.5) has no finite variance fixed point; the healthy
+        # point must still produce complete rows
         cfg = SweepConfig(
             activation="relu",
             sigma_w2_grid=(1.0, 4.0),
-            sigma_b2_grid=(0.0,),
+            sigma_b2_grid=(0.5,),
             depths=(1, 2),
             m=4,
             n=2,

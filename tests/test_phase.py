@@ -9,12 +9,14 @@ from ntkphase import (
     Activation,
     ActivationKernel,
     Architecture,
+    DegenerateFixedPointError,
     Hyperparams,
     NonConvergenceError,
     Phase,
     analyze,
     critical_sigma_w2,
     depth_scales,
+    diag_second_moment,
     fit_zeta,
     predict_scalar_corrections,
     predict_spectrum,
@@ -22,6 +24,7 @@ from ntkphase import (
     solve_cstar,
     solve_qstar,
 )
+from ntkphase import phase as phase_module
 
 # frozen oracle values (bisection / 1e4-step iteration, see module docstrings)
 ERF_QSTAR_SW2_2 = 0.880750630396        # root of q = (4/pi) asin(2q/(1+2q))
@@ -80,6 +83,122 @@ class TestCstar:
         q = solve_qstar(h)
         c = solve_cstar(h, erf_kernel(q))
         assert c == pytest.approx(ERF_CHAOTIC["cstar"], abs=1e-9)
+
+
+class MapCounter:
+    """Counts diagonal-map and off-diagonal-map evaluations made by the solvers."""
+
+    def __init__(self, monkeypatch):
+        self.diag = self.t_map = self.t_dot = 0
+        for owner, attr, name in ((phase_module, "diag_second_moment", "diag"),
+                                  (ActivationKernel, "t_map", "t_map"),
+                                  (ActivationKernel, "t_dot", "t_dot")):
+            monkeypatch.setattr(owner, attr, self._counted(name, getattr(owner, attr)))
+
+    def _counted(self, name, fn):
+        def wrapper(*args, **kwargs):
+            setattr(self, name, getattr(self, name) + 1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    @property
+    def total(self):
+        return self.diag + self.t_map + self.t_dot
+
+
+def _mp_erf_qstar(mp, sw2, sb2):
+    """50-digit root of q = sw2 (2/pi) asin(2q/(1+2q)) + sb2."""
+    sw2, sb2 = mp.mpf(sw2), mp.mpf(sb2)
+    return mp.findroot(lambda q: sw2 * 2 / mp.pi * mp.asin(2 * q / (1 + 2 * q)) + sb2 - q,
+                       sw2 + sb2)
+
+
+class TestDirectSolves:
+    """The fixed points are direct solves: exact where closed, full precision, fail-fast."""
+
+    @pytest.mark.parametrize("activation, sw2", [
+        ("relu", 1.0), ("relu", 1.99), ("erf", 0.5), ("erf", math.pi / 4),
+        ("tanh", 0.5), ("tanh", 1.0),
+    ])
+    def test_zero_bias_below_bifurcation_is_degenerate(self, monkeypatch, activation, sw2):
+        counter = MapCounter(monkeypatch)
+        with pytest.raises(DegenerateFixedPointError):
+            solve_qstar(Hyperparams(sw2, 0.0, activation))
+        assert counter.total == 0
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh"])
+    def test_zero_bias_transition_row_is_degenerate(self, monkeypatch, activation):
+        sw2 = critical_sigma_w2(0.0, ActivationKernel(activation, 1.0))
+        counter = MapCounter(monkeypatch)
+        with pytest.raises(DegenerateFixedPointError):
+            analyze(Hyperparams(sw2, 0.0, activation))
+        assert counter.total == 0
+
+    def test_degenerate_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            solve_qstar(Hyperparams(1.0, 0.0, "relu"))
+
+    @pytest.mark.parametrize("sw2, sb2", [(2.0, 0.5), (4.0, 0.5), (2.5, 0.0), (4.0, 0.0)])
+    def test_relu_without_finite_fixed_point_fails_at_once(self, monkeypatch, sw2, sb2):
+        counter = MapCounter(monkeypatch)
+        with pytest.raises(NonConvergenceError) as exc:
+            analyze(Hyperparams(sw2, sb2, "relu"))
+        assert exc.value.last_iterate == math.inf
+        assert counter.total == 0
+
+    @pytest.mark.parametrize("backend", ["closed", "quadrature"])
+    def test_relu_qstar_is_the_closed_form(self, monkeypatch, backend):
+        counter = MapCounter(monkeypatch)
+        q = solve_qstar(Hyperparams(1.9, 0.5, "relu"), ActivationKernel("relu", 1.0, backend))
+        assert q == 0.5 / (1.0 - 1.9 / 2.0)
+        assert counter.diag == 0
+        assert analyze(Hyperparams(1.9, 0.5, "relu")).qstar == 0.5 / (1.0 - 1.9 / 2.0)
+
+    def test_erf_qstar_to_full_precision(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            root = _mp_erf_qstar(mp, "1.5", "0.3")
+            rep = analyze(Hyperparams(1.5, 0.3, "erf"))
+            assert abs((rep.qstar - root) / root) <= 1e-14
+
+    def test_erf_cstar_to_full_precision(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            q = _mp_erf_qstar(mp, 4, "0.5")
+            c = mp.findroot(lambda c: (4 * 2 / mp.pi * mp.asin(2 * c * q / (1 + 2 * q))
+                                       + mp.mpf("0.5")) / q - c, 0.6)
+            rep = analyze(Hyperparams(4.0, 0.5, "erf"))
+            assert abs((rep.cstar - c) / c) <= 1e-14
+
+    @pytest.mark.parametrize("sw2, sb2", [(1.5, 0.3), (4.0, 0.5), (1.0, 0.05), (2.0, 2.0)])
+    def test_tanh_qstar_residual_within_four_ulp(self, sw2, sb2):
+        q = solve_qstar(Hyperparams(sw2, sb2, "tanh"))
+        residual = sw2 * float(diag_second_moment(Activation.TANH, q)) + sb2 - q
+        assert abs(residual) <= 4 * math.ulp(q)
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh"])
+    def test_odd_activation_zero_bias_chaotic_cstar_is_exactly_zero(self, activation):
+        rep = analyze(Hyperparams(2.0, 0.0, activation))
+        assert rep.phase is Phase.CHAOTIC
+        assert rep.cstar == 0.0
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh"])
+    @pytest.mark.parametrize("sw2, sb2", [(1.5, 0.3), (4.0, 0.5), (0.5, 0.05), (1.0, 2.0)])
+    def test_qstar_solve_takes_few_map_evaluations(self, monkeypatch, activation, sw2, sb2):
+        counter = MapCounter(monkeypatch)
+        solve_qstar(Hyperparams(sw2, sb2, activation))
+        assert 0 < counter.diag <= 80
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh"])
+    @pytest.mark.parametrize("sw2, sb2", [(4.0, 0.5), (2.0, 0.05)])
+    def test_chaotic_cstar_solve_takes_few_map_evaluations(self, monkeypatch, activation,
+                                                           sw2, sb2):
+        h = Hyperparams(sw2, sb2, activation)
+        k = ActivationKernel(activation, solve_qstar(h))
+        counter = MapCounter(monkeypatch)
+        c = solve_cstar(h, k)
+        assert 0.0 < c < 1.0
+        assert 0 < counter.t_map <= 80
 
 
 class TestSlopes:
