@@ -5,19 +5,23 @@ variances ``qstar`` and covariance ``q_ab``, this module evaluates
 
     t_map(q_ab)  = E[phi(u) phi(v)]
     t_dot(q_ab)  = E[phi'(u) phi'(v)]
-    t_ddot(q_ab) = d^2/dq_ab^2 t_map(q_ab)
+    t_ddot(q_ab) = E[phi''(u) phi''(v)]
 
 restricted to the fixed-diagonal slice that the kernel recursions live on
 (every input is normalized to variance ``qstar``, so the maps reduce to
-scalar functions of the off-diagonal entry).
+scalar functions of the off-diagonal entry).  By Price's theorem each map
+is the q_ab-derivative of the one before it.
 
-Closed forms: Erf uses the arcsine kernel, ReLU the arc-cosine kernel of
-order one.  The quadrature backend is a Gaussian-quadrature evaluation that
-is independent of those closed forms: tensorized Gauss-Hermite after
-Cholesky whitening for smooth activations, and for the kinked ReLU/step
-integrands a symmetrized whitening whose half-line kink pieces reduce
-exactly to Gauss-Laguerre integrals of analytic functions (plain tensor
-Gauss-Hermite stalls at ~1e-3 absolute error for those).
+Closed forms: Erf uses the arcsine kernel and its derivatives, ReLU the
+arc-cosine kernel of order one; ReLU's phi'' is a delta, so its t_ddot is
+the closed form 1/(2 pi sqrt(qstar^2 - q_ab^2)) on either backend.  Tanh
+evaluates all three maps by quadrature of phi, phi' and phi''.  The
+quadrature backend is a Gaussian-quadrature evaluation that is independent
+of the closed forms: tensorized Gauss-Hermite after Cholesky whitening for
+smooth activations, and for the kinked ReLU/step integrands a symmetrized
+whitening whose half-line kink pieces reduce exactly to Gauss-Laguerre
+integrals of analytic functions (plain tensor Gauss-Hermite stalls at ~1e-3
+absolute error for those).
 """
 
 from __future__ import annotations
@@ -120,6 +124,17 @@ def _relu_tdot(qstar, q):
     return (math.pi - _relu_theta(qstar, q)) / (2.0 * math.pi)
 
 
+def _relu_tddot(qstar, q):
+    # E[delta(u) delta(v)]: the density of (u, v) at the origin
+    return 1.0 / (2.0 * math.pi * qstar * np.sin(_relu_theta(qstar, q)))
+
+
+_CLOSED = {
+    Activation.ERF: (_erf_t, _erf_tdot, _erf_tddot),
+    Activation.RELU: (_relu_t, _relu_tdot, _relu_tddot),
+}
+
+
 # ---------------------------------------------------------------------------
 # quadrature backend
 
@@ -170,48 +185,61 @@ def _relu_quad_pieces(kappa, nodes):
       P(u > 0, v > 0)     = 1/2 - (1/(2 sqrt(pi))) * L[f0]
 
     where L[f] = sum of Laguerre-weighted f(t) and every integrand is
-    analytic in t (the |y| fold is absorbed by t = y^2/2).
+    analytic in t (the |y| fold is absorbed by t = y^2/2).  ``kappa`` may be
+    an array; each piece then has its shape.
     """
     t, lw = _laggauss(nodes)
     rt = np.sqrt(t)
+    kappa = np.asarray(kappa)[..., None]
     erf_k = _erf(kappa * rt)
     f0 = erf_k / rt
     f1 = kappa * math.sqrt(2.0) * _norm_pdf(kappa * np.sqrt(2.0 * t)) - 0.5 * f0
     f2 = rt * erf_k
-    return lw @ f0, lw @ f1, lw @ f2
+    return f0 @ lw, f1 @ lw, f2 @ lw
+
+
+def _relu_reflect(qstar, q):
+    """(c, p2, m2, kappa) at |c|, with c = q/qstar clipped into [-1, 1].
+
+    The pieces are evaluated at |c| and reflected back below; c = 1 gives
+    kappa = 0, where every piece vanishes.
+    """
+    c = np.clip(q / qstar, -1.0, 1.0)
+    a = np.abs(c)
+    p2, m2 = 0.5 * (1.0 + a), 0.5 * (1.0 - a)
+    return c, p2, m2, np.sqrt(m2 / p2)
 
 
 def _quad_relu_t(qstar, q, nodes):
-    c = float(np.clip(q / qstar, -1.0, 1.0))
-    if c < 0.0:
-        # E[relu(u) relu(v)] = c*qstar/2 + same expectation at correlation -c
-        return c * qstar / 2.0 + _quad_relu_t(qstar, -q, nodes)
-    if c == 1.0:
-        return qstar / 2.0
-    p2, m2 = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    kappa = math.sqrt(m2 / p2)
-    l0, l1, l2 = _relu_quad_pieces(kappa, nodes)
+    c, p2, m2, kappa = _relu_reflect(qstar, q)
+    _, l1, l2 = _relu_quad_pieces(kappa, nodes)
     ex2 = 0.5 + l1 / _SQRT_PI
     ey2 = 0.5 - l2 / _SQRT_PI
-    return qstar * (p2 * ex2 - m2 * ey2)
+    # E[relu(u) relu(v)] = c*qstar/2 + the same expectation at correlation -c
+    return np.minimum(c, 0.0) * qstar / 2.0 + qstar * (p2 * ex2 - m2 * ey2)
 
 
 def _quad_relu_tdot(qstar, q, nodes):
-    c = float(np.clip(q / qstar, -1.0, 1.0))
-    if c < 0.0:
-        # P(u>0, v>0) at correlation c equals 1/2 - P(u>0, v>0) at -c
-        return 0.5 - _quad_relu_tdot(qstar, -q, nodes)
-    if c == 1.0:
-        return 0.5
-    kappa = math.sqrt((1.0 - c) / (1.0 + c))
+    c, _, _, kappa = _relu_reflect(qstar, q)
     l0, _, _ = _relu_quad_pieces(kappa, nodes)
-    return 0.5 - l0 / (2.0 * _SQRT_PI)
+    p = 0.5 - l0 / (2.0 * _SQRT_PI)
+    # P(u>0, v>0) at correlation c equals 1/2 - P(u>0, v>0) at -c
+    return np.where(c < 0.0, 0.5 - p, p)
 
 
+# phi and its first two derivatives, for the Gauss-Hermite route (Price's
+# theorem: the order-n map is E[phi^(n)(u) phi^(n)(v)])
 _PHI = {
-    Activation.ERF: (lambda z: _erf(z), lambda z: (2.0 / _SQRT_PI) * np.exp(-z * z)),
-    Activation.TANH: (np.tanh, lambda z: 1.0 / np.cosh(z) ** 2),
-    Activation.RELU: (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+    Activation.ERF: (
+        lambda z: _erf(z),
+        lambda z: (2.0 / _SQRT_PI) * np.exp(-z * z),
+        lambda z: (-4.0 / _SQRT_PI) * z * np.exp(-z * z),
+    ),
+    Activation.TANH: (
+        np.tanh,
+        lambda z: 1.0 / np.cosh(z) ** 2,
+        lambda z: -2.0 * np.tanh(z) / np.cosh(z) ** 2,
+    ),
 }
 
 
@@ -238,12 +266,13 @@ def diag_second_moment(activation: Activation, q, nodes: int = 128):
 class ActivationKernel:
     """The maps t_map / t_dot / t_ddot at a fixed diagonal variance.
 
-    backend "closed" uses the arcsine/arc-cosine closed forms where they
-    exist (Erf, ReLU); Tanh always evaluates by quadrature.  backend
-    "quadrature" forces the Gaussian-quadrature route with ``nodes`` points
-    per rule (2 to 370), which is the independent oracle the closed forms
-    are checked against.  Instances are immutable and safe to share across
-    threads.
+    t_ddot is E[phi''(u) phi''(v)]: closed form for Erf and ReLU, quadrature
+    of phi'' for Tanh.  backend "closed" uses the arcsine/arc-cosine closed
+    forms where they exist (Erf, ReLU); Tanh always evaluates by quadrature.
+    backend "quadrature" forces the Gaussian-quadrature route with ``nodes``
+    points per rule (2 to 370), which is the independent oracle the closed
+    forms are checked against; ReLU's t_ddot (phi'' a delta) stays the closed
+    form there.  Instances are immutable and safe to share across threads.
     """
 
     activation: Activation
@@ -281,73 +310,33 @@ class ActivationKernel:
             raise CovarianceDomainError("t_ddot needs |q_ab| strictly inside (-qstar, qstar)")
         return np.clip(q, -self.qstar, self.qstar)
 
-    def _use_closed(self) -> bool:
-        return self.backend == "closed" and self.activation is not Activation.TANH
+    def _evaluate(self, order: int, q_ab):
+        """The order-th map E[phi^(order)(u) phi^(order)(v)] at ``q_ab``.
+
+        ReLU's phi'' is a delta, so its order-2 map is the closed form on
+        either backend and needs |q_ab| strictly inside (-qstar, qstar).
+        """
+        scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
+        relu = self.activation is Activation.RELU
+        q = self._check_domain(q_ab, strict=relu and order == 2)
+        if self.activation in _CLOSED and (self.backend == "closed" or (relu and order == 2)):
+            out = _CLOSED[self.activation][order](self.qstar, q)
+        elif relu:
+            out = (_quad_relu_t, _quad_relu_tdot)[order](self.qstar, q, self.nodes)
+        else:
+            out = _quad_smooth(_PHI[self.activation][order], self.qstar, q, self.nodes)
+        return float(out) if scalar else np.asarray(out)
 
     # -- the three maps ----------------------------------------------------
 
     def t_map(self, q_ab):
         """E[phi(u) phi(v)]; accepts scalars or arrays of off-diagonals."""
-        scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
-        q = self._check_domain(q_ab)
-        if self._use_closed():
-            out = (_erf_t if self.activation is Activation.ERF else _relu_t)(self.qstar, q)
-        elif self.activation is Activation.RELU:
-            out = np.vectorize(
-                lambda s: _quad_relu_t(self.qstar, s, self.nodes), otypes=[float]
-            )(q)
-        else:
-            out = _quad_smooth(_PHI[self.activation][0], self.qstar, q, self.nodes)
-        return float(out) if scalar else np.asarray(out)
+        return self._evaluate(0, q_ab)
 
     def t_dot(self, q_ab):
-        """E[phi'(u) phi'(v)]."""
-        scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
-        q = self._check_domain(q_ab)
-        if self._use_closed():
-            out = (_erf_tdot if self.activation is Activation.ERF else _relu_tdot)(self.qstar, q)
-        elif self.activation is Activation.RELU:
-            out = np.vectorize(
-                lambda s: _quad_relu_tdot(self.qstar, s, self.nodes), otypes=[float]
-            )(q)
-        else:
-            out = _quad_smooth(_PHI[self.activation][1], self.qstar, q, self.nodes)
-        return float(out) if scalar else np.asarray(out)
+        """E[phi'(u) phi'(v)], the derivative of t_map in q_ab."""
+        return self._evaluate(1, q_ab)
 
     def t_ddot(self, q_ab):
-        """Second derivative of t_map in the off-diagonal argument.
-
-        Erf is analytic; other activations use Richardson-extrapolated
-        central (one-sided at the domain edge) second differences of t_map,
-        which is all the sub-leading correction formulas need.
-        """
-        scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
-        if self.activation is Activation.ERF:
-            q = self._check_domain(q_ab)
-            out = _erf_tddot(self.qstar, q)
-            return float(out) if scalar else np.asarray(out)
-        q = self._check_domain(q_ab, strict=(self.activation is Activation.RELU))
-        out = np.vectorize(self._fd_second, otypes=[float])(q)
-        return float(out) if scalar else np.asarray(out)
-
-    def _fd_second(self, q: float) -> float:
-        gap = self.qstar - abs(q)
-        h = 0.01 * max(self.qstar, 1.0)
-        if self.activation is Activation.RELU:
-            h = min(h, gap / 4.0)  # keep the stencil strictly inside the domain
-        f = self.t_map
-
-        def central(step):
-            return (f(q + step) - 2.0 * f(q) + f(q - step)) / step**2
-
-        def onesided(step):
-            # second-order stencil pointing away from the nearer boundary
-            s = -step if q > 0 else step
-            return (2.0 * f(q) - 5.0 * f(q + s) + 4.0 * f(q + 2 * s) - f(q + 3 * s)) / step**2
-
-        if gap >= 4.0 * h and abs(q) + h <= self.qstar:
-            d1, d2 = central(h), central(h / 2.0)
-        else:
-            h = min(h, self.qstar / 2.0)
-            d1, d2 = onesided(h), onesided(h / 2.0)
-        return (4.0 * d2 - d1) / 3.0  # Richardson: cancel the O(h^2) term
+        """E[phi''(u) phi''(v)], the second derivative of t_map in q_ab."""
+        return self._evaluate(2, q_ab)

@@ -57,6 +57,13 @@ class TestQuadratureBackend:
         for q in grid:
             assert kq.t_map(q) == pytest.approx(kc.t_map(q), abs=1e-6)
             assert kq.t_dot(q) == pytest.approx(kc.t_dot(q), abs=1e-6)
+        # t_ddot away from the edge: Erf by quadrature of phi'', ReLU (phi'' a
+        # delta) by the closed form on both backends
+        inner = grid[np.abs(grid) <= 0.9 * qstar]
+        if activation is Activation.ERF:
+            np.testing.assert_allclose(kq.t_ddot(inner), kc.t_ddot(inner), rtol=1e-13, atol=1e-16)
+        else:
+            np.testing.assert_array_equal(kq.t_ddot(inner), kc.t_ddot(inner))
 
     def test_tanh_node_convergence(self):
         k64 = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=64)
@@ -70,9 +77,11 @@ class TestQuadratureBackend:
         assert ka.t_map(0.4) == kb.t_map(0.4)
 
     def test_array_evaluation_matches_scalars(self):
-        k = ActivationKernel(Activation.ERF, 1.2)
         grid = np.linspace(-1.1, 1.1, 7)
-        np.testing.assert_allclose(k.t_map(grid), [k.t_map(q) for q in grid], rtol=1e-15)
+        for activation, backend in (("erf", "closed"), ("relu", "closed"), ("relu", "quadrature")):
+            k = ActivationKernel(activation, 1.2, backend)
+            for f in (k.t_map, k.t_dot, k.t_ddot):
+                np.testing.assert_allclose(f(grid), [f(q) for q in grid], rtol=1e-15)
 
     @pytest.mark.parametrize("nodes", [128, 200])
     def test_array_entry_does_not_depend_on_its_position(self, nodes):
@@ -116,10 +125,28 @@ class TestDerivativeConsistency:
         assert k.t_ddot(0.4) == pytest.approx(fd, abs=1e-4)
 
     def test_relu_t_ddot_matches_arc_cosine_derivative(self):
-        # d/dq (pi - theta)/(2 pi) = 1 / (2 pi sqrt(qstar^2 - q^2))
-        k = ActivationKernel(Activation.RELU, 1.0)
-        q = 0.3
-        assert k.t_ddot(q) == pytest.approx(1 / (2 * math.pi * math.sqrt(1 - q * q)), rel=1e-6)
+        # d/dq (pi - theta)/(2 pi) = 1 / (2 pi sqrt(qstar^2 - q^2)), out to the edge
+        for qstar in (1.0, 1.3):
+            k = ActivationKernel(Activation.RELU, qstar)
+            for q in (0.3, -0.9 * qstar, 0.3 * qstar, qstar * (1.0 - 1e-9)):
+                exact = 1 / (2 * math.pi * math.sqrt(qstar * qstar - q * q))
+                assert k.t_ddot(q) == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("c", [0.4, 0.9, 0.999, 1.0])
+    def test_tanh_t_ddot_matches_trapezoid_rule(self, c):
+        # E[phi''(u) phi''(v)] by a tensor trapezoid rule in whitened coordinates
+        # u = x, v = c x + sqrt(1 - c^2) y at qstar = 1; the rule converges
+        # exponentially for this smooth, Gaussian-decaying integrand
+        z = np.linspace(-10.0, 10.0, 2001)  # step 0.01
+        w = 0.01 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        def tanh2(t):
+            return -2.0 * np.tanh(t) / np.cosh(t) ** 2
+
+        inner = tanh2(c * z[:, None] + math.sqrt(1.0 - c * c) * z[None, :]) @ w
+        reference = (w * tanh2(z)) @ inner
+        k = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=128)
+        assert k.t_ddot(c) == pytest.approx(reference, rel=1e-7)
 
 
 class TestDomainsAndErrors:
@@ -219,7 +246,7 @@ class TestDomainCheck:
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
     def test_zero_dimensional_input_returns_float(self, activation):
         k = ActivationKernel(activation, self.QSTAR)
-        for f in (k.t_map, k.t_dot):
+        for f in (k.t_map, k.t_dot, k.t_ddot):
             outs = [f(q) for q in (np.array(0.3), np.float64(0.3), 0.3)]
             assert all(type(out) is float for out in outs)
             assert outs[0] == outs[1] == outs[2]

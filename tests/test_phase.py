@@ -371,8 +371,8 @@ class TestZetaExtraction:
 
     def test_cauchy_property_of_normalized_sequence(self):
         # chi^{-l} eps_l from the real recursion: successive differences shrink
-        # geometrically.  The ratio check stops at l=45: beyond that the
-        # solver's 1e-12 fixed-point residual, amplified by chi_c^{-l},
+        # geometrically.  The ratio check stops at l=70, short of l ~ 78 where
+        # the double-precision floor of eps_l, amplified by chi_c^{-l},
         # reaches the size of the genuine differences.
         from ntkphase import ScalarKernelState, step_scalar
 
@@ -382,16 +382,16 @@ class TestZetaExtraction:
         s = ScalarKernelState(rep.qstar, 0.2 * rep.qstar, 0.0, 0.2 * rep.qstar, 0)
         eps_by_depth = {}
         qab_star = rep.cstar * rep.qstar
-        for l in range(1, 61):
+        for l in range(1, 71):
             s = step_scalar(s, h, k)
             if l >= 20:
                 eps_by_depth[l] = s.q_ab - qab_star
-        seq = [rep.chi_c**-l * eps_by_depth[l] for l in range(20, 46)]
+        seq = [rep.chi_c**-l * eps_by_depth[l] for l in range(20, 71)]
         diffs = np.abs(np.diff(seq))
         ratios = diffs[1:] / diffs[:-1]
         assert np.all(ratios < 1.0)
         assert np.median(ratios) == pytest.approx(rep.chi_c, rel=0.15)
-        # the fitted limit over the full window agrees with the clean window
+        # the fitted limit over the full window agrees with its first 26 depths
         depths_full = np.array(sorted(eps_by_depth))
         eps_full = np.array([eps_by_depth[l] for l in depths_full])
         zeta_full = fit_zeta(depths_full, eps_full, rep.chi_c)
