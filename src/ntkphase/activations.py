@@ -14,11 +14,15 @@ is the q_ab-derivative of the one before it.
 
 Closed forms: Erf uses the arcsine kernel and its derivatives, ReLU the
 arc-cosine kernel of order one; ReLU's phi'' is a delta, so its t_ddot is
-the closed form 1/(2 pi sqrt(qstar^2 - q_ab^2)) on either backend.  Tanh
-evaluates all three maps by quadrature of phi, phi' and phi''.  The
-quadrature backend is a Gaussian-quadrature evaluation that is independent
-of the closed forms: tensorized Gauss-Hermite after Cholesky whitening for
-smooth activations, and for the kinked ReLU/step integrands a symmetrized
+the closed form 1/(2 pi sqrt(qstar^2 - q_ab^2)) on either backend.  Tanh has
+no closed form; on the closed backend each of its maps is a Chebyshev table
+in c = q_ab/qstar, built once per (qstar, order) from a tensor trapezoid rule
+on the Gaussian weight and evaluated by Clenshaw's recurrence.  At |c| = 1
+the maps are the 1-D trapezoid rule E[phi^(order)(u)^2], the same rule as
+the closed-backend Tanh ``diag_second_moment``.  The quadrature backend is a
+Gaussian-quadrature evaluation that is independent of the closed forms and
+the tables: tensorized Gauss-Hermite after Cholesky whitening for smooth
+activations, and for the kinked ReLU/step integrands a symmetrized
 whitening whose half-line kink pieces reduce exactly to Gauss-Laguerre
 integrals of analytic functions (plain tensor Gauss-Hermite stalls at ~1e-3
 absolute error for those).
@@ -44,6 +48,11 @@ _QUAD_CHUNK = 2**18  # integrand values per _quad_smooth chunk
 _GEMV_BLOCK = 4  # entries per _quad_smooth padding block
 # numpy's hermgauss loses its weights past 370 nodes (all zero at 371, NaN from 372)
 _MAX_NODES = 370
+_TRAP_STEP = 0.2  # Tanh trapezoid step in x ~ N(0, 1) at qstar <= 1
+_TRAP_REACH = 9.0  # Tanh trapezoid nodes cover |x| <= this
+_CHEB_N = 128  # Tanh tables interpolate at N + 1 Chebyshev-Lobatto points, N from 128
+_CHEB_MAX_N = 4096  # up to this N, doubling ...
+_CHEB_TAIL = 1e-15  # ... until the last coefficients fall below this share of the largest
 
 
 class Activation(str, enum.Enum):
@@ -72,6 +81,11 @@ def _laggauss(n: int):
 def _check_nodes(nodes: int) -> None:
     if not 2 <= nodes <= _MAX_NODES:
         raise ValueError(f"{nodes} quadrature nodes; need between 2 and {_MAX_NODES}")
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in ("closed", "quadrature"):
+        raise ValueError(f"unknown backend {backend!r}")
 
 
 def _norm_pdf(z):
@@ -243,13 +257,120 @@ _PHI = {
 }
 
 
-def diag_second_moment(activation: Activation, q, nodes: int = 128):
+# ---------------------------------------------------------------------------
+# Tanh tables (closed backend)
+
+
+def _trapezoid(qstar):
+    """Trapezoid nodes and weights for E[f(x)], x ~ N(0, 1), fine enough for phi(sqrt(qstar) x).
+
+    The step shrinks as 1/sqrt(qstar), so it resolves tanh's poles at
+    x = i pi / (2 sqrt(qstar)) equally well at every qstar; |x| <= 9 leaves a
+    Gaussian tail below 1e-17.
+    """
+    h = _TRAP_STEP / math.sqrt(max(1.0, qstar))
+    n = int(_TRAP_REACH / h)
+    x = h * np.arange(-n, n + 1.0)
+    return x, (h / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+
+
+def _tanh_edge(qstar, order):
+    """E[phi^(order)(u)^2], u ~ N(0, qstar): the Tanh maps at |c| = 1, by the 1-D rule."""
+    x, w = _trapezoid(qstar)
+    return float(w @ _PHI[Activation.TANH][order](math.sqrt(qstar) * x) ** 2)
+
+
+@lru_cache(maxsize=256)
+def _tanh_table(qstar, order):
+    """Chebyshev coefficients of the order-th Tanh map in c = q_ab/qstar.
+
+    Samples the map at the Chebyshev-Lobatto points c_j = cos(pi j / N) with
+    c >= 0 (c = 1 from ``_tanh_edge``, the rest by the tensor trapezoid rule in
+    whitened coordinates u = sqrt(qstar) x, v = sqrt(qstar)(c x + s y)) and
+    fills c < 0 by parity: orders 0 and 2 are odd in c, order 1 is even.  A
+    DCT-I turns the N + 1 values into interpolation coefficients; only those of
+    the map's parity are returned, as floats for ``_clenshaw``.
+
+    N starts at 128.  The maps lose smoothness at |c| = 1 as qstar grows, so
+    while the last coefficients exceed ``_CHEB_TAIL`` of the largest, N
+    doubles; the points nest, so only the new half is sampled.
+    """
+    phi = _PHI[Activation.TANH][order]
+    x, w = _trapezoid(qstar)
+    root = math.sqrt(qstar)
+    # phi(u) phi(v) is unchanged by (x, y) -> (-x, -y): sum x >= 0, counting x > 0 twice
+    xh = x[x >= 0.0]
+    pu = np.where(xh > 0.0, 2.0, 1.0) * w[x >= 0.0] * phi(root * xh)
+    rows = max(1, _QUAD_CHUNK // x.size)
+
+    def sample(j, n):  # the map at c_j = cos(pi j / n), 0 < j <= n / 2
+        c, s = math.sin(0.5 * math.pi * (n - 2 * j) / n), math.sin(math.pi * j / n)
+        return sum(
+            pu[r : r + rows] @ (phi(root * (c * xh[r : r + rows, None] + s * x)) @ w)
+            for r in range(0, xh.size, rows)
+        )
+
+    odd = order != 1
+    n = _CHEB_N
+    f = np.array([_tanh_edge(qstar, order)] + [sample(j, n) for j in range(1, n // 2 + 1)])
+    while True:
+        full = np.concatenate([f, (-1.0 if odd else 1.0) * f[-2::-1]])  # c from 1 to -1
+        coef = np.fft.rfft(np.concatenate([full, full[-2:0:-1]])).real / n  # DCT-I
+        coef[0] /= 2.0
+        coef[-1] /= 2.0
+        coef = coef[int(odd) :: 2]
+        if np.max(np.abs(coef[-4:])) <= _CHEB_TAIL * np.max(np.abs(coef)) or n >= _CHEB_MAX_N:
+            return tuple(coef.tolist())
+        n *= 2
+        f = np.insert(f, range(1, f.size), [sample(j, n) for j in range(1, n // 2, 2)])
+
+
+def _clenshaw(coef, c, odd: bool):
+    """sum_k coef[k] T_(2k + odd)(c), by Clenshaw's recurrence in y = T_2(c).
+
+    Both T_2k(c) = T_k(y) and T_(2k+1)(c) obey t_(k+1) = 2y t_k - t_(k-1), so
+    one recurrence serves both parities at half the terms of the full series.
+    Elementwise: an entry's value does not depend on the array around it.
+    """
+    y = 2.0 * c * c - 1.0
+    y2 = 2.0 * y
+    b1 = b2 = 0.0
+    for a in coef[:0:-1]:
+        b1, b2 = a + y2 * b1 - b2, b1
+    b0 = coef[0] + y2 * b1 - b2
+    return c * (b0 - b1) if odd else b0 - y * b1
+
+
+def _tanh_closed(qstar, q, order):
+    """The order-th Tanh map at ``q`` (a float or an array inside [-qstar, qstar])."""
+    odd = order != 1
+    c = q / qstar
+    if np.ndim(c) == 0:
+        if abs(c) == 1.0:
+            return _tanh_edge(qstar, order) * (c if odd else 1.0)
+        return _clenshaw(_tanh_table(qstar, order), c, odd)
+    edge = np.abs(c) == 1.0
+    if edge.all():  # every entry on the diagonal (or none at all): no table needed
+        out = np.empty_like(c)
+    else:
+        out = _clenshaw(_tanh_table(qstar, order), c, odd)
+    if edge.any():
+        out[edge] = _tanh_edge(qstar, order) * (c[edge] if odd else 1.0)
+    return out
+
+
+def diag_second_moment(activation: Activation, q, nodes: int = 128, backend: str = "closed"):
     """E[phi(u)^2] for u ~ N(0, q): the diagonal (equal-argument) map.
 
     This is the map whose fixed point sets the normalized variance; unlike
     the off-diagonal maps it takes the common variance itself as argument.
+    Erf and ReLU use their closed forms on either backend.  Tanh uses the
+    trapezoid rule of the closed-backend ``ActivationKernel`` (so t_map at
+    q_ab = qstar is this value) on the "closed" backend and Gauss-Hermite
+    with ``nodes`` points on the "quadrature" backend.
     """
     _check_nodes(nodes)
+    _check_backend(backend)
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise CovarianceDomainError("variance must be nonnegative")
@@ -257,6 +378,10 @@ def diag_second_moment(activation: Activation, q, nodes: int = 128):
         return (2.0 / math.pi) * np.arcsin(2.0 * q / (1.0 + 2.0 * q))
     if activation is Activation.RELU:
         return q / 2.0
+    if backend == "closed":
+        if q.ndim == 0:
+            return _tanh_edge(float(q), 0)
+        return np.array([_tanh_edge(v, 0) for v in q.ravel().tolist()]).reshape(q.shape)
     x, w = _hermgauss(nodes)
     u = math.sqrt(2.0) * np.sqrt(q)[..., None] * x
     return (np.tanh(u) ** 2) @ w / _SQRT_PI
@@ -266,13 +391,15 @@ def diag_second_moment(activation: Activation, q, nodes: int = 128):
 class ActivationKernel:
     """The maps t_map / t_dot / t_ddot at a fixed diagonal variance.
 
-    t_ddot is E[phi''(u) phi''(v)]: closed form for Erf and ReLU, quadrature
-    of phi'' for Tanh.  backend "closed" uses the arcsine/arc-cosine closed
-    forms where they exist (Erf, ReLU); Tanh always evaluates by quadrature.
-    backend "quadrature" forces the Gaussian-quadrature route with ``nodes``
-    points per rule (2 to 370), which is the independent oracle the closed
-    forms are checked against; ReLU's t_ddot (phi'' a delta) stays the closed
-    form there.  Instances are immutable and safe to share across threads.
+    t_ddot is E[phi''(u) phi''(v)].  backend "closed" uses the arcsine /
+    arc-cosine closed forms for Erf and ReLU, and for Tanh one cached
+    Chebyshev table per (qstar, order) built from a trapezoid rule (the 1-D
+    rule at |q_ab| = qstar); scalar and array calls share it.  backend
+    "quadrature" forces the Gaussian-quadrature route with ``nodes`` points
+    per rule (2 to 370), which is the independent oracle the closed forms
+    and tables are checked against; ReLU's t_ddot (phi'' a delta) stays the
+    closed form there.  ``nodes`` applies to the quadrature backend only.
+    Instances are immutable and safe to share across threads.
     """
 
     activation: Activation
@@ -283,8 +410,7 @@ class ActivationKernel:
     def __post_init__(self):
         if self.qstar <= 0:
             raise ValueError("qstar must be positive")
-        if self.backend not in ("closed", "quadrature"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        _check_backend(self.backend)
         _check_nodes(self.nodes)
         object.__setattr__(self, "activation", Activation(self.activation))
 
@@ -323,6 +449,8 @@ class ActivationKernel:
             out = _CLOSED[self.activation][order](self.qstar, q)
         elif relu:
             out = (_quad_relu_t, _quad_relu_tdot)[order](self.qstar, q, self.nodes)
+        elif self.backend == "closed":
+            out = _tanh_closed(self.qstar, float(q) if scalar else q, order)
         else:
             out = _quad_smooth(_PHI[self.activation][order], self.qstar, q, self.nodes)
         return float(out) if scalar else np.asarray(out)

@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default="ntkphase_out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; grid points run on one thread")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         _add_config_flags(p)  # --seed and every other SweepConfig field
     return parser

@@ -145,9 +145,11 @@ def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float 
     (0, sigma_w2 + sigma_b2].  Raises, before any map evaluation,
     ``NonConvergenceError`` where ReLU has no finite fixed point and
     ``DegenerateFixedPointError`` where q* = 0 (sigma_b2 = 0 and
-    sigma_w2 phi'(0)^2 <= 1).  ``k`` supplies activation and nodes only.
+    sigma_w2 phi'(0)^2 <= 1).  ``k`` supplies activation, backend and nodes only.
     """
-    act, nodes = (k.activation, k.nodes) if k is not None else (h.activation, 128)
+    act, backend, nodes = (
+        (k.activation, k.backend, k.nodes) if k is not None else (h.activation, "closed", 128)
+    )
     sw2, sb2 = h.sigma_w2, h.sigma_b2
     if act is Activation.RELU and sw2 >= 2.0:
         if sw2 == 2.0 and sb2 == 0.0:
@@ -157,7 +159,9 @@ def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float 
         raise DegenerateFixedPointError(f"variance fixed point is q* = 0 at ({sw2}, 0)")
     if act is Activation.RELU:
         return sb2 / (1.0 - sw2 / 2.0)
-    return _bisect(lambda q: sw2 * diag_second_moment(act, q, nodes) + sb2 > q, 0.0, sw2 + sb2)
+    return _bisect(
+        lambda q: sw2 * diag_second_moment(act, q, nodes, backend) + sb2 > q, 0.0, sw2 + sb2
+    )
 
 
 def solve_cstar(h: Hyperparams, k: ActivationKernel) -> float:
@@ -272,7 +276,7 @@ def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
 
     def line(q: float):  # (sigma_b2, sigma_w2) at fixed point q on the line
         d = ActivationKernel(k.activation, q, k.backend, k.nodes).t_dot(q)
-        return q - float(diag_second_moment(k.activation, q, k.nodes)) / d, 1.0 / d
+        return q - float(diag_second_moment(k.activation, q, k.nodes, k.backend)) / d, 1.0 / d
 
     lo, hi = 0.0, max(1.0, 2.0 * sigma_b2)
     for _ in range(_BRACKET_DOUBLINGS):

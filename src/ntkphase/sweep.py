@@ -9,9 +9,10 @@ it.
 A sweep evaluates every (sigma_w2, sigma_b2) grid point independently:
 phase analysis, kernel trajectories over the requested depths, spectrum
 summaries with their asymptotic predictions, predictor-decay series and
-training-dynamics traces.  Points run on a worker pool but results are
-merged in grid order, and all randomness is Philox-counter based, so a
-fixed config and seed produce byte-identical outputs at any thread count.
+training-dynamics traces.  Points run in grid order on the calling thread
+(a worker pool was no faster on any activation), and all randomness is
+Philox-counter based, so a fixed config and seed produce byte-identical
+outputs.
 
 CSV files (RFC 4180, CRLF, 17 significant digits) are the primary format;
 JSON files mirror the same tables and validate against the shipped schema
@@ -25,7 +26,6 @@ import csv
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -442,22 +442,20 @@ def run_sweep(
     threads: int = 1,
     formats: Sequence[str] = ("csv",),
 ) -> SweepResult:
-    """Evaluate the grid and write one file per requested output kind."""
+    """Evaluate the grid and write one file per requested output kind.
+
+    ``threads`` is accepted for compatibility and changes nothing: grid
+    points run in order on the calling thread.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg)
     grid = [(sw2, sb2) for sb2 in cfg.sigma_b2_grid for sw2 in cfg.sigma_w2_grid]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _point_rows(cfg, data, *p), grid))
-    else:
-        results = [_point_rows(cfg, data, *point) for point in grid]
-
     tables: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
     n_errors = 0
-    for point_rows in results:  # merged in grid order: deterministic
-        for out, rows in point_rows.items():
+    for point in grid:
+        for out, rows in _point_rows(cfg, data, *point).items():
             tables[out].extend(rows)
             n_errors += sum(1 for r in rows if r[-1] is not None)
 

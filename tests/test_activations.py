@@ -6,7 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntkphase import Activation, ActivationKernel, CovarianceDomainError, diag_second_moment
+from ntkphase import (
+    Activation,
+    ActivationKernel,
+    CovarianceDomainError,
+    Hyperparams,
+    critical_sigma_w2,
+    diag_second_moment,
+    init_kernels,
+    normalize_inputs,
+    propagate_fcn,
+    solve_qstar,
+)
+from ntkphase import propagation
+from ntkphase.activations import _tanh_table
+from ntkphase.sweep import SweepConfig, run_sweep
 
 # frozen from the 200-node tensor Gauss-Hermite oracle (matches the arcsine
 # closed form to machine precision)
@@ -71,22 +85,50 @@ class TestQuadratureBackend:
         for q in np.linspace(-0.95, 0.95, 21):
             assert abs(k64.t_map(q) - k128.t_map(q)) < 1e-9
 
-    def test_tanh_closed_backend_falls_back_to_quadrature(self):
-        ka = ActivationKernel(Activation.TANH, 1.0, "closed")
-        kb = ActivationKernel(Activation.TANH, 1.0, "quadrature")
-        assert ka.t_map(0.4) == kb.t_map(0.4)
+    @pytest.mark.parametrize("qstar", [1.0, 2.82, 5.0, 8.0])
+    def test_tanh_closed_backend_matches_trapezoid_rule(self, qstar):
+        # E[phi^(n)(u) phi^(n)(v)] by a step-0.02 tensor trapezoid rule in
+        # whitened coordinates u = r x, v = r (c x + sqrt(1 - c^2) y), r = sqrt(qstar)
+        z = np.linspace(-10.0, 10.0, 1001)
+        w = 0.02 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        derivatives = (
+            np.tanh,
+            lambda t: 1.0 / np.cosh(t) ** 2,
+            lambda t: -2.0 * np.tanh(t) / np.cosh(t) ** 2,
+        )
+        r = math.sqrt(qstar)
+        k = ActivationKernel(Activation.TANH, qstar)
+        for c in (-0.97, 0.1, 0.731, 0.999, 1.0):
+            v = r * (c * z[:, None] + math.sqrt(1.0 - c * c) * z[None, :])
+            for f, phi in zip((k.t_map, k.t_dot, k.t_ddot), derivatives):
+                reference = (w * phi(r * z)) @ (phi(v) @ w)
+                assert f(c * qstar) == pytest.approx(reference, rel=1e-12)
+
+    def test_tanh_closed_backend_matches_quadrature_at_unit_variance(self):
+        # 128-node Gauss-Hermite is off by about 1e-13, 1e-11 and 1e-9 in the
+        # three maps at qstar = 1 (its error grows with the order)
+        kc = ActivationKernel(Activation.TANH, 1.0)
+        kq = ActivationKernel(Activation.TANH, 1.0, "quadrature")
+        grid = np.linspace(-1.0, 1.0, 41)
+        for name, atol in (("t_map", 1e-12), ("t_dot", 1e-10), ("t_ddot", 4e-9)):
+            np.testing.assert_allclose(
+                getattr(kc, name)(grid), getattr(kq, name)(grid), rtol=0.0, atol=atol
+            )
+        assert kc.t_map(1.0) == diag_second_moment(Activation.TANH, 1.0)
 
     def test_array_evaluation_matches_scalars(self):
         grid = np.linspace(-1.1, 1.1, 7)
-        for activation, backend in (("erf", "closed"), ("relu", "closed"), ("relu", "quadrature")):
+        for activation, backend in (("erf", "closed"), ("relu", "closed"), ("relu", "quadrature"),
+                                    ("tanh", "closed")):
             k = ActivationKernel(activation, 1.2, backend)
             for f in (k.t_map, k.t_dot, k.t_ddot):
                 np.testing.assert_allclose(f(grid), [f(q) for q in grid], rtol=1e-15)
 
-    @pytest.mark.parametrize("nodes", [128, 200])
-    def test_array_entry_does_not_depend_on_its_position(self, nodes):
+    @pytest.mark.parametrize("backend, nodes", [("quadrature", 128), ("quadrature", 200),
+                                                ("closed", 128)], ids=["128", "200", "closed"])
+    def test_array_entry_does_not_depend_on_its_position(self, backend, nodes):
         # a CNN kernel holding fewer pixel offsets must map its entries to the same bits
-        k = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes)
+        k = ActivationKernel(Activation.TANH, 1.0, backend, nodes)
         grid = np.linspace(-0.95, 0.95, 11)
         full = k.t_dot(grid)
         for start in range(4):
@@ -94,10 +136,46 @@ class TestQuadratureBackend:
                 np.testing.assert_array_equal(k.t_dot(grid[start:stop]), full[start:stop])
 
 
+class TestTanhTableReuse:
+    """One Tanh table per (qstar, order), shared by every caller; none on the diagonal."""
+
+    def test_cnn_flatten_sweep_builds_each_table_once(self, tmp_path):
+        _tanh_table.cache_clear()
+        cfg = SweepConfig(
+            activation="tanh", architecture="cnn_f", sigma_w2_grid=(1.5, 4.0),
+            sigma_b2_grid=(0.5,), depths=(1, 2), m=6, n=2, spatial_size=8, n_features=8,
+            outputs=("phase_diagram", "kappa", "predictor_decay"),
+        )
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+        info = _tanh_table.cache_info()
+        # every miss stored a new key and none was evicted: no table was built twice
+        assert info.misses == info.currsize <= 3 * len(cfg.sigma_w2_grid)
+        assert info.hits > 0
+
+    @pytest.mark.parametrize("sb2", [0.5, 2.0])
+    def test_transition_line_builds_no_table(self, sb2):
+        _tanh_table.cache_clear()
+        critical_sigma_w2(sb2, ActivationKernel(Activation.TANH, 1.0))
+        assert _tanh_table.cache_info().misses == 0
+
+    def test_propagated_diagonal_stays_on_qstar(self, monkeypatch):
+        # q* = 8 to rounding: the diagonal map E[tanh^2] and t_map at q_ab = q*
+        # are one trapezoid rule, so each layer lands on q* to ~1e-15
+        sb2 = 8.0 - 2.0 * diag_second_moment(Activation.TANH, 8.0)
+        h = Hyperparams(2.0, sb2, "tanh")
+        qstar = solve_qstar(h)
+        assert qstar == pytest.approx(8.0, rel=1e-14)
+        monkeypatch.setattr(propagation, "_DIAG_DRIFT_TOL", 1e-13)
+        X = normalize_inputs(np.random.default_rng(0).standard_normal((6, 5)), qstar)
+        k = ActivationKernel(Activation.TANH, qstar)
+        assert len(propagate_fcn(init_kernels(X), h, k, range(1, 9))) == 8
+
+
 class TestDerivativeConsistency:
     @pytest.mark.parametrize(
         "activation,backend",
-        [(Activation.ERF, "closed"), (Activation.RELU, "closed"), (Activation.TANH, "quadrature")],
+        [(Activation.ERF, "closed"), (Activation.RELU, "closed"), (Activation.TANH, "quadrature"),
+         (Activation.TANH, "closed")],
     )
     def test_t_dot_is_derivative_of_t_map(self, activation, backend):
         k = ActivationKernel(activation, 1.0, backend)
@@ -184,8 +262,8 @@ class TestDomainsAndErrors:
         tanh = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=370)
         ref = ActivationKernel(Activation.TANH, 1.0, "quadrature", nodes=200)
         assert tanh.t_dot(0.5) == pytest.approx(ref.t_dot(0.5), rel=1e-12)
-        assert diag_second_moment(Activation.TANH, 1.0, 370) == pytest.approx(
-            diag_second_moment(Activation.TANH, 1.0, 200), rel=1e-12
+        assert diag_second_moment(Activation.TANH, 1.0, 370, "quadrature") == pytest.approx(
+            diag_second_moment(Activation.TANH, 1.0, 200, "quadrature"), rel=1e-12
         )
 
 
