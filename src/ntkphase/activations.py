@@ -10,22 +10,23 @@ variances ``qstar`` and covariance ``q_ab``, this module evaluates
 restricted to the fixed-diagonal slice that the kernel recursions live on
 (every input is normalized to variance ``qstar``, so the maps reduce to
 scalar functions of the off-diagonal entry).  By Price's theorem each map
-is the q_ab-derivative of the one before it.
+is the q_ab-derivative of the one before it.  The diagonal map E[phi(u)^2]
+is t_map at q_ab = qstar.  Every value comes from one rule per (activation,
+backend, order), ``_map``, entry by entry.
 
 Closed forms: Erf uses the arcsine kernel and its derivatives, ReLU the
 arc-cosine kernel of order one; ReLU's phi'' is a delta, so its t_ddot is
 the closed form 1/(2 pi sqrt(qstar^2 - q_ab^2)) on either backend.  Tanh has
 no closed form; on the closed backend each of its maps is a Chebyshev table
 in c = q_ab/qstar, built once per (qstar, order) from a tensor trapezoid rule
-on the Gaussian weight and evaluated by Clenshaw's recurrence.  At |c| = 1
-the maps are the 1-D trapezoid rule E[phi^(order)(u)^2], the same rule as
-the closed-backend Tanh ``diag_second_moment``.  The quadrature backend is a
-Gaussian-quadrature evaluation that is independent of the closed forms and
-the tables: tensorized Gauss-Hermite after Cholesky whitening for smooth
-activations, and for the kinked ReLU/step integrands a symmetrized
-whitening whose half-line kink pieces reduce exactly to Gauss-Laguerre
-integrals of analytic functions (plain tensor Gauss-Hermite stalls at ~1e-3
-absolute error for those).
+on the Gaussian weight and evaluated by Clenshaw's recurrence; at |c| = 1
+the maps are the 1-D trapezoid rule E[phi^(order)(u)^2].  The quadrature
+backend is a Gaussian-quadrature evaluation that is independent of the
+closed forms and the tables: tensorized Gauss-Hermite after Cholesky
+whitening for smooth activations (1-D at |c| = 1), and for the kinked
+ReLU/step integrands a symmetrized whitening whose half-line kink pieces
+reduce exactly to Gauss-Laguerre integrals of analytic functions (plain
+tensor Gauss-Hermite stalls at ~1e-3 absolute error for those).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = ["Activation", "ActivationKernel", "diag_second_moment"]
 _DOMAIN_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_CHUNK = 2**18  # integrand values per _quad_smooth chunk
-_GEMV_BLOCK = 4  # entries per _quad_smooth padding block
 # numpy's hermgauss loses its weights past 370 nodes (all zero at 371, NaN from 372)
 _MAX_NODES = 370
 _TRAP_STEP = 0.2  # Tanh trapezoid step in x ~ N(0, 1) at qstar <= 1
@@ -157,35 +157,26 @@ def _quad_smooth(phi, qstar, q, nodes):
     """Tensor Gauss-Hermite for E[phi(u) phi(v)], Cholesky-whitened.
 
     Evaluates the full nodes x nodes rule over chunks of entries holding at
-    most ``_QUAD_CHUNK`` integrand values (or one block of four entries), so
-    a scalar call is one vectorized evaluation and a large block array stays
-    within that bound.
-
-    The last contraction is one BLAS gemv per chunk.  OpenBLAS sums its rows
-    in blocks of four and rounds a trailing one to three rows differently,
-    so chunks hold whole blocks and an array is padded to whole blocks: an
-    entry's value then does not depend on its place in the array (a CNN
-    kernel that holds offset 0 alone maps to the same bits).  A lone entry
-    is not padded and keeps its single-row rounding.
+    most ``_QUAD_CHUNK`` integrand values (or one entry), so a scalar call is
+    one vectorized evaluation and a large block array stays within that
+    bound.  Both contractions run per entry, so an entry's value does not
+    depend on its place in the array or on the array's length.
     """
     x, w = _hermgauss(nodes)
     q = np.asarray(q, dtype=float)
     l11 = math.sqrt(qstar)
     l21 = (q / l11).ravel()
     l22 = np.sqrt(np.maximum(qstar - l21 * l21, 0.0))
-    if l21.size > 1:
-        pad = (0, -l21.size % _GEMV_BLOCK)
-        l21, l22 = np.pad(l21, pad), np.pad(l22, pad)
     sqrt2 = math.sqrt(2.0)
-    pu = phi(sqrt2 * l11 * x) * w
-    chunk = _GEMV_BLOCK * max(1, _QUAD_CHUNK // (_GEMV_BLOCK * nodes * nodes))
+    pu = (phi(sqrt2 * l11 * x) * w)[:, None]
+    chunk = max(1, _QUAD_CHUNK // (nodes * nodes))
     acc = np.empty_like(l21)
     for s in range(0, l21.size, chunk):
         a = l21[s : s + chunk, None, None]
         b = l22[s : s + chunk, None, None]
         v = sqrt2 * (a * x[:, None] + b * x)  # (entries, outer, inner)
-        acc[s : s + chunk] = (phi(v) @ w) @ pu
-    return acc[: q.size].reshape(q.shape) / math.pi
+        acc[s : s + chunk] = ((phi(v) @ w)[:, None, :] @ pu).ravel()
+    return acc.reshape(q.shape) / math.pi
 
 
 def _relu_quad_pieces(kappa, nodes):
@@ -274,10 +265,17 @@ def _trapezoid(qstar):
     return x, (h / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
 
 
-def _tanh_edge(qstar, order):
-    """E[phi^(order)(u)^2], u ~ N(0, qstar): the Tanh maps at |c| = 1, by the 1-D rule."""
-    x, w = _trapezoid(qstar)
-    return float(w @ _PHI[Activation.TANH][order](math.sqrt(qstar) * x) ** 2)
+def _edge(phi, qstar, backend, nodes):
+    """E[phi(u)^2], u ~ N(0, qstar): a smooth map at |c| = 1, by the backend's 1-D rule.
+
+    The trapezoid rule of the Tanh tables on "closed", ``nodes``-point
+    Gauss-Hermite on "quadrature".
+    """
+    if backend == "closed":
+        x, w = _trapezoid(qstar)
+        return float(w @ phi(math.sqrt(qstar) * x) ** 2)
+    x, w = _hermgauss(nodes)
+    return float(w @ phi(math.sqrt(2.0) * math.sqrt(qstar) * x) ** 2) / _SQRT_PI
 
 
 @lru_cache(maxsize=256)
@@ -285,7 +283,7 @@ def _tanh_table(qstar, order):
     """Chebyshev coefficients of the order-th Tanh map in c = q_ab/qstar.
 
     Samples the map at the Chebyshev-Lobatto points c_j = cos(pi j / N) with
-    c >= 0 (c = 1 from ``_tanh_edge``, the rest by the tensor trapezoid rule in
+    c >= 0 (c = 1 from ``_edge``, the rest by the tensor trapezoid rule in
     whitened coordinates u = sqrt(qstar) x, v = sqrt(qstar)(c x + s y)) and
     fills c < 0 by parity: orders 0 and 2 are odd in c, order 1 is even.  A
     DCT-I turns the N + 1 values into interpolation coefficients; only those of
@@ -312,7 +310,7 @@ def _tanh_table(qstar, order):
 
     odd = order != 1
     n = _CHEB_N
-    f = np.array([_tanh_edge(qstar, order)] + [sample(j, n) for j in range(1, n // 2 + 1)])
+    f = np.array([_edge(phi, qstar, "closed", 0)] + [sample(j, n) for j in range(1, n // 2 + 1)])
     while True:
         full = np.concatenate([f, (-1.0 if odd else 1.0) * f[-2::-1]])  # c from 1 to -1
         coef = np.fft.rfft(np.concatenate([full, full[-2:0:-1]])).real / n  # DCT-I
@@ -341,50 +339,51 @@ def _clenshaw(coef, c, odd: bool):
     return c * (b0 - b1) if odd else b0 - y * b1
 
 
-def _tanh_closed(qstar, q, order):
-    """The order-th Tanh map at ``q`` (a float or an array inside [-qstar, qstar])."""
-    odd = order != 1
+def _map(activation, backend, nodes, qstar, order, q):
+    """The order-th map E[phi^(order)(u) phi^(order)(v)] at ``q``, a float or an array.
+
+    The one rule behind every map value; ``q`` lies inside [-qstar, qstar].
+    A smooth map without a closed form takes the backend's 1-D rule
+    ``_edge`` at |c| = 1, c = q/qstar, and the Tanh table or tensor
+    Gauss-Hermite elsewhere.
+    """
+    if activation in _CLOSED and (
+        backend == "closed" or (activation is Activation.RELU and order == 2)
+    ):
+        return _CLOSED[activation][order](qstar, q)
+    if activation is Activation.RELU:
+        return (_quad_relu_t, _quad_relu_tdot)[order](qstar, q, nodes)
+    phi, odd = _PHI[activation][order], order != 1
     c = q / qstar
-    if np.ndim(c) == 0:
-        if abs(c) == 1.0:
-            return _tanh_edge(qstar, order) * (c if odd else 1.0)
-        return _clenshaw(_tanh_table(qstar, order), c, odd)
-    edge = np.abs(c) == 1.0
-    if edge.all():  # every entry on the diagonal (or none at all): no table needed
-        out = np.empty_like(c)
-    else:
+    scalar = isinstance(c, float)
+    if scalar and abs(c) == 1.0:  # no numpy call, and no table, on the diagonal
+        return _edge(phi, qstar, backend, nodes) * (c if odd else 1.0)
+    if backend == "closed":
         out = _clenshaw(_tanh_table(qstar, order), c, odd)
-    if edge.any():
-        out[edge] = _tanh_edge(qstar, order) * (c[edge] if odd else 1.0)
+    else:
+        out = _quad_smooth(phi, qstar, q, nodes)
+    if not scalar:
+        on = np.abs(c) == 1.0
+        if on.any():
+            out[on] = _edge(phi, qstar, backend, nodes) * (c[on] if odd else 1.0)
     return out
 
 
-def diag_second_moment(activation: Activation, q, nodes: int = 128, backend: str = "closed"):
+def diag_second_moment(activation: Activation, q: float, nodes: int = 128, backend: str = "closed"):
     """E[phi(u)^2] for u ~ N(0, q): the diagonal (equal-argument) map.
 
     This is the map whose fixed point sets the normalized variance; unlike
     the off-diagonal maps it takes the common variance itself as argument.
-    Erf and ReLU use their closed forms on either backend.  Tanh uses the
-    trapezoid rule of the closed-backend ``ActivationKernel`` (so t_map at
-    q_ab = qstar is this value) on the "closed" backend and Gauss-Hermite
-    with ``nodes`` points on the "quadrature" backend.
+    It is ``ActivationKernel(activation, q, backend, nodes).t_map(q)`` bit
+    for bit, so on "quadrature" it is independent of the closed forms.
+    ``q`` is a scalar; q = 0 gives 0.
     """
     _check_nodes(nodes)
     _check_backend(backend)
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
+    q = float(q)
+    if not q >= 0:  # also rejects NaN, which would build a NaN Tanh table
         raise CovarianceDomainError("variance must be nonnegative")
-    if activation is Activation.ERF:
-        return (2.0 / math.pi) * np.arcsin(2.0 * q / (1.0 + 2.0 * q))
-    if activation is Activation.RELU:
-        return q / 2.0
-    if backend == "closed":
-        if q.ndim == 0:
-            return _tanh_edge(float(q), 0)
-        return np.array([_tanh_edge(v, 0) for v in q.ravel().tolist()]).reshape(q.shape)
-    x, w = _hermgauss(nodes)
-    u = math.sqrt(2.0) * np.sqrt(q)[..., None] * x
-    return (np.tanh(u) ** 2) @ w / _SQRT_PI
+    return float(_map(Activation(activation), backend, nodes, q, 0, q)) if q else 0.0
 
 
 @dataclass(frozen=True)
@@ -394,11 +393,12 @@ class ActivationKernel:
     t_ddot is E[phi''(u) phi''(v)].  backend "closed" uses the arcsine /
     arc-cosine closed forms for Erf and ReLU, and for Tanh one cached
     Chebyshev table per (qstar, order) built from a trapezoid rule (the 1-D
-    rule at |q_ab| = qstar); scalar and array calls share it.  backend
-    "quadrature" forces the Gaussian-quadrature route with ``nodes`` points
-    per rule (2 to 370), which is the independent oracle the closed forms
-    and tables are checked against; ReLU's t_ddot (phi'' a delta) stays the
-    closed form there.  ``nodes`` applies to the quadrature backend only.
+    rule at |q_ab| = qstar).  backend "quadrature" forces the
+    Gaussian-quadrature route with ``nodes`` points per rule (2 to 370),
+    which is the independent oracle the closed forms and tables are checked
+    against (1-D Gauss-Hermite at |q_ab| = qstar); ReLU's t_ddot (phi'' a
+    delta) stays the closed form there.  ``nodes`` applies to the quadrature
+    backend only.  Scalars and arrays take the same rule, entry by entry.
     Instances are immutable and safe to share across threads.
     """
 
@@ -443,16 +443,9 @@ class ActivationKernel:
         either backend and needs |q_ab| strictly inside (-qstar, qstar).
         """
         scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
-        relu = self.activation is Activation.RELU
-        q = self._check_domain(q_ab, strict=relu and order == 2)
-        if self.activation in _CLOSED and (self.backend == "closed" or (relu and order == 2)):
-            out = _CLOSED[self.activation][order](self.qstar, q)
-        elif relu:
-            out = (_quad_relu_t, _quad_relu_tdot)[order](self.qstar, q, self.nodes)
-        elif self.backend == "closed":
-            out = _tanh_closed(self.qstar, float(q) if scalar else q, order)
-        else:
-            out = _quad_smooth(_PHI[self.activation][order], self.qstar, q, self.nodes)
+        q = self._check_domain(q_ab, strict=self.activation is Activation.RELU and order == 2)
+        out = _map(self.activation, self.backend, self.nodes, self.qstar, order,
+                   float(q) if scalar else q)
         return float(out) if scalar else np.asarray(out)
 
     # -- the three maps ----------------------------------------------------

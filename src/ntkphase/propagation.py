@@ -20,9 +20,8 @@ that wrap around a row.  ``step_cnn`` checks the covariance domain once on
 the whole state and then runs tile by tile, each tile a run of whole sample
 pairs of about ``_TILE_ENTRIES`` entries, so every pass stays in cache.
 Each entry sees the same operations in the same order as in one pass over
-the whole state, so the result does not depend on the tile size.  Tiles
-hold whole pairs (and never a lone entry) because tanh quadrature rounds a
-one-entry array differently from the same entry in a longer one.
+the whole state, and every Gaussian map acts entry by entry, so the result
+does not depend on the tile size.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -341,16 +340,9 @@ def _diag_pair_indices(ck: CnnKernel) -> np.ndarray:
 
 
 def _pair_tiles(n_pairs: int, pair_size: int) -> List[slice]:
-    """Runs of whole sample pairs holding about ``_TILE_ENTRIES`` entries each.
-
-    No tile is a lone entry unless the whole state is: tanh quadrature
-    rounds a one-entry array differently from the same entry in a longer one.
-    """
-    per_tile = max(_TILE_ENTRIES // pair_size, 2 if pair_size == 1 else 1)
-    starts = list(range(0, n_pairs, per_tile))
-    if pair_size == 1 and len(starts) > 1 and n_pairs - starts[-1] == 1:
-        starts.pop()  # fold a trailing lone entry into the tile before it
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_pairs])]
+    """Runs of whole sample pairs holding about ``_TILE_ENTRIES`` entries each."""
+    per_tile = max(1, _TILE_ENTRIES // pair_size)
+    return [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
 
 
 def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:

@@ -147,6 +147,10 @@ class SweepConfig:
             raise ValueError("m must be an even integer >= 2")
         if self.n < 1:
             raise ValueError("need at least one test point")
+        cnn = self.architecture is not Architecture.FCN
+        if cnn and self.generator is not DataGenerator.GAUSSIAN_IID:  # cnn_inputs would ignore it
+            raise ValueError(f"generator {self.generator.value!r} applies to fcn only; "
+                             f"{self.architecture.value} inputs are Gaussian i.i.d.")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":

@@ -124,16 +124,57 @@ class TestQuadratureBackend:
             for f in (k.t_map, k.t_dot, k.t_ddot):
                 np.testing.assert_allclose(f(grid), [f(q) for q in grid], rtol=1e-15)
 
-    @pytest.mark.parametrize("backend, nodes", [("quadrature", 128), ("quadrature", 200),
-                                                ("closed", 128)], ids=["128", "200", "closed"])
-    def test_array_entry_does_not_depend_on_its_position(self, backend, nodes):
-        # a CNN kernel holding fewer pixel offsets must map its entries to the same bits
-        k = ActivationKernel(Activation.TANH, 1.0, backend, nodes)
-        grid = np.linspace(-0.95, 0.95, 11)
-        full = k.t_dot(grid)
-        for start in range(4):
-            for stop in range(start + 2, grid.size + 1):
-                np.testing.assert_array_equal(k.t_dot(grid[start:stop]), full[start:stop])
+    @pytest.mark.parametrize("activation, backend, nodes", [
+        ("tanh", "quadrature", 128), ("tanh", "quadrature", 200), ("tanh", "closed", 128),
+        ("erf", "quadrature", 128),
+    ], ids=["128", "200", "closed", "erf-128"])
+    def test_array_entry_does_not_depend_on_its_position(self, activation, backend, nodes):
+        # a CNN kernel holding fewer pixel offsets, or a tile holding one
+        # entry, must map its entries to the same bits as the whole state
+        k = ActivationKernel(activation, 1.0, backend, nodes)
+        grid = np.concatenate([np.linspace(-0.95, 0.95, 11),
+                               np.random.default_rng(3).uniform(-1.0, 1.0, 53)])
+        for f in (k.t_map, k.t_dot, k.t_ddot):
+            full = f(grid)
+            for start in range(4):
+                for stop in range(start + 1, 16):
+                    np.testing.assert_array_equal(f(grid[start:stop]), full[start:stop])
+            np.testing.assert_array_equal([f(v) for v in grid], full)
+
+
+class TestDiagonalMap:
+    """diag_second_moment is t_map at q_ab = qstar = q, through the same rule."""
+
+    @pytest.mark.parametrize("q", [0.3, 1.0, 2.82, 8.0])
+    @pytest.mark.parametrize("backend", ["closed", "quadrature"])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_equals_t_map_on_the_diagonal(self, activation, backend, q):
+        k = ActivationKernel(activation, q, backend)
+        assert diag_second_moment(activation, q, k.nodes, backend) == k.t_map(q)
+
+    def test_relu_is_t_map_and_half_the_variance_to_one_ulp(self):
+        for q in np.random.default_rng(4).uniform(0.01, 10.0, 305).tolist():
+            diag = diag_second_moment(Activation.RELU, q)
+            assert diag == ActivationKernel(Activation.RELU, q).t_map(q)
+            assert abs(diag - q / 2.0) <= math.ulp(q / 2.0)
+
+    def test_erf_quadrature_diagonal_is_gauss_hermite(self):
+        # an oracle independent of the arcsine: visibly off it at 8 nodes,
+        # on it to rounding once the rule resolves the integrand
+        arcsine = diag_second_moment(Activation.ERF, 1.0)
+        coarse = diag_second_moment(Activation.ERF, 1.0, 8, "quadrature")
+        assert abs(coarse - arcsine) >= 1e-3 * arcsine
+        for q in (0.05, 0.3, 0.7, 1.0):
+            fine = diag_second_moment(Activation.ERF, q, 128, "quadrature")
+            assert fine == pytest.approx(diag_second_moment(Activation.ERF, q), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("backend", ["closed", "quadrature"])
+    def test_zero_negative_and_nan_variance(self, activation, backend):
+        assert diag_second_moment(activation, 0.0, 16, backend) == 0.0
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(CovarianceDomainError, match="nonnegative"):
+                diag_second_moment(activation, bad, 16, backend)
 
 
 class TestTanhTableReuse:

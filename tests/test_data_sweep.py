@@ -65,6 +65,14 @@ class TestSweepConfig:
             with pytest.raises(ValueError):
                 SweepConfig(**bad)
 
+    @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
+    def test_cnn_rejects_a_generator_it_would_ignore(self, architecture):
+        # CNN inputs always come from cnn_inputs, so no other generator may be asked for
+        with pytest.raises(ValueError, match="two_clusters"):
+            SweepConfig(architecture=architecture, generator="two_clusters")
+        assert SweepConfig(architecture=architecture).generator is DataGenerator.GAUSSIAN_IID
+        assert SweepConfig(generator="two_clusters").generator is DataGenerator.TWO_CLUSTERS
+
     def test_json_roundtrip(self, tmp_path):
         cfg = SweepConfig(sigma_w2_grid=(1.0, 2.0), depths=(1, 3), outputs=("kappa",))
         path = tmp_path / "cfg.json"
@@ -362,6 +370,7 @@ class TestCli:
         ["--sigma-b2-grid", "-0.5"],
         ["--format", "xml"],
         ["--dropout-keep", "0.5"],
+        ["--architecture", "cnn_p", "--generator", "two_clusters"],
     ])
     def test_bad_value_or_usage_exit_code(self, tmp_path, flags):
         assert cli_main(["sweep", *flags, "--out", str(tmp_path)]) == 1

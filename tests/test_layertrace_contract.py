@@ -1,9 +1,13 @@
-"""The benchmark's layer tracer can still find every name it wraps."""
+"""The benchmark's harness still runs against the package: its layer tracer
+finds every name it wraps, and its own self-tests pass."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def _load_layertrace():
@@ -46,3 +50,11 @@ def test_cnn_trajectory_reaches_the_traced_cnn_names():
     }
     state_entries = 10 * 6 * 6  # 4 samples -> 10 pairs, 6 offsets x 6 positions
     assert tracer.metrics()["activations.entries"] == 2 * 3 * state_entries
+
+
+def test_benchmark_selftests_pass():
+    # the harness's checks recompute rows through the public API (quadrature
+    # oracle included), so a package change can break them without a trace
+    proc = subprocess.run([sys.executable, "perfbench/selftests.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

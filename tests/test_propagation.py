@@ -409,15 +409,15 @@ def _step_cnn_untiled(ck, h, k):
 
 class TestTiledStepCnn:
     @staticmethod
-    def state(activation, architecture, m=5, d=6, hw=1):
+    def state(activation, architecture, m=5, d=6, hw=1, backend="closed", nodes=128):
         h = Hyperparams(1.5, 0.5, activation, architecture=architecture, spatial_size=d)
-        k = ActivationKernel(h.activation, analyze(h).qstar)
+        k = ActivationKernel(h.activation, analyze(h, backend, nodes).qstar, backend, nodes)
         ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(m, 4, d, seed=m + d), k.qstar), hw)
         if architecture == "cnn_f":
             ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
         return h, k, ck
 
-    def test_tiles_cover_whole_pairs_and_no_lone_entry(self, monkeypatch):
+    def test_tiles_cover_whole_pairs(self, monkeypatch):
         for tile_entries in (1, 2, 7, 36, 2**16):
             monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
             for n_pairs in (1, 2, 3, 15, 16, 17):
@@ -426,9 +426,8 @@ class TestTiledStepCnn:
                     assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
                     assert tiles[-1].stop == n_pairs
                     sizes = [(t.stop - t.start) * pair_size for t in tiles]
-                    assert min(sizes) >= min(2, n_pairs * pair_size)
-                    # a trailing lone entry is folded into the tile before it
-                    assert max(sizes) <= max(tile_entries, pair_size, 2) + (pair_size == 1)
+                    assert min(sizes) >= 1
+                    assert max(sizes) <= max(tile_entries, pair_size)
 
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
     @pytest.mark.parametrize("architecture, d, hw", [
@@ -448,6 +447,18 @@ class TestTiledStepCnn:
                 np.testing.assert_array_equal(ck.nngp, ref.nngp)
                 np.testing.assert_array_equal(ck.ntk, ref.ntk)
             assert ck.depth == 3
+
+    @pytest.mark.parametrize("nodes", [32, 33])
+    def test_quadrature_step_does_not_depend_on_the_tile_size(self, monkeypatch, nodes):
+        # one-entry tiles: each flatten pair alone maps to its bits in the whole state
+        h, k, ck0 = self.state("tanh", "cnn_f", d=1, hw=0, backend="quadrature", nodes=nodes)
+        assert ck0.nngp[0].size == 1
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+        ck, ref = ck0, ck0
+        for _ in range(3):
+            ck, ref = step_cnn(ck, h, k), _step_cnn_untiled(ref, h, k)
+            np.testing.assert_array_equal(ck.nngp, ref.nngp)
+            np.testing.assert_array_equal(ck.ntk, ref.ntk)
 
     def test_step_leaves_its_input_unchanged(self):
         h, k, ck = self.state("erf", "cnn_p")
