@@ -48,7 +48,6 @@ from .propagation import (
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
-    ScalarKernelState,
     apply_A,
     apply_dropout,
     dropout_kappa_limit,
@@ -61,11 +60,9 @@ from .propagation import (
     paper_layer,
     propagate_cnn,
     propagate_fcn,
-    propagate_scalar,
     readout,
     step_cnn,
     step_fcn,
-    step_scalar,
 )
 from .spectra import RateFit, SpectrumSummary, fit_rate, spectrum
 from .sweep import (

@@ -408,8 +408,8 @@ class ActivationKernel:
     nodes: int = 128
 
     def __post_init__(self):
-        if self.qstar <= 0:
-            raise ValueError("qstar must be positive")
+        if not 0.0 < self.qstar < math.inf:  # also rejects NaN
+            raise ValueError(f"qstar must be positive and finite, not {self.qstar!r}")
         _check_backend(self.backend)
         _check_nodes(self.nodes)
         object.__setattr__(self, "activation", Activation(self.activation))

@@ -10,11 +10,7 @@ class CovarianceDomainError(NtkPhaseError, ValueError):
 
 
 class NonConvergenceError(NtkPhaseError, RuntimeError):
-    """No finite fixed point to converge to; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: float):
-        super().__init__(f"{message} (last iterate: {last_iterate!r})")
-        self.last_iterate = last_iterate
+    """No finite fixed point to converge to."""
 
 
 class DegenerateFixedPointError(NtkPhaseError, ValueError):

@@ -154,7 +154,7 @@ def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float 
     if act is Activation.RELU and sw2 >= 2.0:
         if sw2 == 2.0 and sb2 == 0.0:
             return float(q0)
-        raise NonConvergenceError(f"no finite variance fixed point at ({sw2}, {sb2})", math.inf)
+        raise NonConvergenceError(f"no finite variance fixed point at ({sw2}, {sb2})")
     if sb2 == 0.0 and sw2 <= _zero_bias_edge(act):
         raise DegenerateFixedPointError(f"variance fixed point is q* = 0 at ({sw2}, 0)")
     if act is Activation.RELU:
@@ -200,16 +200,12 @@ def slopes(h: Hyperparams, k: ActivationKernel, cstar: float):
     return chi1, chi_c, second(qstar), second(cstar * qstar)
 
 
-def depth_scales(chi1, chi_c: Optional[float] = None):
+def depth_scales(chi1: float, chi_c: float):
     """(xi1, xi_c, xi_star): e-folding depths of the three decay rates.
 
     Each scale is -1/log(rate) when the rate lies in (0, 1), +inf when the
     rate is 1 (marginal), and None when the rate exceeds 1 (no decay).
-    Accepts either the two slopes or a PhaseReport.
     """
-    if isinstance(chi1, PhaseReport):
-        chi1, chi_c = chi1.chi1, chi1.chi_c
-
     def scale(rate):
         if not 0.0 < rate:
             return None

@@ -1,10 +1,12 @@
 """Exact depth recursions for NNGP/NTK kernels.
 
-Covers dense matrix propagation over a dataset (fully-connected), the
-two-point scalar recursions, 1-D convolutional kernels with circular
-padding (pixel-offset storage and the diagonal-averaging operator),
-flatten/pool readouts, the penultimate-layer dropout correction, and the
-continuum residual-network flows.
+Covers dense matrix propagation over a dataset (fully-connected), 1-D
+convolutional kernels with circular padding (pixel-offset storage and the
+diagonal-averaging operator), flatten/pool readouts, the penultimate-layer
+dropout correction, and the continuum residual-network flows.  The
+two-point recursion of one input pair is the dense recursion at m = 2: a
+2 x 2 ``KernelPair`` with NNGP [[q*, q_ab], [q_ab, q*]] and NTK
+[[p, p_ab], [p_ab, p]] run through ``step_fcn``.
 
 Convolutional kernels are stored by pixel offset, not as d x d blocks:
 entry ``[o, a]`` of a pair is the covariance of pixel a of the first sample
@@ -44,7 +46,6 @@ from .phase import Hyperparams
 
 __all__ = [
     "KernelPair",
-    "ScalarKernelState",
     "CnnKernel",
     "OdeKernelState",
     "ResidualVariant",
@@ -54,8 +55,6 @@ __all__ = [
     "init_kernels",
     "step_fcn",
     "propagate_fcn",
-    "step_scalar",
-    "propagate_scalar",
     "apply_A",
     "blocks_to_offsets",
     "offsets_to_blocks",
@@ -85,17 +84,6 @@ class KernelPair:
 
     nngp: np.ndarray
     ntk: np.ndarray
-    depth: int
-
-
-@dataclass(frozen=True)
-class ScalarKernelState:
-    """Two-point reduction: diagonal and off-diagonal entries only."""
-
-    q_diag: float
-    q_ab: float
-    p_diag: float
-    p_ab: float
     depth: int
 
 
@@ -207,26 +195,6 @@ def propagate_fcn(
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (ascending) depths."""
     return _walk(kp, step_fcn, h, k, depths)
-
-
-def step_scalar(s: ScalarKernelState, h: Hyperparams, k: ActivationKernel) -> ScalarKernelState:
-    """One layer of the two-point reduction (diagonal pinned at qstar)."""
-    q_ab = h.sigma_w2 * k.t_map(s.q_ab) + h.sigma_b2
-    p_ab = q_ab + h.sigma_w2 * k.t_dot(s.q_ab) * s.p_ab
-    chi1 = h.sigma_w2 * k.t_dot(k.qstar)
-    return ScalarKernelState(
-        q_diag=k.qstar,
-        q_ab=q_ab,
-        p_diag=k.qstar + chi1 * s.p_diag,
-        p_ab=p_ab,
-        depth=s.depth + 1,
-    )
-
-
-def propagate_scalar(
-    s: ScalarKernelState, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
-) -> List[ScalarKernelState]:
-    return _walk(s, step_scalar, h, k, depths)
 
 
 # ---------------------------------------------------------------------------

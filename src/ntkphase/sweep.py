@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import Activation, ActivationKernel
-from .data import DataGenerator, SyntheticDataset, cnn_inputs, generate_data
+from .data import DataGenerator, SyntheticDataset, _balanced_labels, cnn_inputs, generate_data
 from .errors import NtkPhaseError, UndefinedPredictionError
 from .phase import (
     Architecture,
@@ -221,9 +221,8 @@ def _dataset(cfg: SweepConfig) -> SyntheticDataset:
     if cfg.architecture is Architecture.FCN:
         return generate_data(cfg.m, cfg.n, cfg.n_features, cfg.generator, cfg.seed)
     X = cnn_inputs(cfg.m + cfg.n, cfg.n_features, cfg.spatial_size, cfg.seed)
-    y = np.ones((cfg.m, 1))
-    y[cfg.m // 2 :] = -1.0
-    return SyntheticDataset(X[: cfg.m], X[cfg.m :], center_labels(y), cfg.generator)
+    Y = center_labels(_balanced_labels(cfg.m))
+    return SyntheticDataset(X[: cfg.m], X[cfg.m :], Y, cfg.generator)
 
 
 def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:

@@ -17,11 +17,11 @@ from ntkphase import (
     Activation,
     ActivationKernel,
     Hyperparams,
+    KernelPair,
     OdeKernelState,
     ReadoutMode,
     RegressionTask,
     ResidualVariant,
-    ScalarKernelState,
     analyze,
     apply_dropout,
     center_labels,
@@ -40,7 +40,6 @@ from ntkphase import (
     predictor_decay,
     propagate_cnn,
     propagate_fcn,
-    propagate_scalar,
     readout,
     spectrum,
     step_cnn,
@@ -64,6 +63,13 @@ class Stopwatch:
 def report(num, budget, sw, detail):
     print(f"PASS criterion {num}: {detail} [{sw.elapsed:.2f}s < {budget}s]")
     assert sw.elapsed < budget
+
+
+def two_point(q, q_ab, p, p_ab):
+    """One input pair as a 2 x 2 state of the dense recursion."""
+    return KernelPair(
+        nngp=np.array([[q, q_ab], [q_ab, q]]), ntk=np.array([[p, p_ab], [p_ab, p]]), depth=0
+    )
 
 
 def erf_kernel(qstar):
@@ -160,18 +166,17 @@ def test_criterion_05_critical_scalar_laws():
         # is exactly representable (chi1 = 2 * 1/2 = 1.0)
         h_relu = Hyperparams(2.0, 0.0, "relu")
         k_relu = ActivationKernel(Activation.RELU, 1.0)
-        s = ScalarKernelState(1.0, 0.3, 0.0, 0.3, 0)
-        s = propagate_scalar(s, h_relu, k_relu, [4096])[0]
-        assert s.p_diag == 4096.0
+        s = propagate_fcn(two_point(1.0, 0.3, 0.0, 0.3), h_relu, k_relu, [4096])[0]
+        assert s.ntk[0, 0] == 4096.0
 
         h = Hyperparams(ERF_CRITICAL_SW2, 0.5, "erf")
         rep = analyze(h)
         k = erf_kernel(rep.qstar)
-        se = ScalarKernelState(rep.qstar, 0.3 * rep.qstar, 0.0, 0.3 * rep.qstar, 0)
-        se = propagate_scalar(se, h, k, [4096])[0]
-        ratio_dev = abs(se.p_ab / 4096 / (rep.qstar / 3.0) - 1.0)
+        se = two_point(rep.qstar, 0.3 * rep.qstar, 0.0, 0.3 * rep.qstar)
+        se = propagate_fcn(se, h, k, [4096])[0]
+        ratio_dev = abs(se.ntk[0, 1] / 4096 / (rep.qstar / 3.0) - 1.0)
         assert ratio_dev < 0.02
-        eps = se.q_ab - rep.qstar
+        eps = se.nngp[0, 1] - rep.qstar
         eps_dev = abs(4096 * eps / (-2.0 / rep.chi1_2) - 1.0)
         assert eps_dev < 0.05
     report(5, budget, sw,
@@ -249,17 +254,18 @@ def test_criterion_08_critical_relu():
         m = 12
         h = Hyperparams(2.0, 0.0, "relu")
         k = ActivationKernel(Activation.RELU, 1.0)
-        s = ScalarKernelState(1.0, 0.3, 0.0, 0.3, 0)
+        s = two_point(1.0, 0.3, 0.0, 0.3)
         nngp_kappas = []
         for target in (400, 800, 1200, 1600, 2000):
-            s = propagate_scalar(s, h, k, [target])[0]
-            c = s.q_ab
+            s = propagate_fcn(s, h, k, [target])[0]
+            c = s.nngp[0, 1]
             nngp_kappas.append((target, (1 + (m - 1) * c) / (1 - c)))
         # two-value structure: eigenvalues p + (m-1) p_ab and p - p_ab
-        kappa_ntk = (s.p_diag + (m - 1) * s.p_ab) / (s.p_diag - s.p_ab)
+        p, p_ab = s.ntk[0]
+        kappa_ntk = (p + (m - 1) * p_ab) / (p - p_ab)
         ntk_dev = abs(kappa_ntk / ((m + 3) / 3.0) - 1.0)
         assert ntk_dev < 0.02
-        eps_limit = 2000**2 * (1.0 - s.q_ab)
+        eps_limit = 2000**2 * (1.0 - s.nngp[0, 1])
         eps_dev = abs(eps_limit / (4.5 * math.pi**2) - 1.0)
         assert eps_dev < 0.03
         power = fit_rate(nngp_kappas, "power_law")

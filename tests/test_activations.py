@@ -289,6 +289,14 @@ class TestDomainsAndErrors:
         with pytest.raises(ValueError):
             ActivationKernel(Activation.ERF, 1.0, backend="magic")
 
+    @pytest.mark.parametrize("activation", [Activation.ERF, Activation.RELU, Activation.TANH])
+    @pytest.mark.parametrize("qstar", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_qstar_outside_positive_reals(self, qstar, activation):
+        misses = _tanh_table.cache_info().misses
+        with pytest.raises(ValueError, match="qstar must be positive and finite"):
+            ActivationKernel(activation, qstar).t_map(0.1)
+        assert _tanh_table.cache_info().misses == misses
+
     @pytest.mark.parametrize("nodes", [371, 400])
     def test_node_count_past_hermgauss_range_raises(self, nodes):
         # numpy's hermgauss weights are all zero at 371 nodes and NaN from 372

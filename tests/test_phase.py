@@ -11,6 +11,7 @@ from ntkphase import (
     Architecture,
     DegenerateFixedPointError,
     Hyperparams,
+    KernelPair,
     NonConvergenceError,
     Phase,
     analyze,
@@ -23,6 +24,7 @@ from ntkphase import (
     slopes,
     solve_cstar,
     solve_qstar,
+    step_fcn,
 )
 from ntkphase import phase as phase_module
 
@@ -63,10 +65,10 @@ class TestQstar:
                 k = erf_kernel(q)
                 assert abs(q - sw2 * k.t_map(q) - sb2) < 1e-10
 
-    def test_divergent_map_raises_with_iterate(self):
+    def test_divergent_map_raises(self):
         with pytest.raises(NonConvergenceError) as exc:
             solve_qstar(Hyperparams(4.0, 0.0, "relu"))
-        assert exc.value.last_iterate > 1.0
+        assert str(exc.value) == "no finite variance fixed point at (4.0, 0.0)"
 
 
 class TestCstar:
@@ -143,7 +145,7 @@ class TestDirectSolves:
         counter = MapCounter(monkeypatch)
         with pytest.raises(NonConvergenceError) as exc:
             analyze(Hyperparams(sw2, sb2, "relu"))
-        assert exc.value.last_iterate == math.inf
+        assert str(exc.value) == f"no finite variance fixed point at ({sw2}, {sb2})"
         assert counter.total == 0
 
     @pytest.mark.parametrize("backend", ["closed", "quadrature"])
@@ -379,18 +381,21 @@ class TestZetaExtraction:
         # geometrically.  The ratio check stops at l=70, short of l ~ 78 where
         # the double-precision floor of eps_l, amplified by chi_c^{-l},
         # reaches the size of the genuine differences.
-        from ntkphase import ScalarKernelState, step_scalar
-
         h = Hyperparams(4.0, 0.5, "erf")
         rep = analyze(h)
         k = erf_kernel(rep.qstar)
-        s = ScalarKernelState(rep.qstar, 0.2 * rep.qstar, 0.0, 0.2 * rep.qstar, 0)
+        q_ab = 0.2 * rep.qstar
+        s = KernelPair(
+            nngp=np.array([[rep.qstar, q_ab], [q_ab, rep.qstar]]),
+            ntk=np.array([[0.0, q_ab], [q_ab, 0.0]]),
+            depth=0,
+        )
         eps_by_depth = {}
         qab_star = rep.cstar * rep.qstar
         for l in range(1, 71):
-            s = step_scalar(s, h, k)
+            s = step_fcn(s, h, k)
             if l >= 20:
-                eps_by_depth[l] = s.q_ab - qab_star
+                eps_by_depth[l] = s.nngp[0, 1] - qab_star
         seq = [rep.chi_c**-l * eps_by_depth[l] for l in range(20, 71)]
         diffs = np.abs(np.diff(seq))
         ratios = diffs[1:] / diffs[:-1]

@@ -1,4 +1,4 @@
-"""Depth recursions: dense, scalar, convolutional, dropout and residual flows."""
+"""Depth recursions: dense (and its two-point pair), convolutional, dropout and residual flows."""
 
 import math
 from dataclasses import replace
@@ -16,7 +16,6 @@ from ntkphase import (
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
-    ScalarKernelState,
     StepSizeError,
     WindowError,
     ZeroRowError,
@@ -34,17 +33,22 @@ from ntkphase import (
     predict_scalar_corrections,
     propagate_cnn,
     propagate_fcn,
-    propagate_scalar,
     readout,
     step_cnn,
     step_fcn,
-    step_scalar,
 )
 from ntkphase import propagation
 from ntkphase.data import cnn_inputs, normals, shift_register_inputs
-from ntkphase.propagation import CnnKernel, blocks_to_offsets, offsets_to_blocks
+from ntkphase.propagation import CnnKernel, KernelPair, blocks_to_offsets, offsets_to_blocks
 from ntkphase.spectra import fit_rate
 from ntkphase.sweep import _trajectory
+
+
+def two_point(q, q_ab, p, p_ab):
+    """One input pair as a 2 x 2 state of the dense recursion."""
+    return KernelPair(
+        nngp=np.array([[q, q_ab], [q_ab, q]]), ntk=np.array([[p, p_ab], [p_ab, p]]), depth=0
+    )
 
 
 def erf_setup(sw2, sb2):
@@ -181,13 +185,13 @@ def _cnn_start(rep):
     return init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 6, 4, seed=2), rep.qstar), 1)
 
 
-def _scalar_start(rep):
-    return ScalarKernelState(rep.qstar, 0.2 * rep.qstar, rep.qstar, 0.2 * rep.qstar, 0)
+def _pair_start(rep):
+    return two_point(rep.qstar, 0.2 * rep.qstar, rep.qstar, 0.2 * rep.qstar)
 
 
 @pytest.mark.parametrize(
     "propagate, start",
-    [(propagate_fcn, _fcn_start), (propagate_cnn, _cnn_start), (propagate_scalar, _scalar_start)],
+    [(propagate_fcn, _fcn_start), (propagate_cnn, _cnn_start), (propagate_fcn, _pair_start)],
     ids=["fcn", "cnn", "scalar"],
 )
 def test_propagate_rejects_depth_before_state(propagate, start):
@@ -200,31 +204,20 @@ def test_propagate_rejects_depth_before_state(propagate, start):
 
 
 class TestStepScalar:
+    """The two-point recursion: entry [0, 0] is the diagonal, [0, 1] the pair."""
+
     def test_critical_relu_diag_exact(self):
         h = Hyperparams(2.0, 0.0, "relu")
         k = ActivationKernel(Activation.RELU, 1.0)
-        s = ScalarKernelState(1.0, 0.3, 0.0, 0.3, 0)
-        s = propagate_scalar(s, h, k, [157])[0]
-        assert s.p_diag == 157.0
-
-    def test_matches_matrix_path_on_pair(self):
-        h, rep, k = erf_setup(4.0, 0.5)
-        X = normalize_inputs(normals(4, (2, 16)), rep.qstar)
-        kp = init_kernels(X)
-        s = ScalarKernelState(rep.qstar, kp.nngp[0, 1], rep.qstar, kp.ntk[0, 1], 0)
-        for _ in range(40):
-            kp = step_fcn(kp, h, k)
-            s = step_scalar(s, h, k)
-        assert s.q_ab == kp.nngp[0, 1]
-        assert s.p_ab == kp.ntk[0, 1]
-        assert s.p_diag == kp.ntk[0, 0]
+        s = propagate_fcn(two_point(1.0, 0.3, 0.0, 0.3), h, k, [157])[0]
+        assert s.ntk[0, 0] == 157.0
 
     def test_ordered_offdiagonal_reaches_fixed_point(self):
         h, rep, k = erf_setup(0.5, 0.5)
-        s = ScalarKernelState(rep.qstar, 0.1 * rep.qstar, 0.0, 0.1 * rep.qstar, 0)
+        s = two_point(rep.qstar, 0.1 * rep.qstar, 0.0, 0.1 * rep.qstar)
         l_deep = round(20 * rep.xi1)
-        s = propagate_scalar(s, h, k, [l_deep])[0]
-        assert s.p_ab == pytest.approx(rep.pstar, rel=1e-6)
+        s = propagate_fcn(s, h, k, [l_deep])[0]
+        assert s.ntk[0, 1] == pytest.approx(rep.pstar, rel=1e-6)
 
     def test_ordered_normalized_ntk_deviation_stabilizes(self):
         # Ordered phase: p_ab - pstar = chi1^l (delta0 + l*A) + O(chi1^{2l}),
@@ -237,18 +230,18 @@ class TestStepScalar:
         # A = zeta (1 + chi1_2 pstar / chi1), zeta = lim chi1^{-l} (q_ab - q*)
         # (c* = 1, so the off-diagonal NNGP fixed point is q*).
         h, rep, k = erf_setup(1.5, 0.3)
-        s = ScalarKernelState(rep.qstar, 0.2 * rep.qstar, 0.0, 0.2 * rep.qstar, 0)
+        s = two_point(rep.qstar, 0.2 * rep.qstar, 0.0, 0.2 * rep.qstar)
         val = {}
         for l in (60, 70):
-            s = propagate_scalar(s, h, k, [l])[0]
-            val[l] = rep.chi1**-l / l * (s.p_ab - rep.pstar)
+            s = propagate_fcn(s, h, k, [l])[0]
+            val[l] = rep.chi1**-l / l * (s.ntk[0, 1] - rep.pstar)
         # frozen values of an independent 80-digit recursion (closed-form
         # erf arcsine maps T(q) = (2/pi) asin(2q/(1+2q*)) and its derivative,
         # q* the root of q = 1.5 (2/pi) asin(2q/(1+2q)) + 0.3 at the same
         # precision)
         assert val[60] == pytest.approx(-1.67175458104620, rel=1e-6)
         assert val[70] == pytest.approx(-1.69479636322573, rel=1e-6)
-        zeta = rep.chi1**-70 * (s.q_ab - rep.qstar)
+        zeta = rep.chi1**-70 * (s.nngp[0, 1] - rep.qstar)
         _, delta_ab, _ = predict_scalar_corrections(rep, 70, eps0=zeta, delta0=0.0)
         a_pred = delta_ab / (70 * rep.chi1**70)
         a_limit = (70 * val[70] - 60 * val[60]) / 10
@@ -258,9 +251,8 @@ class TestStepScalar:
         # (p_diag - p_ab)/l approaches 3/4 on the ReLU critical line
         h = Hyperparams(2.0, 0.0, "relu")
         k = ActivationKernel(Activation.RELU, 1.0)
-        s = ScalarKernelState(1.0, 0.3, 0.0, 0.3, 0)
-        s = propagate_scalar(s, h, k, [2000])[0]
-        assert (s.p_diag - s.p_ab) / 2000 == pytest.approx(0.75, rel=0.02)
+        s = propagate_fcn(two_point(1.0, 0.3, 0.0, 0.3), h, k, [2000])[0]
+        assert (s.ntk[0, 0] - s.ntk[0, 1]) / 2000 == pytest.approx(0.75, rel=0.02)
 
 
 def apply_A_block(B, halfwidth):
