@@ -124,8 +124,10 @@ def _erf_tddot(qstar, q):
 def _relu_theta(qstar, q):
     # acos(q/qstar) evaluated as 2*asin(sqrt((1-c)/2)): exact identity,
     # keeps full relative precision as q -> qstar where the critical-line
-    # fractional laws need it.
-    c = np.clip(q / qstar, -1.0, 1.0)
+    # fractional laws need it.  A float clips without a numpy call (the
+    # residual flows evaluate one entry per call).
+    c = q / qstar
+    c = min(max(c, -1.0), 1.0) if isinstance(c, float) else np.clip(c, -1.0, 1.0)
     return 2.0 * np.arcsin(np.sqrt(0.5 * (1.0 - c)))
 
 

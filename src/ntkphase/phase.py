@@ -137,10 +137,10 @@ def _zero_bias_edge(activation: Activation) -> float:
     return 2.0 if activation is Activation.RELU else 1.0 / float(_PHI[activation][1](0.0)) ** 2
 
 
-def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float = 1.0) -> float:
+def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None) -> float:
     """Stable fixed point of the diagonal variance map, solved directly.
 
-    ReLU: sigma_b2 / (1 - sigma_w2/2), or ``q0`` where the map is the identity
+    ReLU: sigma_b2 / (1 - sigma_w2/2), or 1.0 where the map is the identity
     (sigma_w2 = 2, sigma_b2 = 0).  Erf/Tanh: E[phi^2] < 1, so one bisection on
     (0, sigma_w2 + sigma_b2].  Raises, before any map evaluation,
     ``NonConvergenceError`` where ReLU has no finite fixed point and
@@ -153,7 +153,7 @@ def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None, q0: float 
     sw2, sb2 = h.sigma_w2, h.sigma_b2
     if act is Activation.RELU and sw2 >= 2.0:
         if sw2 == 2.0 and sb2 == 0.0:
-            return float(q0)
+            return 1.0
         raise NonConvergenceError(f"no finite variance fixed point at ({sw2}, {sb2})")
     if sb2 == 0.0 and sw2 <= _zero_bias_edge(act):
         raise DegenerateFixedPointError(f"variance fixed point is q* = 0 at ({sw2}, 0)")

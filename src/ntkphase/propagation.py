@@ -3,10 +3,15 @@
 Covers dense matrix propagation over a dataset (fully-connected), 1-D
 convolutional kernels with circular padding (pixel-offset storage and the
 diagonal-averaging operator), flatten/pool readouts, the penultimate-layer
-dropout correction, and the continuum residual-network flows.  The
-two-point recursion of one input pair is the dense recursion at m = 2: a
-2 x 2 ``KernelPair`` with NNGP [[q*, q_ab], [q_ab, q*]] and NTK
-[[p, p_ab], [p_ab, p]] run through ``step_fcn``.
+dropout correction, and the continuum residual-network flows.
+
+``step_cnn`` is the one layer recursion.  A fully-connected layer is the
+convolutional layer at one pixel and window one (spatial size 1, filter
+halfwidth 0): a dense ``KernelPair`` is stored by its upper triangle of
+sample pairs as such a ``CnnKernel``, stepped, and read back by the flatten
+readout.  The two-point recursion of one input pair is the dense recursion
+at m = 2: a 2 x 2 ``KernelPair`` with NNGP [[q*, q_ab], [q_ab, q*]] and
+NTK [[p, p_ab], [p_ab, p]] run through ``step_fcn``.
 
 Convolutional kernels are stored by pixel offset, not as d x d blocks:
 entry ``[o, a]`` of a pair is the covariance of pixel a of the first sample
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .activations import ActivationKernel
+from .activations import ActivationKernel, _relu_t, _relu_tdot
 from .errors import DiagonalDriftError, StepSizeError, WindowError, ZeroRowError
 from .phase import Hyperparams
 
@@ -160,41 +165,36 @@ def init_kernels(X: np.ndarray) -> KernelPair:
     return KernelPair(nngp=nngp, ntk=nngp.copy(), depth=0)
 
 
-def _pin_diagonal(mat: np.ndarray, qstar: float, what: str) -> None:
-    drift = np.max(np.abs(np.diagonal(mat) - qstar))
-    if drift > _DIAG_DRIFT_TOL:
-        raise DiagonalDriftError(
-            f"{what} diagonal drifted {drift:.3e} from qstar={qstar:.6g}"
-        )
-    np.fill_diagonal(mat, qstar)
+def _as_pairs(kp: KernelPair) -> CnnKernel:
+    """A dense pair as the one-pixel, window-one convolutional kernel: its upper triangle."""
+    m = kp.nngp.shape[0]
+    i, j = np.triu_indices(m)  # pair_index order
+    nngp, ntk = (K[i, j].reshape(-1, 1, 1) for K in (kp.nngp, kp.ntk))
+    return CnnKernel(nngp, ntk, m, spatial_size=1, filter_halfwidth=0, depth=kp.depth)
 
 
 def step_fcn(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> KernelPair:
-    """One fully-connected layer of the joint NNGP/NTK recursion."""
-    nngp = h.sigma_w2 * k.t_map(kp.nngp) + h.sigma_b2
-    _pin_diagonal(nngp, k.qstar, "NNGP")
-    ntk = nngp + h.sigma_w2 * k.t_dot(kp.nngp) * kp.ntk
-    return KernelPair(nngp=nngp, ntk=ntk, depth=kp.depth + 1)
+    """One fully-connected layer: ``step_cnn`` at one pixel and window one."""
+    return readout(step_cnn(_as_pairs(kp), h, k), ReadoutMode.FLATTEN)
 
 
-def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> list:
-    """Apply ``step`` repeatedly, collecting the state at each requested depth."""
+def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> Iterator:
+    """Apply ``step`` repeatedly, yielding the state at each requested depth."""
     want = sorted(set(depths))
     if want and want[0] < state.depth:
         raise ValueError("requested depth precedes the current state")
-    out = []
     for target in want:
         while state.depth < target:
             state = step(state, h, k)
-        out.append(state)
-    return out
+        yield state
 
 
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (ascending) depths."""
-    return _walk(kp, step_fcn, h, k, depths)
+    states = _walk(_as_pairs(kp), step_cnn, h, k, depths)
+    return [readout(ck, ReadoutMode.FLATTEN) for ck in states]  # one pair state held at a time
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def _pair_tiles(n_pairs: int, pair_size: int) -> List[slice]:
 
 
 def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
-    """One convolutional layer: pointwise maps, then diagonal averaging.
+    """One convolutional layer (at one pixel and window one, the FCN layer): maps, then averaging.
 
     Runs tile by tile over whole sample pairs so that every pass stays in
     cache; each entry sees the same operations in the same order as the
@@ -345,22 +345,15 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     drift = np.max(drifts)
     if drift > _DIAG_DRIFT_TOL:
         raise DiagonalDriftError(
-            f"pixel diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
+            f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    return CnnKernel(
-        nngp=nngp,
-        ntk=ntk,
-        m=ck.m,
-        spatial_size=ck.spatial_size,
-        filter_halfwidth=ck.filter_halfwidth,
-        depth=ck.depth + 1,
-    )
+    return replace(ck, nngp=nngp, ntk=ntk, depth=ck.depth + 1)
 
 
 def propagate_cnn(
     ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[CnnKernel]:
-    return _walk(ck, step_cnn, h, k, depths)
+    return list(_walk(ck, step_cnn, h, k, depths))
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
@@ -423,19 +416,10 @@ def apply_dropout(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> Kernel
 # continuum residual flows (critical ReLU, sigma_w2 = 2, sigma_b2 = 0)
 
 
-def _relu_pair(q_ab: float, q: float):
-    """(2*T, 2*T_dot) at off-diagonal q_ab when both diagonals equal q."""
-    c = min(max(q_ab / q, -1.0), 1.0)
-    theta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - c)))
-    two_t = (q / math.pi) * (math.sin(theta) + (math.pi - theta) * math.cos(theta))
-    two_td = (math.pi - theta) / math.pi
-    return two_t, two_td
-
-
 def _residual_rhs(state, variant: ResidualVariant):
     q, qab, p, pab = state
     two_t_diag = q  # 2*T at coincident arguments is the identity for ReLU
-    two_t_ab, two_td_ab = _relu_pair(qab, q)
+    two_t_ab, two_td_ab = 2.0 * _relu_t(q, qab), 2.0 * _relu_tdot(q, qab)
     if variant is ResidualVariant.RESIDUAL_RELU:
         return (
             two_t_diag,

@@ -270,8 +270,6 @@ def kappa_trajectory(
     X: np.ndarray,
     depths: Sequence[int],
     *,
-    backend: str = "closed",
-    nodes: int = 128,
     filter_halfwidth: int = 1,
     report: Optional[PhaseReport] = None,
 ) -> Dict[str, List[SpectrumSummary]]:
@@ -282,8 +280,8 @@ def kappa_trajectory(
     """
     if any(d2 <= d1 for d1, d2 in zip(depths, list(depths)[1:])):
         raise ValueError("depths must be strictly increasing")
-    rep = report if report is not None else analyze(h, backend, nodes)
-    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
+    rep = report if report is not None else analyze(h)
+    k = ActivationKernel(h.activation, rep.qstar)
     pairs = _trajectory(h, k, X, depths, filter_halfwidth)
     return {
         "ntk": [spectrum(kp.ntk, kp.depth) for kp in pairs],
@@ -298,8 +296,6 @@ def predictor_decay(
     Y: np.ndarray,
     depths: Sequence[int],
     *,
-    backend: str = "closed",
-    nodes: int = 128,
     filter_halfwidth: int = 1,
     report: Optional[PhaseReport] = None,
 ) -> Dict[str, List[Tuple[int, float]]]:
@@ -308,8 +304,8 @@ def predictor_decay(
     Returns series for both kernels keyed "ntk"/"nngp"; labels are centered
     internally and the raw train and test inputs propagated jointly.
     """
-    rep = report if report is not None else analyze(h, backend, nodes)
-    k = ActivationKernel(h.activation, rep.qstar, backend, nodes)
+    rep = report if report is not None else analyze(h)
+    k = ActivationKernel(h.activation, rep.qstar)
     Yc = center_labels(Y)
     m = np.asarray(X_train).shape[0]
     X = np.concatenate([X_train, X_test])
@@ -352,7 +348,7 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
         return rows
 
     try:
-        k = ActivationKernel(h.activation, rep.qstar, nodes=128)
+        k = ActivationKernel(h.activation, rep.qstar)
         X = np.concatenate([data.X_train, data.X_test])
         pairs = _trajectory(h, k, X, cfg.depths, cfg.filter_halfwidth)
 

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from ntkphase import (
     Activation,
@@ -20,19 +19,16 @@ from ntkphase import (
     KernelPair,
     OdeKernelState,
     ReadoutMode,
-    RegressionTask,
     ResidualVariant,
     analyze,
     apply_dropout,
     center_labels,
-    critical_sigma_w2,
     dropout_kappa_limit,
     fit_rate,
     fourier_eigs,
     init_cnn_kernels,
     init_kernels,
     integrate_residual,
-    mean_predict,
     normalize_inputs,
     normalize_inputs_cnn,
     ordered_limit_predictor,

@@ -19,7 +19,7 @@ from ntkphase import (
     solve_qstar,
 )
 from ntkphase import propagation
-from ntkphase.activations import _tanh_table
+from ntkphase.activations import _relu_t, _relu_tdot, _tanh_table
 from ntkphase.sweep import SweepConfig, run_sweep
 
 # frozen from the 200-node tensor Gauss-Hermite oracle (matches the arcsine
@@ -59,6 +59,16 @@ class TestClosedFormValues:
         for eps in (1e-4, 1e-6):
             series = 1.0 - (math.sqrt(2) / math.pi) * eps**0.5
             assert 2.0 * k.t_dot(1.0 - eps) == pytest.approx(series, abs=3.0 * eps**1.5)
+
+    @pytest.mark.parametrize("qstar", [1.0, 2.7])
+    def test_relu_float_path_matches_array_path(self, qstar):
+        # the residual flows evaluate one float at a time; it must take the
+        # array's bits, at c = +-1 and past it (clipped) too
+        c = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1.0 - 1e-13, 1.0 - 1e-12, 1.0 + 1e-13]])
+        q = c * qstar
+        for fn in (_relu_t, _relu_tdot):
+            one_by_one = np.array([fn(qstar, float(x)) for x in q])
+            np.testing.assert_array_equal(one_by_one, fn(qstar, q))
 
 
 class TestQuadratureBackend:

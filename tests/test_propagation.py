@@ -139,8 +139,32 @@ class TestStepFcn:
         h = Hyperparams(1.7, 0.4, "erf")
         k = ActivationKernel(Activation.ERF, 2.0)  # wrong fixed point on purpose
         X = normalize_inputs(normals(0, (3, 8)), 2.0)
-        with pytest.raises(DiagonalDriftError):
+        with pytest.raises(DiagonalDriftError, match="NNGP diagonal drifted"):
             step_fcn(init_kernels(X), h, k)
+
+    def test_step_maps_each_sample_pair_once(self, monkeypatch):
+        # the dense pair is stepped by its upper triangle: m(m+1)/2 entries per map
+        h, rep, k = erf_setup(1.7, 0.4)
+        m = 5
+        kp = init_kernels(normalize_inputs(normals(4, (m, 10)), rep.qstar))
+        entries = {"t_map": 0, "t_dot": 0}
+        for name in entries:
+            def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+                entries[_name] += np.size(q_ab)
+                return _map(self, q_ab)
+
+            monkeypatch.setattr(ActivationKernel, name, counted)
+        step_fcn(kp, h, k)
+        assert entries == {"t_map": m * (m + 1) // 2, "t_dot": m * (m + 1) // 2}
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    def test_step_and_propagate_are_exactly_symmetric(self, activation):
+        h = Hyperparams(1.5, 0.3, activation)
+        k = ActivationKernel(activation, analyze(h).qstar)
+        kp0 = init_kernels(normalize_inputs(normals(7, (6, 9)), k.qstar))
+        for kp in [step_fcn(kp0, h, k), *propagate_fcn(kp0, h, k, [1, 4])]:
+            np.testing.assert_array_equal(kp.nngp, kp.nngp.T)
+            np.testing.assert_array_equal(kp.ntk, kp.ntk.T)
 
     def test_ntk_dominates_nngp(self):
         # the NTK accumulates nonnegative terms onto the NNGP, so their
