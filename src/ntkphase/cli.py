@@ -9,7 +9,9 @@ Subcommands map to output selections over the same sweep engine:
     ntkphase dynamics       gradient-flow training traces
 
 Every config field can be set in a JSON file (--config) and overridden by
-a flag of the same name.  Exit codes: 0 success, 1 configuration error,
+a flag of the same name; the flags are derived from ``SweepConfig``, each
+parsing the type of its field's default (for a tuple, a comma-separated list
+of its first item's type).  Exit codes: 0 success, 1 configuration error,
 2 completed with per-point failures recorded in the output tables.
 """
 
@@ -20,9 +22,6 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .data import DataGenerator
-from .phase import Architecture
-from .activations import Activation
 from .sweep import SweepConfig, SweepOutput, run_sweep
 
 _SUBCOMMAND_OUTPUTS = {
@@ -33,37 +32,17 @@ _SUBCOMMAND_OUTPUTS = {
     "dynamics": (SweepOutput.DYNAMICS_TRACE,),
 }
 
-_LIST_FIELDS = {"sigma_w2_grid", "sigma_b2_grid", "depths", "outputs"}
 
+def _flag_type(default):
+    """The parser of a flag's text, from the type of its field's default."""
+    if not isinstance(default, tuple):
+        return type(default)
+    item = type(default[0])
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(SweepConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in _LIST_FIELDS:
-            parser.add_argument(flag, dest=f.name, type=str, default=None,
-                                help=f"comma-separated {f.name}")
-        else:
-            parser.add_argument(flag, dest=f.name, type=str, default=None)
+    def comma_separated(raw: str) -> list:
+        return [item(v.strip()) for v in raw.split(",") if v]
 
-
-def _coerce(name: str, raw: str):
-    if name in ("sigma_w2_grid", "sigma_b2_grid"):
-        return [float(v) for v in raw.split(",") if v]
-    if name == "depths":
-        return [int(v) for v in raw.split(",") if v]
-    if name == "outputs":
-        return [SweepOutput(v.strip()) for v in raw.split(",") if v]
-    if name in ("m", "n", "spatial_size", "filter_halfwidth", "seed", "n_features"):
-        return int(raw)
-    if name == "ridge":
-        return float(raw)
-    if name == "activation":
-        return Activation(raw)
-    if name == "architecture":
-        return Architecture(raw)
-    if name == "generator":
-        return DataGenerator(raw)
-    return raw
+    return comma_separated
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
@@ -71,11 +50,8 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    overrides = {}
-    for f in fields(SweepConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            overrides[f.name] = _coerce(f.name, raw)
+    overrides = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
+                 if getattr(args, f.name) is not None}
     cfg = SweepConfig(**{**base, **overrides})
     forced = _SUBCOMMAND_OUTPUTS[args.command]
     if forced is not None:
@@ -94,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; grid points run on one thread")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        _add_config_flags(p)  # --seed and every other SweepConfig field
+        for f in fields(SweepConfig):  # --seed and every other field
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=_flag_type(f.default), default=None)
     return parser
 
 
@@ -110,7 +88,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    result = run_sweep(cfg, args.out, threads=max(1, args.threads), formats=(args.format,))
+    result = run_sweep(cfg, args.out, formats=(args.format,))
     for path in result.paths:
         print(path)
     if result.n_point_errors:

@@ -30,7 +30,7 @@ class DiagonalDriftError(NtkPhaseError, RuntimeError):
 
 
 class ZeroRowError(NtkPhaseError, ValueError):
-    """Input row has zero norm and cannot be normalized."""
+    """Input row has zero or non-finite norm and cannot be normalized."""
 
 
 class WindowError(NtkPhaseError, ValueError):

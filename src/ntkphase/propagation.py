@@ -152,8 +152,8 @@ def normalize_inputs(X: np.ndarray, qstar: float) -> np.ndarray:
     """Scale each row to mean-square ``qstar``."""
     X = np.asarray(X, dtype=float)
     ms = np.mean(X * X, axis=1)
-    if np.any(ms <= 0.0):
-        raise ZeroRowError("cannot normalize a zero input row")
+    if not np.all((0.0 < ms) & (ms < np.inf)):  # also rejects NaN
+        raise ZeroRowError("cannot normalize an input row of zero or non-finite mean square")
     return X * np.sqrt(qstar / ms)[:, None]
 
 
@@ -279,8 +279,8 @@ def normalize_inputs_cnn(X: np.ndarray, qstar: float) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     ms = np.mean(X * X, axis=1)  # (m, d)
-    if np.any(ms <= 0.0):
-        raise ZeroRowError("cannot normalize a zero pixel column")
+    if not np.all((0.0 < ms) & (ms < np.inf)):  # also rejects NaN
+        raise ZeroRowError("cannot normalize a pixel column of zero or non-finite mean square")
     return X * np.sqrt(qstar / ms)[:, None, :]
 
 
@@ -343,7 +343,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
         apply_A(td, hw, out=tile_ntk)
         tile_ntk += tile_nngp
     drift = np.max(drifts)
-    if drift > _DIAG_DRIFT_TOL:
+    if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )

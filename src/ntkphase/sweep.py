@@ -18,6 +18,9 @@ CSV files (RFC 4180, CRLF, 17 significant digits) are the primary format;
 JSON files mirror the same tables and validate against the shipped schema
 (``schemas/output_schema.json``).  A failure at one grid point fills that
 point's ``error`` column and never aborts the sweep.
+
+Each ``SweepConfig`` value is cast to the type of its field's default, from
+which the CLI also derives its flags.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import csv
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,33 +79,31 @@ class SweepOutput(str, enum.Enum):
     DYNAMICS_TRACE = "dynamics_trace"
 
 
-_COLUMNS: Dict[SweepOutput, List[str]] = {
-    SweepOutput.PHASE_DIAGRAM: [
+# output -> (file stem, columns); every table ends in the per-row "error" column
+_TABLES: Dict[SweepOutput, Tuple[str, List[str]]] = {
+    SweepOutput.PHASE_DIAGRAM: ("phase_diagram", [
         "sigma_w2", "sigma_b2", "qstar", "cstar", "chi1", "chi_c",
         "phase", "xi1", "xi_c", "xi_star", "error",
-    ],
-    SweepOutput.KAPPA: [
+    ]),
+    SweepOutput.KAPPA: ("kappa", [
         "sigma_w2", "sigma_b2", "depth", "kind", "lambda_max", "lambda_bulk",
         "lambda_min", "kappa", "kappa_bulk", "kappa_pred", "kappa_residual", "error",
-    ],
-    SweepOutput.SPECTRUM: [
+    ]),
+    SweepOutput.SPECTRUM: ("spectrum", [
         "sigma_w2", "sigma_b2", "depth", "kind", "eigenvalue_index", "eigenvalue", "error",
-    ],
-    SweepOutput.PREDICTOR_DECAY: [
+    ]),
+    SweepOutput.PREDICTOR_DECAY: ("predictor_decay", [
         "sigma_w2", "sigma_b2", "depth", "kind", "pred_norm", "error",
-    ],
-    SweepOutput.DYNAMICS_TRACE: [
+    ]),
+    SweepOutput.DYNAMICS_TRACE: ("dynamics", [
         "sigma_w2", "sigma_b2", "time", "eta", "train_residual", "test_norm", "error",
-    ],
+    ]),
 }
 
-_FILENAMES: Dict[SweepOutput, str] = {
-    SweepOutput.PHASE_DIAGRAM: "phase_diagram",
-    SweepOutput.KAPPA: "kappa",
-    SweepOutput.SPECTRUM: "spectrum",
-    SweepOutput.PREDICTOR_DECAY: "predictor_decay",
-    SweepOutput.DYNAMICS_TRACE: "dynamics",
-}
+
+def _cast(default, value):
+    """``value`` as the type of ``default``; integers by ``operator.index``, so 12.0 fails."""
+    return operator.index(value) if isinstance(default, int) else type(default)(value)
 
 
 @dataclass(frozen=True)
@@ -128,29 +130,39 @@ class SweepConfig:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "activation", Activation(self.activation))
-        object.__setattr__(self, "architecture", Architecture(self.architecture))
-        object.__setattr__(self, "generator", DataGenerator(self.generator))
-        object.__setattr__(self, "sigma_w2_grid", tuple(float(v) for v in self.sigma_w2_grid))
-        object.__setattr__(self, "sigma_b2_grid", tuple(float(v) for v in self.sigma_b2_grid))
-        object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        object.__setattr__(self, "outputs", tuple(SweepOutput(o) for o in self.outputs))
+        for f in fields(self):  # a tuple field's items take the type of its default's first item
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                if isinstance(value, str):  # would split into characters: "14" -> (1.0, 4.0)
+                    raise TypeError(f"{f.name} must be a list, not a string")
+                value = tuple(_cast(f.default[0], v) for v in value)
+            else:
+                value = _cast(f.default, value)
+            object.__setattr__(self, f.name, value)
         if not self.sigma_w2_grid or not self.sigma_b2_grid:
             raise ValueError("grids must be nonempty")
         if not all(0.0 <= v < math.inf for v in self.sigma_w2_grid + self.sigma_b2_grid):
             raise ValueError("grid values must be finite and nonnegative")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and nonnegative")
-        if list(self.depths) != sorted(set(self.depths)) or self.depths[0] < 1:
+        if not self.depths or list(self.depths) != sorted(set(self.depths)) or self.depths[0] < 1:
             raise ValueError("depths must be strictly increasing positive integers")
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
-        if self.n < 1:
-            raise ValueError("need at least one test point")
-        cnn = self.architecture is not Architecture.FCN
-        if cnn and self.generator is not DataGenerator.GAUSSIAN_IID:  # cnn_inputs would ignore it
-            raise ValueError(f"generator {self.generator.value!r} applies to fcn only; "
-                             f"{self.architecture.value} inputs are Gaussian i.i.d.")
+        for name in ("n", "n_features", "spatial_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.filter_halfwidth < 0:
+            raise ValueError("filter_halfwidth must be nonnegative")
+        if not 0 <= self.seed < 2**64:  # the Philox key is one unsigned 64-bit word
+            raise ValueError("seed must lie in [0, 2**64)")
+        if self.architecture is not Architecture.FCN:
+            if self.generator is not DataGenerator.GAUSSIAN_IID:  # cnn_inputs would ignore it
+                raise ValueError(f"generator {self.generator.value!r} applies to fcn only; "
+                                 f"{self.architecture.value} inputs are Gaussian i.i.d.")
+            if 2 * self.filter_halfwidth + 1 > self.spatial_size:
+                raise ValueError(f"window {2 * self.filter_halfwidth + 1} exceeds "
+                                 f"spatial_size {self.spatial_size}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -158,13 +170,7 @@ class SweepConfig:
             return cls(**json.load(fh))
 
     def to_jsonable(self) -> dict:
-        out = asdict(self)
-        for key, val in out.items():
-            if isinstance(val, enum.Enum):
-                out[key] = val.value
-            elif isinstance(val, tuple):
-                out[key] = [v.value if isinstance(v, enum.Enum) else v for v in val]
-        return out
+        return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,7 @@ class SweepResult:
 
 
 def _fmt(value) -> str:
+    """A CSV cell; floats in 17 significant digits (``nan``, ``inf`` and ``-inf`` as spelled)."""
     if value is None:
         return ""
     if isinstance(value, enum.Enum):
@@ -182,20 +189,14 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.17g}"
+    return f"{float(value):.17g}"
 
 
 def _write_csv(path: Path, columns: List[str], rows: List[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, table: str, columns: List[str], rows: List[list]) -> None:
@@ -207,9 +208,7 @@ def _write_json(path: Path, table: str, columns: List[str], rows: List[list]) ->
         if isinstance(v, (int, np.integer)):
             return int(v)
         v = float(v)
-        if math.isnan(v) or math.isinf(v):
-            return _fmt(v)  # JSON has no literal for these
-        return v
+        return v if math.isfinite(v) else _fmt(v)  # JSON has no literal for nan or inf
 
     doc = {"table": table, "columns": columns, "rows": [[jsonable(v) for v in r] for r in rows]}
     with open(path, "w") as fh:
@@ -312,39 +311,48 @@ def predictor_decay(
     out: Dict[str, List[Tuple[int, float]]] = {"ntk": [], "nngp": []}
     for kp in _trajectory(h, k, X, depths, filter_halfwidth):
         for kind in out:
-            K = getattr(kp, kind)
-            task = RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=Yc)
+            task = _task(getattr(kp, kind), m, Yc)
             out[kind].append((kp.depth, float(np.linalg.norm(mean_predict(task)))))
     return out
 
 
+def _task(K: np.ndarray, m: int, Y: np.ndarray, ridge: float = 0.0) -> RegressionTask:
+    """Regression on a joint kernel whose first ``m`` rows are the training inputs."""
+    return RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=Y, ridge=ridge)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _error_row(out: SweepOutput, sw2: Optional[float], sb2: float, exc: Exception) -> list:
+    """A row of table ``out`` holding only its grid point and the error."""
+    return [sw2, sb2] + [None] * (len(_TABLES[out][1]) - 3) + [_error_text(exc)]
+
+
+def _phase_row(sw2: float, sb2: float, rep: PhaseReport) -> list:
+    return [sw2, sb2, rep.qstar, rep.cstar, rep.chi1, rep.chi_c,
+            rep.phase, rep.xi1, rep.xi_c, rep.xi_star, None]
+
+
 def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float):
-    """All table rows for one grid point; failures land in the error column."""
-    rows: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
+    """All table rows for one grid point; failures land in the error column.
 
-    def error_rows(message: str):
-        for out in cfg.outputs:
-            pad = [None] * (len(_COLUMNS[out]) - 3)
-            rows[out].append([sw2, sb2, *pad, message])
-
+    A failed phase analysis gives one error row in every table.  A later
+    failure gives one in each kernel table only, since the phase row is
+    already complete.
+    """
     try:
         h = _hyperparams(cfg, sw2, sb2)
         rep = analyze(h)
     except (NtkPhaseError, ValueError) as exc:
-        error_rows(f"{type(exc).__name__}: {exc}")
-        return rows
+        return {out: [_error_row(out, sw2, sb2, exc)] for out in cfg.outputs}
 
+    rows: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
     if SweepOutput.PHASE_DIAGRAM in rows:
-        rows[SweepOutput.PHASE_DIAGRAM].append(
-            [sw2, sb2, rep.qstar, rep.cstar, rep.chi1, rep.chi_c,
-             rep.phase, rep.xi1, rep.xi_c, rep.xi_star, None]
-        )
-
-    needs_kernels = {
-        SweepOutput.KAPPA, SweepOutput.SPECTRUM,
-        SweepOutput.PREDICTOR_DECAY, SweepOutput.DYNAMICS_TRACE,
-    } & set(rows)
-    if not needs_kernels:
+        rows[SweepOutput.PHASE_DIAGRAM].append(_phase_row(sw2, sb2, rep))
+    kernel_outputs = [out for out in rows if out is not SweepOutput.PHASE_DIAGRAM]
+    if not kernel_outputs:
         return rows
 
     try:
@@ -377,35 +385,28 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
                             [sw2, sb2, kp.depth, kind, idx, eig, None]
                         )
                 if SweepOutput.PREDICTOR_DECAY in rows:
-                    task = RegressionTask(
-                        K_dd=K[:m, :m], K_td=K[m:, :m], Y=data.Y, ridge=cfg.ridge
-                    )
                     try:
-                        norm = float(np.linalg.norm(mean_predict(task)))
-                        rows[SweepOutput.PREDICTOR_DECAY].append(
-                            [sw2, sb2, kp.depth, kind, norm, None]
-                        )
+                        norm = float(np.linalg.norm(mean_predict(_task(K, m, data.Y, cfg.ridge))))
+                        row = [sw2, sb2, kp.depth, kind, norm, None]
                     except NtkPhaseError as exc:
-                        rows[SweepOutput.PREDICTOR_DECAY].append(
-                            [sw2, sb2, kp.depth, kind, None, f"{type(exc).__name__}: {exc}"]
-                        )
+                        row = [sw2, sb2, kp.depth, kind, None, _error_text(exc)]
+                    rows[SweepOutput.PREDICTOR_DECAY].append(row)
 
         if SweepOutput.DYNAMICS_TRACE in rows:
             kp = pairs[-1]
-            K = kp.ntk
             if ntk_summ is None:
-                ntk_summ = spectrum(K[:m, :m], kp.depth)
+                ntk_summ = spectrum(kp.ntk[:m, :m], kp.depth)
             eta = 1.0 / ntk_summ.lambda_max
             times = np.logspace(-2.0, 2.0, 9)
-            task = RegressionTask(K_dd=K[:m, :m], K_td=K[m:, :m], Y=data.Y)
-            trace = dynamics(task, eta, times)
+            trace = dynamics(_task(kp.ntk, m, data.Y), eta, times)
             for t, mu_tr, mu_te in zip(trace.times, trace.mu_train, trace.mu_test):
                 rows[SweepOutput.DYNAMICS_TRACE].append(
                     [sw2, sb2, t, eta, float(np.linalg.norm(mu_tr - data.Y)),
                      float(np.linalg.norm(mu_te)), None]
                 )
     except (NtkPhaseError, np.linalg.LinAlgError, ValueError) as exc:
-        error_rows(f"{type(exc).__name__}: {exc}")
+        for out in kernel_outputs:
+            rows[out].append(_error_row(out, sw2, sb2, exc))
     return rows
 
 
@@ -417,61 +418,40 @@ def _transition_rows(cfg: SweepConfig) -> List[list]:
         try:
             sw2_c = critical_sigma_w2(sb2, probe)
         except (NtkPhaseError, ValueError) as exc:
-            out.append([None, sb2] + [None] * 8 + [f"{type(exc).__name__}: {exc}"])
+            out.append(_error_row(SweepOutput.PHASE_DIAGRAM, None, sb2, exc))
             continue
         try:
-            rep = analyze(_hyperparams(cfg, sw2_c, sb2))
-            out.append(
-                [sw2_c, sb2, rep.qstar, rep.cstar, rep.chi1, rep.chi_c,
-                 rep.phase, rep.xi1, rep.xi_c, rep.xi_star, None]
-            )
+            out.append(_phase_row(sw2_c, sb2, analyze(_hyperparams(cfg, sw2_c, sb2))))
         except (NtkPhaseError, ValueError) as exc:
             # keep the solved transition location even when there is no
             # usable fixed point at it (ReLU with bias, Erf/Tanh at q* = 0)
-            out.append(
-                [sw2_c, sb2, None, None, None, None, "critical", None, None, None,
-                 f"{type(exc).__name__}: {exc}"]
-            )
+            row = _error_row(SweepOutput.PHASE_DIAGRAM, sw2_c, sb2, exc)
+            row[6] = "critical"  # the phase column
+            out.append(row)
     return out
 
 
-def run_sweep(
-    cfg: SweepConfig,
-    out_dir,
-    threads: int = 1,
-    formats: Sequence[str] = ("csv",),
-) -> SweepResult:
-    """Evaluate the grid and write one file per requested output kind.
-
-    ``threads`` is accepted for compatibility and changes nothing: grid
-    points run in order on the calling thread.
-    """
+def run_sweep(cfg: SweepConfig, out_dir, *, formats: Sequence[str] = ("csv",)) -> SweepResult:
+    """Evaluate the grid and write one file per requested output kind and format."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg)
-    grid = [(sw2, sb2) for sb2 in cfg.sigma_b2_grid for sw2 in cfg.sigma_w2_grid]
-
     tables: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
-    n_errors = 0
-    for point in grid:
-        for out, rows in _point_rows(cfg, data, *point).items():
-            tables[out].extend(rows)
-            n_errors += sum(1 for r in rows if r[-1] is not None)
-
+    for sb2 in cfg.sigma_b2_grid:
+        for sw2 in cfg.sigma_w2_grid:
+            for out, rows in _point_rows(cfg, data, sw2, sb2).items():
+                tables[out].extend(rows)
     if SweepOutput.PHASE_DIAGRAM in tables:
-        transition = _transition_rows(cfg)
-        tables[SweepOutput.PHASE_DIAGRAM].extend(transition)
-        n_errors += sum(1 for r in transition if r[-1] is not None)
+        tables[SweepOutput.PHASE_DIAGRAM].extend(_transition_rows(cfg))
+    n_errors = sum(row[-1] is not None for rows in tables.values() for row in rows)
 
     paths = []
     for out, rows in tables.items():
-        name = _FILENAMES[out]
+        stem, columns = _TABLES[out]
         if "csv" in formats:
-            p = out_dir / f"{name}.csv"
-            _write_csv(p, _COLUMNS[out], rows)
-            paths.append(p)
+            paths.append(out_dir / f"{stem}.csv")
+            _write_csv(paths[-1], columns, rows)
         if "json" in formats:
-            p = out_dir / f"{name}.json"
-            _write_json(p, name, _COLUMNS[out], rows)
-            paths.append(p)
+            paths.append(out_dir / f"{stem}.json")
+            _write_json(paths[-1], stem, columns, rows)
     return SweepResult(paths=paths, n_point_errors=n_errors)

@@ -7,6 +7,7 @@ every number here is reproducible bit for bit.
 """
 
 import hashlib
+import json
 import math
 import time
 
@@ -41,6 +42,7 @@ from ntkphase import (
     step_cnn,
     step_fcn,
 )
+from ntkphase.cli import main as cli_main
 from ntkphase.data import cnn_inputs, normals
 from ntkphase.sweep import SweepConfig, SweepOutput, run_sweep
 
@@ -430,13 +432,23 @@ def test_criterion_13_sweep_determinism(tmp_path):
                  SweepOutput.PREDICTOR_DECAY, SweepOutput.SPECTRUM,
                  SweepOutput.DYNAMICS_TRACE),
     )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_jsonable()))
     with Stopwatch() as sw:
         runs = []
-        for name, threads in (("a", 1), ("b", 1), ("c", 3)):
-            res = run_sweep(cfg, tmp_path / name, threads=threads, formats=("csv", "json"))
+        for name in ("a", "b"):
+            res = run_sweep(cfg, tmp_path / name, formats=("csv", "json"))
             runs.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in res.paths})
-        assert runs[0] == runs[1] == runs[2]
+        for threads in (1, 4):  # the CLI still accepts --threads; it must change nothing
+            out = tmp_path / f"cli{threads}"
+            for fmt in ("csv", "json"):
+                rc = cli_main(["sweep", "--config", str(cfg_path), "--threads", str(threads),
+                               "--format", fmt, "--out", str(out)])
+                assert rc == (2 if res.n_point_errors else 0)
+            runs.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in out.iterdir()})
+        assert runs[0] == runs[1] == runs[2] == runs[3]
     report(13, budget, sw,
-           f"two identical runs and a 3-thread run produce byte-identical outputs "
-           f"({len(runs[0])} files)")
+           f"two identical library runs and CLI runs at --threads 1 and 4 produce "
+           f"byte-identical outputs ({len(runs[0])} files)")

@@ -1,19 +1,27 @@
 """Synthetic data determinism, sweep outputs, schema and CLI behavior."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ntkphase import Hyperparams, kappa_trajectory, normalize_inputs, predictor_decay
-from ntkphase.cli import main as cli_main
+from ntkphase import (
+    DiagonalDriftError,
+    Hyperparams,
+    kappa_trajectory,
+    normalize_inputs,
+    predictor_decay,
+)
+from ntkphase.cli import _build_config, build_parser, main as cli_main
 from ntkphase.data import DataGenerator, cnn_inputs, generate_data, normals
 from ntkphase.sweep import SweepConfig, SweepOutput, run_sweep
 
@@ -22,6 +30,16 @@ SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ntkphase/schemas/output
 
 def file_hashes(paths):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def cli_file_hashes(cfg, out_dir, threads):
+    """Hashes of the CSV and JSON tables the CLI writes for ``cfg`` at ``--threads threads``."""
+    cfg_path = out_dir.with_name(out_dir.name + "_cfg.json")
+    cfg_path.write_text(json.dumps(cfg.to_jsonable()))
+    for fmt in ("csv", "json"):
+        assert cli_main(["sweep", "--config", str(cfg_path), "--threads", str(threads),
+                         "--format", fmt, "--out", str(out_dir)]) == 0
+    return file_hashes(out_dir.iterdir())
 
 
 class TestSyntheticData:
@@ -61,9 +79,19 @@ class TestSweepConfig:
             SweepConfig(m=7)
         for bad in (dict(sigma_w2_grid=(float("nan"),)), dict(sigma_w2_grid=(1.0, math.inf)),
                     dict(sigma_b2_grid=(-0.5,)), dict(ridge=float("nan")),
-                    dict(ridge=math.inf), dict(ridge=-1e-3)):
+                    dict(ridge=math.inf), dict(ridge=-1e-3), dict(depths=()),
+                    dict(n_features=0), dict(spatial_size=0), dict(filter_halfwidth=-1),
+                    dict(architecture="cnn_f", spatial_size=2), dict(seed=-1),
+                    dict(seed=2**64)):
             with pytest.raises(ValueError):
                 SweepConfig(**bad)
+        # integers are taken by operator.index, so a float is an error, not a truncation
+        for bad in (dict(m=12.0), dict(depths=(1.5, 3)), dict(seed=1.0), dict(sigma_w2_grid="14")):
+            with pytest.raises(TypeError):
+                SweepConfig(**bad)
+        # the window is checked against the spatial size of the convolutional architectures only
+        assert SweepConfig(spatial_size=2, filter_halfwidth=1).spatial_size == 2
+        assert SweepConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
     def test_cnn_rejects_a_generator_it_would_ignore(self, architecture):
@@ -121,8 +149,9 @@ class TestRunSweep:
         cfg = SweepConfig(**SMALL)
         h1 = file_hashes(run_sweep(cfg, tmp_path / "a", formats=("csv", "json")).paths)
         h2 = file_hashes(run_sweep(cfg, tmp_path / "b", formats=("csv", "json")).paths)
-        h3 = file_hashes(run_sweep(cfg, tmp_path / "c", threads=4, formats=("csv", "json")).paths)
-        assert h1 == h2 == h3
+        h3 = cli_file_hashes(cfg, tmp_path / "c", threads=1)
+        h4 = cli_file_hashes(cfg, tmp_path / "d", threads=4)
+        assert h1 == h2 == h3 == h4
 
     def test_json_mirrors_validate_against_schema(self, tmp_path):
         run_sweep(SweepConfig(**SMALL), tmp_path, formats=("json",))
@@ -167,6 +196,22 @@ class TestRunSweep:
         bad = [l for l in lines[1:] if l.startswith("4,")]
         assert len(good) == 4 and all(l.endswith(",") for l in good)
         assert len(bad) == 1 and "NonConvergenceError" in bad[0]
+
+    def test_kernel_stage_error_keeps_one_phase_row_per_point(self, tmp_path, monkeypatch):
+        import ntkphase.sweep as sweep
+
+        def drifting(*args):
+            raise DiagonalDriftError("drifted")
+
+        monkeypatch.setattr(sweep, "propagate_fcn", drifting)
+        cfg = SweepConfig(**{**SMALL, "outputs": (SweepOutput.PHASE_DIAGRAM, SweepOutput.KAPPA)})
+        res = run_sweep(cfg, tmp_path)
+        phase = [r for r in _read_rows(tmp_path / "phase_diagram.csv") if r["phase"] != "critical"]
+        assert [(r["sigma_w2"], r["error"]) for r in phase] == [("1", ""), ("4", "")]
+        kappa = _read_rows(tmp_path / "kappa.csv")
+        assert [(r["sigma_w2"], r["error"]) for r in kappa] == [
+            ("1", "DiagonalDriftError: drifted"), ("4", "DiagonalDriftError: drifted")]
+        assert res.n_point_errors == 2
 
     def test_cnn_pool_sweep_smoke(self, tmp_path):
         cfg = SweepConfig(
@@ -371,9 +416,49 @@ class TestCli:
         ["--format", "xml"],
         ["--dropout-keep", "0.5"],
         ["--architecture", "cnn_p", "--generator", "two_clusters"],
+        ["--n-features", "0"],
+        ["--spatial-size", "0"],
+        ["--filter-halfwidth", "-1"],
+        ["--architecture", "cnn_f", "--spatial-size", "2", "--filter-halfwidth", "1"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+        ["--depths", ","],
     ])
     def test_bad_value_or_usage_exit_code(self, tmp_path, flags):
         assert cli_main(["sweep", *flags, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("bad", [{"m": 12.0}, {"depths": [1.5, 3]}, {"seed": -1},
+                                     {"sigma_w2_grid": "14"}])
+    def test_config_file_type_or_range_error_exits_one(self, tmp_path, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "m": 4, "n": 2, **bad}))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+    def test_flags_are_exactly_the_config_fields(self):
+        expected = {f.name for f in fields(SweepConfig)} | {"config", "out", "threads", "format"}
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in sub.choices.items():
+            actions = [a for a in parser._actions if a.dest != "help"]
+            assert {a.dest for a in actions} == expected, name
+            assert {s for a in actions for s in a.option_strings} == {
+                "--" + dest.replace("_", "-") for dest in expected}, name
+
+    @pytest.mark.parametrize("exclusive", [dict(architecture="cnn_p"),
+                                           dict(generator="two_clusters")])
+    def test_config_survives_a_round_trip_through_flag_text(self, exclusive):
+        # CNN inputs take only the default generator, so those two fields change in turn
+        cfg = SweepConfig(
+            activation="tanh", sigma_w2_grid=(0.25, 3.5), sigma_b2_grid=(0.1, 2.0),
+            depths=(3, 7), m=6, n=3, spatial_size=9, filter_halfwidth=2, ridge=1e-3,
+            seed=2**64 - 1, n_features=5, outputs=("spectrum", "dynamics_trace"), **exclusive,
+        )
+        unchanged = {f.name for f in fields(SweepConfig) if getattr(cfg, f.name) == f.default}
+        assert unchanged == {"architecture", "generator"} - set(exclusive)
+        argv = ["sweep"]
+        for name, value in cfg.to_jsonable().items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + name.replace("_", "-"), text]
+        assert _build_config(build_parser().parse_args(argv)) == cfg
 
     def test_partial_failure_exit_code(self, tmp_path):
         rc = cli_main([

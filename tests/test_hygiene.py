@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name in the package and the tests is used, and
+every module-level private name of the package is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,73 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# every file that may read a package module's private names
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level ``_name`` -> (first, last) line of its definition."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defs[name] = (node.lineno, node.end_lineno)
+    return defs
+
+
+def _references(tree: ast.Module) -> list:
+    """(name, line) of every name, attribute, imported name and string constant."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.append((node.value, node.lineno))  # getattr / monkeypatch by name
+    return refs
+
+
+def _dead_private_names(modules: dict, readers: dict) -> list:
+    """``module: name`` for each private module-level name of ``modules`` (path ->
+    source) that no reader (path -> source) references outside its own definition."""
+    read_elsewhere = {}
+    for path, source in readers.items():
+        for name, line in _references(ast.parse(source)):
+            read_elsewhere.setdefault(name, []).append((path, line))
+    dead = []
+    for path, source in modules.items():
+        for name, (first, last) in _private_definitions(ast.parse(source)).items():
+            if not any(p != path or not first <= line <= last
+                       for p, line in read_elsewhere.get(name, [])):
+                dead.append(f"{path}: {name}")
+    return sorted(dead)
+
+
+def test_scan_flags_an_unused_private_name():
+    module = (
+        "_USED = 1\n_DEAD = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _by_other():\n    return _USED\n"
+        "def _by_name():\n    pass\n"
+    )
+    other = "import m\nm._by_other()\nsetattr(m, '_by_name', None)\n"
+    assert _dead_private_names({"m": module}, {"m": module, "o": other}) == [
+        "m: _DEAD", "m: _recursive"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    package = {p: s for p, s in sources.items() if p.startswith("src/ntkphase/")}
+    assert _dead_private_names(package, sources) == []

@@ -75,6 +75,13 @@ class TestNormalizeAndInit:
         with pytest.raises(ZeroRowError):
             normalize_inputs(np.zeros((2, 4)), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_raises(self, bad):
+        X = normals(0, (3, 4))
+        X[1, 2] = bad
+        with pytest.raises(ZeroRowError):
+            normalize_inputs(X, 1.0)
+
     def test_orthogonal_rows_give_identity(self):
         X = np.eye(4) * 2.0  # mean-square 1 per row
         kp = init_kernels(X)
@@ -141,6 +148,13 @@ class TestStepFcn:
         X = normalize_inputs(normals(0, (3, 8)), 2.0)
         with pytest.raises(DiagonalDriftError, match="NNGP diagonal drifted"):
             step_fcn(init_kernels(X), h, k)
+
+    def test_nan_on_the_diagonal_is_not_pinned_to_qstar(self):
+        h, rep, k = erf_setup(1.5, 0.3)
+        kp = two_point(rep.qstar, 0.5 * rep.qstar, rep.qstar, 0.5 * rep.qstar)
+        kp.nngp[0, 0] = math.nan
+        with pytest.raises(DiagonalDriftError, match="drifted nan"):
+            step_fcn(kp, h, k)
 
     def test_step_maps_each_sample_pair_once(self, monkeypatch):
         # the dense pair is stepped by its upper triangle: m(m+1)/2 entries per map
@@ -662,6 +676,13 @@ class TestCnnInit:
 
     def test_zero_pixel_raises(self):
         X = np.zeros((2, 3, 4))
+        with pytest.raises(ZeroRowError):
+            normalize_inputs_cnn(X, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_pixel_raises(self, bad):
+        X = cnn_inputs(2, 3, 4, seed=0)
+        X[1, 0, 3] = bad
         with pytest.raises(ZeroRowError):
             normalize_inputs_cnn(X, 1.0)
 
