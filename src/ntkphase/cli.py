@@ -11,8 +11,9 @@ Subcommands map to output selections over the same sweep engine:
 Every config field can be set in a JSON file (--config) and overridden by
 a flag of the same name; the flags are derived from ``SweepConfig``, each
 parsing the type of its field's default (for a tuple, a comma-separated list
-of its first item's type).  Exit codes: 0 success, 1 configuration error,
-2 completed with per-point failures recorded in the output tables.
+of its first item's type); only ``sweep`` takes ``outputs``, and a field the
+run does not read must keep its default.  Exit codes: 0 success, 1 configuration
+error, 2 completed with per-point failures recorded in the output tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .sweep import SweepConfig, SweepOutput, run_sweep
 
@@ -50,29 +51,30 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+    forced = _SUBCOMMAND_OUTPUTS[args.command]
+    if forced is not None and "outputs" in base:
+        raise ValueError(f"{args.command} sets the outputs itself; drop them from the config")
     overrides = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
                  if getattr(args, f.name) is not None}
-    cfg = SweepConfig(**{**base, **overrides})
-    forced = _SUBCOMMAND_OUTPUTS[args.command]
-    if forced is not None:
-        cfg = replace(cfg, outputs=forced)
-    return cfg
+    return SweepConfig(**{**base, **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ntkphase", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_OUTPUTS:
+    for name, forced in _SUBCOMMAND_OUTPUTS.items():
         p = sub.add_parser(name)
+        p.set_defaults(outputs=forced)  # a forced subcommand has no --outputs to override it
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default="ntkphase_out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; grid points run on one thread")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         for f in fields(SweepConfig):  # --seed and every other field
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=_flag_type(f.default), default=None)
+            if f.name != "outputs" or forced is None:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=_flag_type(f.default), default=None)
     return parser
 
 

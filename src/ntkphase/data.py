@@ -26,7 +26,6 @@ class SyntheticDataset:
     X_train: np.ndarray
     X_test: np.ndarray
     Y: np.ndarray  # centered train labels, one column
-    generator: DataGenerator
 
 
 def normals(seed: int, shape, stream: int = 0) -> np.ndarray:
@@ -72,7 +71,6 @@ def generate_data(
         X_train=X[:m],
         X_test=X[m:],
         Y=y - y.mean(axis=0, keepdims=True),
-        generator=generator,
     )
 
 

@@ -178,12 +178,16 @@ def step_fcn(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> KernelPair:
     return readout(step_cnn(_as_pairs(kp), h, k), ReadoutMode.FLATTEN)
 
 
+def _check_depths(depths: Sequence[int], start: int) -> None:
+    """Raise unless ``start <= depths[0] < depths[1] < ...``."""
+    if any(d2 <= d1 for d1, d2 in zip([start - 1, *depths], depths)):
+        raise ValueError(f"depths must be at least {start} and strictly increasing: {list(depths)}")
+
+
 def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> Iterator:
     """Apply ``step`` repeatedly, yielding the state at each requested depth."""
-    want = sorted(set(depths))
-    if want and want[0] < state.depth:
-        raise ValueError("requested depth precedes the current state")
-    for target in want:
+    _check_depths(depths, state.depth)
+    for target in depths:
         while state.depth < target:
             state = step(state, h, k)
         yield state
@@ -192,7 +196,7 @@ def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
-    """Propagate and collect the states at the requested (ascending) depths."""
+    """Propagate and collect the states at the requested (strictly increasing) depths."""
     states = _walk(_as_pairs(kp), step_cnn, h, k, depths)
     return [readout(ck, ReadoutMode.FLATTEN) for ck in states]  # one pair state held at a time
 

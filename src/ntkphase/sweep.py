@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import Activation, ActivationKernel
-from .data import DataGenerator, SyntheticDataset, _balanced_labels, cnn_inputs, generate_data
+from .data import DataGenerator, _balanced_labels, cnn_inputs, generate_data
 from .errors import NtkPhaseError, UndefinedPredictionError
 from .phase import (
     Architecture,
@@ -51,6 +51,7 @@ from .predictor import RegressionTask, center_labels, dynamics, mean_predict
 from .propagation import (
     KernelPair,
     ReadoutMode,
+    _check_depths,
     init_cnn_kernels,
     init_kernels,
     normalize_inputs,
@@ -79,23 +80,28 @@ class SweepOutput(str, enum.Enum):
     DYNAMICS_TRACE = "dynamics_trace"
 
 
-# output -> (file stem, columns); every table ends in the per-row "error" column
-_TABLES: Dict[SweepOutput, Tuple[str, List[str]]] = {
-    SweepOutput.PHASE_DIAGRAM: ("phase_diagram", [
+# Config fields every run reads (perfbench passes --seed to phase-only runs too), and
+# those every kernel table reads beside its architecture's input fields
+_RUN_READS = {"activation", "sigma_w2_grid", "sigma_b2_grid", "outputs", "seed"}
+_KERNEL_READS = {"architecture", "depths", "m", "n_features"}
+
+# output -> (file stem, further fields read, columns); columns end in the row's "error"
+_TABLES: Dict[SweepOutput, Tuple[str, set, List[str]]] = {
+    SweepOutput.PHASE_DIAGRAM: ("phase_diagram", set(), [
         "sigma_w2", "sigma_b2", "qstar", "cstar", "chi1", "chi_c",
         "phase", "xi1", "xi_c", "xi_star", "error",
     ]),
-    SweepOutput.KAPPA: ("kappa", [
+    SweepOutput.KAPPA: ("kappa", _KERNEL_READS, [
         "sigma_w2", "sigma_b2", "depth", "kind", "lambda_max", "lambda_bulk",
         "lambda_min", "kappa", "kappa_bulk", "kappa_pred", "kappa_residual", "error",
     ]),
-    SweepOutput.SPECTRUM: ("spectrum", [
+    SweepOutput.SPECTRUM: ("spectrum", _KERNEL_READS, [
         "sigma_w2", "sigma_b2", "depth", "kind", "eigenvalue_index", "eigenvalue", "error",
     ]),
-    SweepOutput.PREDICTOR_DECAY: ("predictor_decay", [
+    SweepOutput.PREDICTOR_DECAY: ("predictor_decay", _KERNEL_READS | {"n", "ridge"}, [
         "sigma_w2", "sigma_b2", "depth", "kind", "pred_norm", "error",
     ]),
-    SweepOutput.DYNAMICS_TRACE: ("dynamics", [
+    SweepOutput.DYNAMICS_TRACE: ("dynamics", _KERNEL_READS | {"n"}, [  # gradient flow, no ridge
         "sigma_w2", "sigma_b2", "time", "eta", "train_residual", "test_norm", "error",
     ]),
 }
@@ -108,7 +114,7 @@ def _cast(default, value):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Complete description of one sweep; JSON-serializable field for field."""
+    """One sweep, JSON-serializable field for field; a field it does not read keeps its default."""
 
     activation: Activation = Activation.ERF
     architecture: Architecture = Architecture.FCN
@@ -145,8 +151,9 @@ class SweepConfig:
             raise ValueError("grid values must be finite and nonnegative")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and nonnegative")
-        if not self.depths or list(self.depths) != sorted(set(self.depths)) or self.depths[0] < 1:
-            raise ValueError("depths must be strictly increasing positive integers")
+        if not self.depths:
+            raise ValueError("depths must be nonempty")
+        _check_depths(self.depths, 1)
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
         for name in ("n", "n_features", "spatial_size"):
@@ -156,18 +163,17 @@ class SweepConfig:
             raise ValueError("filter_halfwidth must be nonnegative")
         if not 0 <= self.seed < 2**64:  # the Philox key is one unsigned 64-bit word
             raise ValueError("seed must lie in [0, 2**64)")
-        if self.architecture is not Architecture.FCN:
-            if self.generator is not DataGenerator.GAUSSIAN_IID:  # cnn_inputs would ignore it
-                raise ValueError(f"generator {self.generator.value!r} applies to fcn only; "
-                                 f"{self.architecture.value} inputs are Gaussian i.i.d.")
-            if 2 * self.filter_halfwidth + 1 > self.spatial_size:
-                raise ValueError(f"window {2 * self.filter_halfwidth + 1} exceeds "
-                                 f"spatial_size {self.spatial_size}")
-
-    @classmethod
-    def from_json(cls, path) -> "SweepConfig":
-        with open(path) as fh:
-            return cls(**json.load(fh))
+        read = _RUN_READS.union(*(_TABLES[out][1] for out in self.outputs))
+        if "architecture" in read:
+            read |= ({"generator"} if self.architecture is Architecture.FCN
+                     else {"spatial_size", "filter_halfwidth"})
+        unread = [f.name for f in fields(self)
+                  if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"this run does not read {', '.join(unread)}; leave at the default")
+        if "spatial_size" in read and 2 * self.filter_halfwidth + 1 > self.spatial_size:
+            raise ValueError(f"window {2 * self.filter_halfwidth + 1} exceeds "
+                             f"spatial_size {self.spatial_size}")
 
     def to_jsonable(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
@@ -216,12 +222,13 @@ def _write_json(path: Path, table: str, columns: List[str], rows: List[list]) ->
         fh.write("\n")
 
 
-def _dataset(cfg: SweepConfig) -> SyntheticDataset:
+def _dataset(cfg: SweepConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw inputs, ``cfg.m`` train rows then ``cfg.n`` test rows, and the centered labels."""
     if cfg.architecture is Architecture.FCN:
-        return generate_data(cfg.m, cfg.n, cfg.n_features, cfg.generator, cfg.seed)
+        data = generate_data(cfg.m, cfg.n, cfg.n_features, cfg.generator, cfg.seed)
+        return np.concatenate([data.X_train, data.X_test]), data.Y
     X = cnn_inputs(cfg.m + cfg.n, cfg.n_features, cfg.spatial_size, cfg.seed)
-    Y = center_labels(_balanced_labels(cfg.m))
-    return SyntheticDataset(X[: cfg.m], X[cfg.m :], Y, cfg.generator)
+    return X, center_labels(_balanced_labels(cfg.m))
 
 
 def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:
@@ -251,6 +258,7 @@ def _trajectory(
     propagates offset 0 alone.  The CNN state advances one requested depth
     at a time and is read out at once, so only one state is held.
     """
+    _check_depths(depths, 0)
     if h.architecture is Architecture.FCN:
         return propagate_fcn(init_kernels(normalize_inputs(X, k.qstar)), h, k, depths)
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
@@ -258,7 +266,7 @@ def _trajectory(
     if mode is ReadoutMode.FLATTEN:
         ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
     pairs = []
-    for depth in sorted(set(depths)):
+    for depth in depths:
         (ck,) = propagate_cnn(ck, h, k, [depth])
         pairs.append(readout(ck, mode))
     return pairs
@@ -277,8 +285,6 @@ def kappa_trajectory(
     ``X`` is the raw dataset (see ``_trajectory``); the summaries cover all
     of its rows.
     """
-    if any(d2 <= d1 for d1, d2 in zip(depths, list(depths)[1:])):
-        raise ValueError("depths must be strictly increasing")
     rep = report if report is not None else analyze(h)
     k = ActivationKernel(h.activation, rep.qstar)
     pairs = _trajectory(h, k, X, depths, filter_halfwidth)
@@ -327,7 +333,7 @@ def _error_text(exc: Exception) -> str:
 
 def _error_row(out: SweepOutput, sw2: Optional[float], sb2: float, exc: Exception) -> list:
     """A row of table ``out`` holding only its grid point and the error."""
-    return [sw2, sb2] + [None] * (len(_TABLES[out][1]) - 3) + [_error_text(exc)]
+    return [sw2, sb2] + [None] * (len(_TABLES[out][2]) - 3) + [_error_text(exc)]
 
 
 def _phase_row(sw2: float, sb2: float, rep: PhaseReport) -> list:
@@ -335,7 +341,7 @@ def _phase_row(sw2: float, sb2: float, rep: PhaseReport) -> list:
             rep.phase, rep.xi1, rep.xi_c, rep.xi_star, None]
 
 
-def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float):
+def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float):
     """All table rows for one grid point; failures land in the error column.
 
     A failed phase analysis gives one error row in every table.  A later
@@ -357,7 +363,7 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
 
     try:
         k = ActivationKernel(h.activation, rep.qstar)
-        X = np.concatenate([data.X_train, data.X_test])
+        X, Y = data
         pairs = _trajectory(h, k, X, cfg.depths, cfg.filter_halfwidth)
 
         m = cfg.m
@@ -386,7 +392,7 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
                         )
                 if SweepOutput.PREDICTOR_DECAY in rows:
                     try:
-                        norm = float(np.linalg.norm(mean_predict(_task(K, m, data.Y, cfg.ridge))))
+                        norm = float(np.linalg.norm(mean_predict(_task(K, m, Y, cfg.ridge))))
                         row = [sw2, sb2, kp.depth, kind, norm, None]
                     except NtkPhaseError as exc:
                         row = [sw2, sb2, kp.depth, kind, None, _error_text(exc)]
@@ -398,10 +404,10 @@ def _point_rows(cfg: SweepConfig, data: SyntheticDataset, sw2: float, sb2: float
                 ntk_summ = spectrum(kp.ntk[:m, :m], kp.depth)
             eta = 1.0 / ntk_summ.lambda_max
             times = np.logspace(-2.0, 2.0, 9)
-            trace = dynamics(_task(kp.ntk, m, data.Y), eta, times)
+            trace = dynamics(_task(kp.ntk, m, Y), eta, times)
             for t, mu_tr, mu_te in zip(trace.times, trace.mu_train, trace.mu_test):
                 rows[SweepOutput.DYNAMICS_TRACE].append(
-                    [sw2, sb2, t, eta, float(np.linalg.norm(mu_tr - data.Y)),
+                    [sw2, sb2, t, eta, float(np.linalg.norm(mu_tr - Y)),
                      float(np.linalg.norm(mu_te)), None]
                 )
     except (NtkPhaseError, np.linalg.LinAlgError, ValueError) as exc:
@@ -435,7 +441,7 @@ def run_sweep(cfg: SweepConfig, out_dir, *, formats: Sequence[str] = ("csv",)) -
     """Evaluate the grid and write one file per requested output kind and format."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = _dataset(cfg)
+    data = _dataset(cfg) if set(cfg.outputs) - {SweepOutput.PHASE_DIAGRAM} else None
     tables: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
     for sb2 in cfg.sigma_b2_grid:
         for sw2 in cfg.sigma_w2_grid:
@@ -447,7 +453,7 @@ def run_sweep(cfg: SweepConfig, out_dir, *, formats: Sequence[str] = ("csv",)) -
 
     paths = []
     for out, rows in tables.items():
-        stem, columns = _TABLES[out]
+        stem, _, columns = _TABLES[out]
         if "csv" in formats:
             paths.append(out_dir / f"{stem}.csv")
             _write_csv(paths[-1], columns, rows)

@@ -69,6 +69,13 @@ class TestSyntheticData:
         np.testing.assert_allclose(np.mean(Xn**2, axis=1), 1.3, atol=1e-12)
 
 
+# a valid value other than the default for every SweepConfig field but architecture and outputs
+NON_DEFAULT = dict(
+    activation="tanh", sigma_w2_grid=(2.0,), sigma_b2_grid=(0.1,), depths=(3,), m=4, n=3,
+    spatial_size=9, filter_halfwidth=2, ridge=1e-3, seed=5, n_features=5, generator="two_clusters",
+)
+
+
 class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,23 +96,52 @@ class TestSweepConfig:
         for bad in (dict(m=12.0), dict(depths=(1.5, 3)), dict(seed=1.0), dict(sigma_w2_grid="14")):
             with pytest.raises(TypeError):
                 SweepConfig(**bad)
-        # the window is checked against the spatial size of the convolutional architectures only
-        assert SweepConfig(spatial_size=2, filter_halfwidth=1).spatial_size == 2
+        # an fcn run reads no spatial size, so it may not be set, whatever the window
+        with pytest.raises(ValueError, match="spatial_size"):
+            SweepConfig(spatial_size=2, filter_halfwidth=1)
         assert SweepConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
     def test_cnn_rejects_a_generator_it_would_ignore(self, architecture):
         # CNN inputs always come from cnn_inputs, so no other generator may be asked for
-        with pytest.raises(ValueError, match="two_clusters"):
+        with pytest.raises(ValueError, match="generator"):
             SweepConfig(architecture=architecture, generator="two_clusters")
         assert SweepConfig(architecture=architecture).generator is DataGenerator.GAUSSIAN_IID
         assert SweepConfig(generator="two_clusters").generator is DataGenerator.TWO_CLUSTERS
 
     def test_json_roundtrip(self, tmp_path):
+        # the CLI reads the config file that to_jsonable writes into the same sweep
         cfg = SweepConfig(sigma_w2_grid=(1.0, 2.0), depths=(1, 3), outputs=("kappa",))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_jsonable()))
-        assert SweepConfig.from_json(path) == cfg
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        assert file_hashes((tmp_path / "cli").iterdir()) == file_hashes(
+            run_sweep(cfg, tmp_path / "lib").paths)
+
+    @pytest.mark.parametrize("output", [o.value for o in SweepOutput])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
+    def test_a_field_may_leave_its_default_only_if_the_run_reads_it(self, architecture, output):
+        # the read sets, written out apart from sweep.py's statement of them
+        assert set(NON_DEFAULT) == {f.name for f in fields(SweepConfig)} - {"architecture",
+                                                                            "outputs"}
+        run = {"activation", "sigma_w2_grid", "sigma_b2_grid", "outputs", "seed"}
+        kernel = run | {"architecture", "depths", "m", "n_features"} | {
+            "fcn": {"generator"}, "cnn_f": {"spatial_size", "filter_halfwidth"}}[architecture]
+        reads = {"phase_diagram": run, "kappa": kernel, "spectrum": kernel,
+                 "predictor_decay": kernel | {"n", "ridge"},
+                 "dynamics_trace": kernel | {"n"}}[output]
+        base = dict(outputs=(output,))
+        if architecture != "fcn":
+            base["architecture"] = architecture
+        for name, value in NON_DEFAULT.items():
+            changed = {**base, name: value}
+            if set(changed) <= reads:
+                assert SweepConfig(**changed) != SweepConfig(**base)
+                continue
+            with pytest.raises(ValueError, match="does not read") as exc:
+                SweepConfig(**changed)
+            named = str(exc.value).split("does not read ")[1].split(";")[0].split(", ")
+            assert set(named) == set(changed) - reads, name
 
 
 SMALL = dict(
@@ -134,7 +170,7 @@ class TestRunSweep:
     def test_two_by_two_grid_gives_four_rows_per_slice(self, tmp_path):
         cfg = SweepConfig(
             sigma_w2_grid=(1.0, 4.0), sigma_b2_grid=(0.3, 0.9), depths=(1, 2),
-            m=4, n=2, n_features=12,
+            m=4, n_features=12,
             outputs=(SweepOutput.PHASE_DIAGRAM, SweepOutput.KAPPA),
         )
         run_sweep(cfg, tmp_path, formats=("csv",))
@@ -185,7 +221,6 @@ class TestRunSweep:
             sigma_b2_grid=(0.5,),
             depths=(1, 2),
             m=4,
-            n=2,
             n_features=12,
             outputs=(SweepOutput.KAPPA,),
         )
@@ -204,7 +239,8 @@ class TestRunSweep:
             raise DiagonalDriftError("drifted")
 
         monkeypatch.setattr(sweep, "propagate_fcn", drifting)
-        cfg = SweepConfig(**{**SMALL, "outputs": (SweepOutput.PHASE_DIAGRAM, SweepOutput.KAPPA)})
+        small = {name: value for name, value in SMALL.items() if name != "n"}  # no test rows read
+        cfg = SweepConfig(**{**small, "outputs": (SweepOutput.PHASE_DIAGRAM, SweepOutput.KAPPA)})
         res = run_sweep(cfg, tmp_path)
         phase = [r for r in _read_rows(tmp_path / "phase_diagram.csv") if r["phase"] != "critical"]
         assert [(r["sigma_w2"], r["error"]) for r in phase] == [("1", ""), ("4", "")]
@@ -220,7 +256,6 @@ class TestRunSweep:
             sigma_b2_grid=(0.5,),
             depths=(1, 3),
             m=4,
-            n=2,
             n_features=8,
             spatial_size=4,
             filter_halfwidth=1,
@@ -251,8 +286,9 @@ class TestSinglePipeline:
         d, m, n, n_features, seed, depths = 4, 6, 2, 8, 3, (1, 3, 6)
         cfg = SweepConfig(
             architecture=architecture, sigma_w2_grid=(1.5,), sigma_b2_grid=(0.5,),
-            depths=depths, m=m, n=n, n_features=n_features, spatial_size=d, seed=seed,
+            depths=depths, m=m, n=n, n_features=n_features, seed=seed,
             outputs=(SweepOutput.KAPPA, SweepOutput.PREDICTOR_DECAY),
+            **({} if architecture == "fcn" else dict(spatial_size=d)),
         )
         assert run_sweep(cfg, tmp_path).n_point_errors == 0
         if architecture == "fcn":
@@ -307,11 +343,11 @@ class TestDynamicsStepSize:
         else:
             assert calls == [d for d in depths for _kind in ("ntk", "nngp")] * points
 
-        data = sweep._dataset(cfg)
+        X, _ = sweep._dataset(cfg)
         rows = _read_rows(tmp_path / "dynamics.csv")
         for sw2 in cfg.sigma_w2_grid:
             h = sweep._hyperparams(cfg, sw2, cfg.sigma_b2_grid[0])
-            summ = kappa_trajectory(h, data.X_train, depths)["ntk"][-1]
+            summ = kappa_trajectory(h, X[: cfg.m], depths)["ntk"][-1]
             etas = {float(r["eta"]) for r in rows if float(r["sigma_w2"]) == sw2}
             assert etas == {1.0 / summ.lambda_max}
 
@@ -322,9 +358,6 @@ class TestPhaseDiagramOutput:
             activation="relu",
             sigma_w2_grid=(1.0,),
             sigma_b2_grid=(0.0,),
-            depths=(1,),
-            m=4,
-            n=2,
             outputs=(SweepOutput.PHASE_DIAGRAM,),
         )
         run_sweep(cfg, tmp_path, formats=("csv",))
@@ -337,9 +370,6 @@ class TestPhaseDiagramOutput:
         cfg = SweepConfig(
             sigma_w2_grid=(0.5, 1.0, 2.0, 4.0),
             sigma_b2_grid=(0.2, 1.0),
-            depths=(1,),
-            m=4,
-            n=2,
             outputs=(SweepOutput.PHASE_DIAGRAM,),
         )
         run_sweep(cfg, tmp_path, formats=("csv",))
@@ -363,9 +393,6 @@ class TestPhaseDiagramOutput:
         cfg = SweepConfig(
             sigma_w2_grid=(1.0,),
             sigma_b2_grid=sb2_values,
-            depths=(1,),
-            m=4,
-            n=2,
             outputs=(SweepOutput.PHASE_DIAGRAM,),
         )
         run_sweep(cfg, tmp_path, formats=("csv",))
@@ -381,7 +408,7 @@ class TestCli:
     def test_success_exit_code(self, tmp_path, capsys):
         rc = cli_main([
             "trajectory", "--sigma-w2-grid", "1.0", "--sigma-b2-grid", "0.5",
-            "--depths", "1,2", "--m", "4", "--n", "2", "--n-features", "8",
+            "--depths", "1,2", "--m", "4", "--n-features", "8",
             "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -435,25 +462,32 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
     def test_flags_are_exactly_the_config_fields(self):
-        expected = {f.name for f in fields(SweepConfig)} | {"config", "out", "threads", "format"}
+        # only sweep takes --outputs; every other subcommand fixes its outputs
+        every = {f.name for f in fields(SweepConfig)} | {"config", "out", "threads", "format"}
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"sweep", "phase-diagram", "trajectory", "decay", "dynamics"}
         for name, parser in sub.choices.items():
+            expected = every if name == "sweep" else every - {"outputs"}
             actions = [a for a in parser._actions if a.dest != "help"]
             assert {a.dest for a in actions} == expected, name
             assert {s for a in actions for s in a.option_strings} == {
                 "--" + dest.replace("_", "-") for dest in expected}, name
 
-    @pytest.mark.parametrize("exclusive", [dict(architecture="cnn_p"),
-                                           dict(generator="two_clusters")])
+    @pytest.mark.parametrize("exclusive", [
+        dict(architecture="cnn_p", spatial_size=9, filter_halfwidth=2),
+        dict(generator="two_clusters"),
+    ])
     def test_config_survives_a_round_trip_through_flag_text(self, exclusive):
-        # CNN inputs take only the default generator, so those two fields change in turn
+        # an fcn run reads the generator and a CNN run the spatial size and window, so
+        # those fields change in turn
         cfg = SweepConfig(
             activation="tanh", sigma_w2_grid=(0.25, 3.5), sigma_b2_grid=(0.1, 2.0),
-            depths=(3, 7), m=6, n=3, spatial_size=9, filter_halfwidth=2, ridge=1e-3,
-            seed=2**64 - 1, n_features=5, outputs=("spectrum", "dynamics_trace"), **exclusive,
+            depths=(3, 7), m=6, n=3, ridge=1e-3, seed=2**64 - 1, n_features=5,
+            outputs=("spectrum", "predictor_decay"), **exclusive,
         )
         unchanged = {f.name for f in fields(SweepConfig) if getattr(cfg, f.name) == f.default}
-        assert unchanged == {"architecture", "generator"} - set(exclusive)
+        assert unchanged == {"architecture", "generator", "spatial_size",
+                             "filter_halfwidth"} - set(exclusive)
         argv = ["sweep"]
         for name, value in cfg.to_jsonable().items():
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -463,10 +497,26 @@ class TestCli:
     def test_partial_failure_exit_code(self, tmp_path):
         rc = cli_main([
             "trajectory", "--activation", "relu", "--sigma-w2-grid", "4.0",
-            "--sigma-b2-grid", "0.0", "--depths", "1", "--m", "4", "--n", "2",
+            "--sigma-b2-grid", "0.0", "--depths", "1", "--m", "4",
             "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--depths", "1,2"],
+        ["dynamics", "--ridge", "0.1"],
+        ["sweep", "--architecture", "fcn", "--filter-halfwidth", "3"],
+        ["decay", "--outputs", "kappa"],
+    ])
+    def test_a_flag_the_run_would_not_read_exits_one(self, tmp_path, argv, capsys):
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_forced_subcommand_rejects_outputs_in_its_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"outputs": ["predictor_decay"]}))
+        assert cli_main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -481,8 +531,7 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "sigma_w2_grid": [1.0], "sigma_b2_grid": [0.5], "depths": [1],
-            "m": 4, "n": 2, "n_features": 8, "outputs": ["phase_diagram"],
+            "sigma_w2_grid": [1.0], "sigma_b2_grid": [0.5], "outputs": ["phase_diagram"],
         }))
         out = tmp_path / "out"
         rc = cli_main(["sweep", "--config", str(cfg_path), "--seed", "9",

@@ -1,18 +1,23 @@
 """The benchmark's harness still runs against the package: its layer tracer
-finds every name it wraps, and its own self-tests pass."""
+finds every name it wraps, every workload's command line builds its config,
+and its own self-tests pass."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
-def _load_layertrace():
-    spec = importlib.util.spec_from_file_location("perfbench_layertrace", LAYERTRACE)
+def _load(name):
+    """The module ``perfbench/<name>.py``, loaded without putting perfbench on the path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -20,7 +25,7 @@ def _load_layertrace():
 def test_every_traced_name_is_an_attribute_of_its_owner():
     # Tracer.installed() reads owner.__dict__[attr]; a name that moved or was
     # renamed would make `perfbench/run.py --trace 1` fail with a KeyError.
-    plan = _load_layertrace().Tracer()._plan()
+    plan = _load("layertrace").Tracer()._plan()
     assert plan
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in plan if attr not in owner.__dict__]
     assert missing == []
@@ -36,7 +41,7 @@ def test_cnn_trajectory_reaches_the_traced_cnn_names():
 
     h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=6)
     k = ActivationKernel(h.activation, analyze(h).qstar)
-    tracer = _load_layertrace().Tracer()
+    tracer = _load("layertrace").Tracer()
     with tracer.installed():
         pairs = _trajectory(h, k, cnn_inputs(4, 3, 6, seed=0), [1, 3], 1)
     assert [kp.depth for kp in pairs] == [1, 3]
@@ -50,6 +55,16 @@ def test_cnn_trajectory_reaches_the_traced_cnn_names():
     }
     state_entries = 10 * 6 * 6  # 4 samples -> 10 pairs, 6 offsets x 6 positions
     assert tracer.metrics()["activations.entries"] == 2 * 3 * state_entries
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_every_workload_argv_builds_its_config(seed, tmp_path):
+    from ntkphase.cli import _build_config, build_parser
+
+    for workload in _load("workloads").WORKLOADS.values():
+        args = build_parser().parse_args(workload.argv(seed, str(tmp_path)))
+        cfg = _build_config(args)
+        assert (cfg.seed, [o.value for o in cfg.outputs]) == (seed, list(workload.outputs))
 
 
 def test_benchmark_selftests_pass():

@@ -185,6 +185,18 @@ class TestMaxLearningRate:
 
 
 class TestPredictorDecay:
+    @pytest.mark.parametrize("depths", [[4, 2], [2, 2]])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
+    def test_depths_must_strictly_increase(self, architecture, depths):
+        Y = np.array([1.0, -1.0] * 2).reshape(-1, 1)
+        if architecture == "fcn":
+            h, X = Hyperparams(4.0, 0.5, "erf"), normals(0, (6, 8))
+        else:
+            h = Hyperparams(4.0, 0.5, "erf", architecture=architecture, spatial_size=4)
+            X = normals(0, (6, 3, 4))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            predictor_decay(h, X[:4], X[4:], Y, depths)
+
     def test_chaotic_series_decays(self):
         h = Hyperparams(4.0, 0.5, "erf")
         Y = np.array([1.0, -1.0] * 4).reshape(-1, 1)

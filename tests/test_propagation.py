@@ -241,6 +241,18 @@ def test_propagate_rejects_depth_before_state(propagate, start):
     assert [s.depth for s in propagate(state, h, k, [3, 5])] == [3, 5]
 
 
+@pytest.mark.parametrize("depths", [[4, 2], [2, 2]])
+@pytest.mark.parametrize(
+    "propagate, start", [(propagate_fcn, _fcn_start), (propagate_cnn, _cnn_start)],
+    ids=["fcn", "cnn"],
+)
+def test_propagate_rejects_depths_that_do_not_strictly_increase(propagate, start, depths):
+    # the depths are taken in the order given, never sorted or deduplicated
+    h, rep, k = erf_setup(2.0, 0.5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        propagate(start(rep), h, k, depths)
+
+
 class TestStepScalar:
     """The two-point recursion: entry [0, 0] is the diagonal, [0, 1] the pair."""
 
