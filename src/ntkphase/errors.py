@@ -37,10 +37,6 @@ class WindowError(NtkPhaseError, ValueError):
     """Convolution window exceeds the spatial extent."""
 
 
-class StepSizeError(NtkPhaseError, RuntimeError):
-    """ODE step size too large to hold the integration invariant."""
-
-
 class SingularKernelError(NtkPhaseError, RuntimeError):
     """Train-train kernel is numerically singular; carries the minimum eigenvalue."""
 

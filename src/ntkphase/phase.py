@@ -184,8 +184,10 @@ def slopes(h: Hyperparams, k: ActivationKernel, cstar: float):
     """(chi1, chi_c, chi1_2, chi_c_2): first/second-order recursion slopes.
 
     Second-order slopes are +inf where t_ddot diverges at the evaluation
-    point (ReLU at the domain boundary); the critical corrections that
-    consume them degenerate to zero there, which is the correct limit.
+    point: ReLU's correlation map has a kink at c = 1, so its chi1_2 is
+    always +inf.  ``predict_scalar_corrections`` reads that as the kinked
+    (ReLU) critical law, and off the critical line drops the second-order
+    term it would multiply.
     """
     qstar = k.qstar
     chi1 = h.sigma_w2 * k.t_dot(qstar)
@@ -297,9 +299,7 @@ def _pow(base: float, exponent: float) -> float:
 
 
 def _p_diag(qstar: float, chi1: float, l: int) -> float:
-    """Closed form of the NTK diagonal recursion p' = qstar + chi1 * p, p(0)=0."""
-    if abs(chi1 - 1.0) <= PHASE_TOL:
-        return l * qstar
+    """Closed form of the NTK diagonal recursion p' = qstar + chi1 * p, p(0)=0, off chi1 = 1."""
     return qstar * (1.0 - _pow(chi1, l)) / (1.0 - chi1)
 
 
@@ -386,7 +386,6 @@ def predict_scalar_corrections(
     l: int,
     eps0: float = 1.0,
     delta0: float = 0.0,
-    activation: Optional[Activation] = None,
 ):
     """Leading-order deviations from the fixed point at layer l.
 
@@ -397,16 +396,16 @@ def predict_scalar_corrections(
     deviations: eps0 is zeta = lim chi^{-l} eps_l (fit_zeta estimates it)
     and delta0 the constant term of chi^{-l} delta_l = delta0 + l*A.  For a
     nonlinear map they differ from the layer-0 values.  The data-independent
-    critical laws ignore them.  Pass the activation to get ReLU's
-    fractional critical laws (quadratic off-diagonal convergence) instead
-    of the smooth-activation ones.
+    critical laws ignore them.  On the critical line an infinite chi1_2 (the
+    correlation map's curvature diverges at c = 1, as for ReLU) selects the
+    kinked law, with quadratic off-diagonal convergence; a finite one the
+    smooth law.
     """
     q = ph.qstar
     if ph.phase is Phase.CRITICAL:
-        if activation is Activation.RELU:
+        if math.isinf(ph.chi1_2):
             return -q * (4.5 * math.pi**2) / l**2, -(3.0 / 4.0) * l * q, l * q
-        eps = 0.0 if math.isinf(ph.chi1_2) else -2.0 / (ph.chi1_2 * l)
-        return eps, -(2.0 / 3.0) * l * q, l * q
+        return -2.0 / (ph.chi1_2 * l), -(2.0 / 3.0) * l * q, l * q
     if ph.phase is Phase.CHAOTIC:
         chi, chi2, pab = ph.chi_c, ph.chi_c_2, ph.pabstar
     else:

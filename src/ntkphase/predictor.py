@@ -94,7 +94,6 @@ class DynamicsTrace:
     times: np.ndarray
     mu_train: List[np.ndarray]
     mu_test: List[np.ndarray]
-    eta: float
 
 
 def dynamics(task: RegressionTask, eta: float, times: Sequence[float]) -> DynamicsTrace:
@@ -116,9 +115,7 @@ def dynamics(task: RegressionTask, eta: float, times: Sequence[float]) -> Dynami
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(np.abs(lam) > 1e-300, decay / lam, eta * t)
         mu_test.append(Kt @ (factor[:, None] * Yt))
-    return DynamicsTrace(
-        times=np.asarray(times, dtype=float), mu_train=mu_train, mu_test=mu_test, eta=eta
-    )
+    return DynamicsTrace(times=np.asarray(times, dtype=float), mu_train=mu_train, mu_test=mu_test)
 
 
 def max_learning_rate(spec: SpectrumSummary) -> float:

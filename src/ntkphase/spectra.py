@@ -54,7 +54,6 @@ class SpectrumSummary:
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    intercept: float
     r2: float
     window: Tuple[float, float]
 
@@ -109,7 +108,6 @@ def fit_rate(series: Sequence[Tuple[float, float]], model: str = "log_linear") -
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return RateFit(
         slope=float(slope),
-        intercept=float(intercept),
         r2=min(max(r2, 0.0), 1.0),
         window=(float(depths.min()), float(depths.max())),
     )

@@ -56,6 +56,7 @@ from .propagation import (
     init_kernels,
     normalize_inputs,
     normalize_inputs_cnn,
+    paper_layer,
     propagate_cnn,
     propagate_fcn,
     readout,
@@ -147,6 +148,8 @@ class SweepConfig:
             object.__setattr__(self, f.name, value)
         if not self.sigma_w2_grid or not self.sigma_b2_grid:
             raise ValueError("grids must be nonempty")
+        if not self.outputs:
+            raise ValueError("outputs must be nonempty")
         if not all(0.0 <= v < math.inf for v in self.sigma_w2_grid + self.sigma_b2_grid):
             raise ValueError("grid values must be finite and nonnegative")
         if not 0.0 <= self.ridge < math.inf:
@@ -207,10 +210,8 @@ def _write_csv(path: Path, columns: List[str], rows: List[list]) -> None:
 
 def _write_json(path: Path, table: str, columns: List[str], rows: List[list]) -> None:
     def jsonable(v):
-        if v is None or isinstance(v, str):
+        if v is None or isinstance(v, str):  # a str enum such as Phase dumps as its value
             return v
-        if isinstance(v, enum.Enum):
-            return v.value
         if isinstance(v, (int, np.integer)):
             return int(v)
         v = float(v)
@@ -243,7 +244,7 @@ def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:
 
 def _trajectory(
     h: Hyperparams,
-    k: ActivationKernel,
+    qstar: float,
     X: np.ndarray,
     depths: Sequence[int],
     filter_halfwidth: int,
@@ -253,16 +254,17 @@ def _trajectory(
     ``X`` holds rows for FCN and (samples, channels, pixels) for the
     convolutional architectures, which are read out per ``h.architecture``
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
-    mean-square ``k.qstar``, the solved variance fixed point.  Pixel offsets
+    mean-square ``qstar``, the solved variance fixed point.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
     propagates offset 0 alone.  The CNN state advances one requested depth
     at a time and is read out at once, so only one state is held.
     """
     _check_depths(depths, 0)
+    k = ActivationKernel(h.activation, qstar)
     if h.architecture is Architecture.FCN:
-        return propagate_fcn(init_kernels(normalize_inputs(X, k.qstar)), h, k, depths)
+        return propagate_fcn(init_kernels(normalize_inputs(X, qstar)), h, k, depths)
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
-    ck = init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), filter_halfwidth)
+    ck = init_cnn_kernels(normalize_inputs_cnn(X, qstar), filter_halfwidth)
     if mode is ReadoutMode.FLATTEN:
         ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
     pairs = []
@@ -278,16 +280,13 @@ def kappa_trajectory(
     depths: Sequence[int],
     *,
     filter_halfwidth: int = 1,
-    report: Optional[PhaseReport] = None,
 ) -> Dict[str, List[SpectrumSummary]]:
     """Spectrum summaries of both kernels along a depth trajectory.
 
     ``X`` is the raw dataset (see ``_trajectory``); the summaries cover all
     of its rows.
     """
-    rep = report if report is not None else analyze(h)
-    k = ActivationKernel(h.activation, rep.qstar)
-    pairs = _trajectory(h, k, X, depths, filter_halfwidth)
+    pairs = _trajectory(h, analyze(h).qstar, X, depths, filter_halfwidth)
     return {
         "ntk": [spectrum(kp.ntk, kp.depth) for kp in pairs],
         "nngp": [spectrum(kp.nngp, kp.depth) for kp in pairs],
@@ -302,20 +301,17 @@ def predictor_decay(
     depths: Sequence[int],
     *,
     filter_halfwidth: int = 1,
-    report: Optional[PhaseReport] = None,
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Frobenius norm of the zero-ridge mean prediction along a trajectory.
 
     Returns series for both kernels keyed "ntk"/"nngp"; labels are centered
     internally and the raw train and test inputs propagated jointly.
     """
-    rep = report if report is not None else analyze(h)
-    k = ActivationKernel(h.activation, rep.qstar)
     Yc = center_labels(Y)
     m = np.asarray(X_train).shape[0]
     X = np.concatenate([X_train, X_test])
     out: Dict[str, List[Tuple[int, float]]] = {"ntk": [], "nngp": []}
-    for kp in _trajectory(h, k, X, depths, filter_halfwidth):
+    for kp in _trajectory(h, analyze(h).qstar, X, depths, filter_halfwidth):
         for kind in out:
             task = _task(getattr(kp, kind), m, Yc)
             out[kind].append((kp.depth, float(np.linalg.norm(mean_predict(task)))))
@@ -362,9 +358,8 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
         return rows
 
     try:
-        k = ActivationKernel(h.activation, rep.qstar)
         X, Y = data
-        pairs = _trajectory(h, k, X, cfg.depths, cfg.filter_halfwidth)
+        pairs = _trajectory(h, rep.qstar, X, cfg.depths, cfg.filter_halfwidth)
 
         m = cfg.m
         ntk_summ = None  # the last depth's NTK summary, reused for eta
@@ -377,7 +372,7 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                         ntk_summ = summ
                 if SweepOutput.KAPPA in rows:
                     try:
-                        pred = predict_spectrum(rep, h, m, kp.depth + 1, kind).kappa
+                        pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
                         resid = summ.kappa - pred
                     except (UndefinedPredictionError, OverflowError):
                         pred = resid = None

@@ -190,7 +190,7 @@ def test_criterion_06_predictor_decay_rates():
         Y = np.array([1.0, -1.0] * 6).reshape(-1, 1)
         series = predictor_decay(
             h, normals(11, (12, 24)), normals(12, (8, 24)), Y,
-            list(range(20, 61, 4)), report=rep,
+            list(range(20, 61, 4)),
         )
         ntk_fit = fit_rate(series["ntk"], "log_linear")
         ntk_target = math.log(rep.chi_c / rep.chi1)
@@ -203,10 +203,8 @@ def test_criterion_06_predictor_decay_rates():
         assert nngp_fit.slope > ntk_fit.slope  # NNGP decays strictly slower
 
         hc = Hyperparams(ERF_CRITICAL_SW2, 0.5, "erf")
-        repc = analyze(hc)
         crit = predictor_decay(
-            hc, normals(11, (12, 24)), normals(12, (8, 24)), Y,
-            list(range(50, 401, 25)), report=repc,
+            hc, normals(11, (12, 24)), normals(12, (8, 24)), Y, list(range(50, 401, 25))
         )
         crit_fit = fit_rate(crit["ntk"], "power_law")
         crit_dev = abs(crit_fit.slope + 1.0)

@@ -85,7 +85,7 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(m=7)
         for bad in (dict(sigma_w2_grid=(float("nan"),)), dict(sigma_w2_grid=(1.0, math.inf)),
-                    dict(sigma_b2_grid=(-0.5,)), dict(ridge=float("nan")),
+                    dict(sigma_b2_grid=(-0.5,)), dict(outputs=()), dict(ridge=float("nan")),
                     dict(ridge=math.inf), dict(ridge=-1e-3), dict(depths=()),
                     dict(n_features=0), dict(spatial_size=0), dict(filter_halfwidth=-1),
                     dict(architecture="cnn_f", spatial_size=2), dict(seed=-1),
@@ -511,6 +511,16 @@ class TestCli:
     def test_a_flag_the_run_would_not_read_exits_one(self, tmp_path, argv, capsys):
         assert cli_main([*argv, "--out", str(tmp_path)]) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_outputs_exit_one(self, tmp_path, source, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"outputs": []}))
+        argv = ["--outputs", ","] if source == "flag" else ["--config", str(cfg_path)]
+        out = tmp_path / "out"
+        assert cli_main(["sweep", *argv, "--out", str(out)]) == 1
+        assert "outputs must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_forced_subcommand_rejects_outputs_in_its_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

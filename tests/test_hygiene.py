@@ -112,3 +112,61 @@ def test_every_private_name_is_read():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = {p: s for p, s in sources.items() if p.startswith("src/ntkphase/")}
     assert _dead_private_names(package, sources) == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list:
+    """(class, field) for each annotated field of a ``@dataclass`` class body."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _attribute_reads(tree: ast.Module) -> set:
+    """Names read as ``x.name`` or ``getattr(x, "name")``."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def _unread_fields(modules: dict, readers: dict) -> list:
+    """``module: Class.field`` for each dataclass field of ``modules`` (path -> source)
+    whose name no reader (path -> source) reads as an attribute.
+
+    Fields are matched by name alone, so a field whose name is read on any
+    other object passes: an unread ``CnnKernel.spatial_size`` field would go
+    unseen, because ``.spatial_size`` is read on ``Hyperparams`` and
+    ``SweepConfig``.
+    """
+    reads = set().union(*(_attribute_reads(ast.parse(s)) for s in readers.values()))
+    return sorted(f"{path}: {cls}.{name}" for path, source in modules.items()
+                  for cls, name in _dataclass_fields(ast.parse(source)) if name not in reads)
+
+
+def test_scan_flags_an_unread_dataclass_field():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass C:\n    read: int\n    by_name: int\n    dead: int\n"
+        "@dataclass\nclass D:\n    written: int\n"
+        "class Plain:\n    unread: int\n"
+    )
+    other = "c.read\ngetattr(c, 'by_name')\nd.written = 1\nC(read=1, by_name=2, dead=3)\n"
+    assert _unread_fields({"m": module}, {"m": module, "o": other}) == ["m: C.dead", "m: D.written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    package = {p: s for p, s in sources.items() if p.startswith("src/ntkphase/")}
+    assert _unread_fields(package, sources) == []

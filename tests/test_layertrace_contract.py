@@ -35,15 +35,15 @@ def test_cnn_trajectory_reaches_the_traced_cnn_names():
     # step_cnn works tile by tile; its maps and averaging must still go
     # through the wrapped names, or a traced CNN run would report no
     # activation or apply_A work without saying so.
-    from ntkphase import ActivationKernel, Hyperparams, analyze
+    from ntkphase import Hyperparams, analyze
     from ntkphase.data import cnn_inputs
     from ntkphase.sweep import _trajectory
 
     h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=6)
-    k = ActivationKernel(h.activation, analyze(h).qstar)
+    qstar = analyze(h).qstar
     tracer = _load("layertrace").Tracer()
     with tracer.installed():
-        pairs = _trajectory(h, k, cnn_inputs(4, 3, 6, seed=0), [1, 3], 1)
+        pairs = _trajectory(h, qstar, cnn_inputs(4, 3, 6, seed=0), [1, 3], 1)
     assert [kp.depth for kp in pairs] == [1, 3]
     calls = {name: tracer.stats[name].calls for name in (
         "propagation.apply_A", "ActivationKernel.t_map", "ActivationKernel.t_dot",

@@ -211,13 +211,12 @@ class TestPredictorDecay:
         from ntkphase.data import cnn_inputs
 
         d = 6
-        rep = analyze(Hyperparams(4.0, 0.5, "erf"))
         Y = np.array([1.0, -1.0] * 4).reshape(-1, 1)
         Xtr, Xte = cnn_inputs(8, 20, d, seed=6), cnn_inputs(4, 20, d, seed=7)
         norms = {}
         for arch in ("cnn_f", "cnn_p"):
             h = Hyperparams(4.0, 0.5, "erf", architecture=arch, spatial_size=d)
-            norms[arch] = dict(predictor_decay(h, Xtr, Xte, Y, [15, 25, 35], report=rep)["ntk"])
+            norms[arch] = dict(predictor_decay(h, Xtr, Xte, Y, [15, 25, 35])["ntk"])
         for depth in (15, 25, 35):
             ratio = norms["cnn_p"][depth] / norms["cnn_f"][depth]
             assert d / 2 < ratio < 2 * d

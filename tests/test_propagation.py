@@ -16,7 +16,6 @@ from ntkphase import (
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
-    StepSizeError,
     WindowError,
     ZeroRowError,
     analyze,
@@ -31,6 +30,7 @@ from ntkphase import (
     normalize_inputs_cnn,
     paper_layer,
     predict_scalar_corrections,
+    predict_spectrum,
     propagate_cnn,
     propagate_fcn,
     readout,
@@ -304,6 +304,39 @@ class TestStepScalar:
         s = propagate_fcn(two_point(1.0, 0.3, 0.0, 0.3), h, k, [2000])[0]
         assert (s.ntk[0, 0] - s.ntk[0, 1]) / 2000 == pytest.approx(0.75, rel=0.02)
 
+    def test_critical_relu_laws_match_the_recursion(self):
+        # the report alone selects the kinked correction law (chi1_2 = inf):
+        # the smooth law would give eps = 0 and p_ab = l q*/3 = 667 against 504
+        h = Hyperparams(2.0, 0.0, "relu")
+        rep = analyze(h)
+        k = ActivationKernel(Activation.RELU, rep.qstar)
+        s = propagate_fcn(two_point(1.0, 0.3, 1.0, 0.3), h, k, [2000])[0]
+        l = paper_layer(2000)
+        eps, delta, p = predict_scalar_corrections(rep, l)
+        assert s.nngp[0, 1] - rep.qstar == pytest.approx(eps, rel=0.03)  # measured 0.984
+        assert s.ntk[0, 1] == pytest.approx(p + delta, rel=0.02)  # measured 1.008
+        # m inputs with every pair at correlation c: two NNGP eigenvalues,
+        # kappa = (1 + (m-1)c) / (1 - c)
+        m, c = 12, s.nngp[0, 1] / rep.qstar
+        kappa = predict_spectrum(rep, h, m, l, "nngp").kappa
+        assert (1 + (m - 1) * c) / (1 - c) == pytest.approx(kappa, rel=0.03)  # measured 1.016
+
+    def test_chaotic_corrections_match_the_recursion(self):
+        # chaotic law: eps_l = zeta chi_c^l, chi_c^{-l} delta_l = delta0 + l A,
+        # A = zeta (1 + chi_c_2 pab* / chi_c); zeta read off the recursion at depth 40
+        h, rep, k = erf_setup(4.0, 0.5)
+        s0 = two_point(rep.qstar, 0.2 * rep.qstar, rep.qstar, 0.2 * rep.qstar)
+        states = {s.depth: s for s in propagate_fcn(s0, h, k, [30, 40, 50])}
+        eps = {l: s.nngp[0, 1] - rep.cstar * rep.qstar for l, s in states.items()}
+        zeta = rep.chi_c**-40 * eps[40]
+        for l in (30, 50):  # measured 6.6e-4 and 8e-5
+            assert predict_scalar_corrections(rep, l, eps0=zeta)[0] == pytest.approx(
+                eps[l], rel=2e-3)
+        scaled = {l: rep.chi_c**-l * (states[l].ntk[0, 1] - rep.pabstar) for l in (30, 40)}
+        _, delta, _ = predict_scalar_corrections(rep, 40, eps0=zeta, delta0=0.0)
+        a_pred = delta / (40 * rep.chi_c**40)
+        assert (scaled[40] - scaled[30]) / 10 == pytest.approx(a_pred, rel=0.02)  # off 0.43%
+
 
 def apply_A_block(B, halfwidth):
     """The diagonal-averaging operator on d x d blocks, through the offset layout."""
@@ -572,7 +605,7 @@ class TestOffsetStorage:
             return step_cnn(ck, *args)
 
         monkeypatch.setattr(propagation, "step_cnn", spy)
-        fast = _trajectory(h, k, X, depths, hw)
+        fast = _trajectory(h, k.qstar, X, depths, hw)
         assert stepped == [1, 1, 1]
         for a, b in zip(fast, full, strict=True):
             assert a.depth == b.depth
@@ -590,8 +623,7 @@ class TestReadout:
         blocks[1] = np.full((d, d), p_ab)  # pair (0, 1)
         blocks[2] = diag_block       # pair (1, 1)
         offsets = blocks_to_offsets(blocks)
-        return CnnKernel(nngp=offsets.copy(), ntk=offsets.copy(), m=m,
-                         spatial_size=d, filter_halfwidth=1, depth=7)
+        return CnnKernel(nngp=offsets.copy(), ntk=offsets.copy(), m=m, filter_halfwidth=1, depth=7)
 
     def test_pool_formula_on_idealized_blocks(self):
         p, p_ab, d = 5.0, 2.0, 4
@@ -676,9 +708,12 @@ class TestResidualFlows:
         assert 2 * g(100) - g(50) == pytest.approx(0.25, rel=0.05)
 
     def test_step_size_guard(self):
+        # the layer-norm flow never moves q_diag, so an off-unit start is
+        # rejected before any step is taken (t_end = t0 takes none)
         s0 = OdeKernelState(0.0, 1.0 + 5e-6, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU_LAYERNORM)
-        with pytest.raises(StepSizeError):
-            integrate_residual(s0, 1.0, 0.1)
+        for t_end in (0.0, 1.0):
+            with pytest.raises(ValueError, match="unit diagonal"):
+                integrate_residual(s0, t_end, 0.1)
 
 
 class TestCnnInit:

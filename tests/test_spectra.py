@@ -168,7 +168,7 @@ class TestKappaTrajectory:
         h = Hyperparams(1.5, 0.3, "erf")
         rep = analyze(h)
         depths = list(range(round(4 * rep.xi1), round(8 * rep.xi1) + 1, 2))
-        traj = kappa_trajectory(h, normals(0, (12, 30)), depths, report=rep)
+        traj = kappa_trajectory(h, normals(0, (12, 30)), depths)
         vals = [s.kappa * (s.depth + 1) * rep.chi1 ** (s.depth + 1) for s in traj["ntk"]]
         assert np.ptp(vals) / np.mean(vals) < 0.10
 
