@@ -97,9 +97,7 @@ def _norm_pdf(z):
 
 
 def _erf_t(qstar, q):
-    if np.ndim(q) == 0:
-        return (2.0 / math.pi) * np.arcsin(2.0 * q / (1.0 + 2.0 * qstar))
-    out = 2.0 * q  # the one temporary; the rest runs in place, in the same order
+    out = np.asarray(2.0 * q)  # the one temporary (0-d for a float); the rest runs in place
     out /= 1.0 + 2.0 * qstar
     np.arcsin(out, out=out)
     out *= 2.0 / math.pi
@@ -107,9 +105,7 @@ def _erf_t(qstar, q):
 
 
 def _erf_tdot(qstar, q):
-    if np.ndim(q) == 0:
-        return (4.0 / math.pi) / np.sqrt((1.0 + 2.0 * qstar) ** 2 - 4.0 * q * q)
-    out = 4.0 * q
+    out = np.asarray(4.0 * q)
     out *= q
     np.subtract((1.0 + 2.0 * qstar) ** 2, out, out=out)
     np.sqrt(out, out=out)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DataGenerator", "SyntheticDataset", "normals", "generate_data", "shift_register_inputs"]
+__all__ = ["DataGenerator", "SyntheticDataset", "normals", "center_labels", "generate_data",
+           "shift_register_inputs"]
 
 
 class DataGenerator(str, enum.Enum):
@@ -36,6 +37,12 @@ def normals(seed: int, shape, stream: int = 0) -> np.ndarray:
     u1 = 1.0 - u[:, 0]  # map [0,1) to (0,1] so the log is finite
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u[:, 1])
     return z.reshape(shape)
+
+
+def center_labels(Y_raw: np.ndarray) -> np.ndarray:
+    """Subtract each label column's mean."""
+    Y = np.asarray(Y_raw, dtype=float)
+    return Y - Y.mean(axis=0, keepdims=True)
 
 
 def _balanced_labels(m: int) -> np.ndarray:
@@ -66,12 +73,7 @@ def generate_data(
         center = normals(seed, (n_features,), stream=0xC << 56)
         signs = np.vstack([_balanced_labels(m), _balanced_labels_test(n_test)])
         X = signs * center[None, :] + 0.5 * normals(seed, (m + n_test, n_features), stream=1)
-    y = _balanced_labels(m)
-    return SyntheticDataset(
-        X_train=X[:m],
-        X_test=X[m:],
-        Y=y - y.mean(axis=0, keepdims=True),
-    )
+    return SyntheticDataset(X_train=X[:m], X_test=X[m:], Y=center_labels(_balanced_labels(m)))
 
 
 def _balanced_labels_test(n: int) -> np.ndarray:

@@ -17,10 +17,6 @@ class DegenerateFixedPointError(NtkPhaseError, ValueError):
     """The variance fixed point is q* = 0, where the normalized kernels are undefined."""
 
 
-class BracketError(NtkPhaseError, ValueError):
-    """Root-finding bracket does not enclose a sign change."""
-
-
 class UndefinedPredictionError(NtkPhaseError, ValueError):
     """Requested asymptotic prediction is not defined for this configuration."""
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .activations import _PHI, Activation, ActivationKernel, diag_second_moment
 from .errors import (
-    BracketError,
     CovarianceDomainError,
     DegenerateFixedPointError,
     NonConvergenceError,
@@ -46,7 +45,11 @@ __all__ = [
 ]
 
 PHASE_TOL = 1e-8  # |chi1 - 1| below this counts as critical
-_BRACKET_DOUBLINGS = 64
+# Largest sigma_w2 or sigma_b2 accepted.  The Tanh tables grow with qstar: one
+# tanh point with kappa at depths 1 and 2 takes 0.11 s at sigma_b2 = 10, 2.4 s
+# at 100 and 81 s at 1000; at 1e16 a table asks for 47 GiB.  Erf's transition
+# line divides by a slope that underflows to 0 at sigma_b2 = 1e16.
+MAX_VARIANCE = 100.0
 
 
 class Architecture(str, enum.Enum):
@@ -75,8 +78,8 @@ class Hyperparams:
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))
         object.__setattr__(self, "architecture", Architecture(self.architecture))
-        if not (self.sigma_w2 >= 0 and self.sigma_b2 >= 0):  # also rejects NaN
-            raise ValueError("variances must be nonnegative")
+        if not (0 <= self.sigma_w2 <= MAX_VARIANCE and 0 <= self.sigma_b2 <= MAX_VARIANCE):
+            raise ValueError(f"variances must lie in [0, {MAX_VARIANCE:g}]")  # also rejects NaN
         if self.sigma_w2 == 0 and self.sigma_b2 == 0:
             raise ValueError("sigma_w2 and sigma_b2 cannot both vanish")
         if self.architecture is Architecture.FCN and self.spatial_size != 1:
@@ -118,10 +121,6 @@ class AsymptoticPrediction:
     lambda_bulk: float
     kappa: float
 
-    def __post_init__(self):
-        if self.kappa < 1.0:
-            raise ValueError("condition number prediction below 1")
-
 
 def _bisect(left, lo: float, hi: float) -> float:
     """``hi`` once the midpoint of [lo, hi] equals an end; ``left(x)`` is True below the root."""
@@ -137,20 +136,18 @@ def _zero_bias_edge(activation: Activation) -> float:
     return 2.0 if activation is Activation.RELU else 1.0 / float(_PHI[activation][1](0.0)) ** 2
 
 
-def solve_qstar(h: Hyperparams, k: Optional[ActivationKernel] = None) -> float:
-    """Stable fixed point of the diagonal variance map, solved directly.
+def solve_qstar(h: Hyperparams, backend: str = "closed", nodes: int = 128) -> float:
+    """Stable fixed point of the diagonal variance map of ``h.activation``, solved directly.
 
     ReLU: sigma_b2 / (1 - sigma_w2/2), or 1.0 where the map is the identity
     (sigma_w2 = 2, sigma_b2 = 0).  Erf/Tanh: E[phi^2] < 1, so one bisection on
-    (0, sigma_w2 + sigma_b2].  Raises, before any map evaluation,
+    (0, sigma_w2 + sigma_b2] of ``diag_second_moment`` on ``backend`` with
+    ``nodes`` (quadrature only).  Raises, before any map evaluation,
     ``NonConvergenceError`` where ReLU has no finite fixed point and
     ``DegenerateFixedPointError`` where q* = 0 (sigma_b2 = 0 and
-    sigma_w2 phi'(0)^2 <= 1).  ``k`` supplies activation, backend and nodes only.
+    sigma_w2 phi'(0)^2 <= 1).
     """
-    act, backend, nodes = (
-        (k.activation, k.backend, k.nodes) if k is not None else (h.activation, "closed", 128)
-    )
-    sw2, sb2 = h.sigma_w2, h.sigma_b2
+    act, sw2, sb2 = h.activation, h.sigma_w2, h.sigma_b2
     if act is Activation.RELU and sw2 >= 2.0:
         if sw2 == 2.0 and sb2 == 0.0:
             return 1.0
@@ -185,9 +182,8 @@ def slopes(h: Hyperparams, k: ActivationKernel, cstar: float):
 
     Second-order slopes are +inf where t_ddot diverges at the evaluation
     point: ReLU's correlation map has a kink at c = 1, so its chi1_2 is
-    always +inf.  ``predict_scalar_corrections`` reads that as the kinked
-    (ReLU) critical law, and off the critical line drops the second-order
-    term it would multiply.
+    always +inf.  ``predict_spectrum`` and ``predict_scalar_corrections``
+    read that as the kinked (ReLU) critical and ordered laws.
     """
     qstar = k.qstar
     chi1 = h.sigma_w2 * k.t_dot(qstar)
@@ -231,7 +227,7 @@ def classify(chi1: float) -> Phase:
 
 def analyze(h: Hyperparams, backend: str = "closed", nodes: int = 128) -> PhaseReport:
     """Full phase analysis of one hyperparameter point."""
-    qstar = solve_qstar(h, ActivationKernel(h.activation, 1.0, backend, nodes))
+    qstar = solve_qstar(h, backend, nodes)
     k = ActivationKernel(h.activation, qstar, backend, nodes)
     cstar = solve_cstar(h, k)
     chi1, chi_c, chi1_2, chi_c_2 = slopes(h, k, cstar)
@@ -262,13 +258,15 @@ def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
     V(q) = E[phi(u)^2] and D(q) = E[phi'(u)^2], u ~ N(0, q), it is
     sigma_w2 = 1/D(q), sigma_b2 = q - V(q)/D(q).  One bisection in q solves
     the second equation; the bracket starts at [0, max(1, 2 sigma_b2)] and
-    its upper end doubles until it holds the root.  At sigma_b2 = 0 the
-    root is the q -> 0 limit 1/phi'(0)^2 (pi/4 for Erf, 1 for Tanh).  ReLU
-    has D = 1/2 at every q, so its line is sigma_w2 = 2 at every sigma_b2 (the
-    q -> inf limit).  ``k`` supplies activation, backend and nodes only.
+    its upper end doubles until it holds the root, which ends because
+    q - V/D grows without bound for Erf and Tanh.  At sigma_b2 = 0 the root
+    is the q -> 0 limit 1/phi'(0)^2 (pi/4 for Erf, 1 for Tanh).  ReLU has
+    D = 1/2 at every q, so its line is sigma_w2 = 2 at every sigma_b2 (the
+    q -> inf limit).  ``k`` supplies activation, backend and nodes only;
+    ``sigma_b2`` above ``MAX_VARIANCE`` raises ``ValueError``.
     """
-    if not 0.0 <= sigma_b2 < math.inf:  # also rejects NaN
-        raise ValueError("sigma_b2 must be finite and nonnegative")
+    if not 0.0 <= sigma_b2 <= MAX_VARIANCE:  # also rejects NaN
+        raise ValueError(f"sigma_b2 must lie in [0, {MAX_VARIANCE:g}]")
     if k.activation is Activation.RELU or sigma_b2 == 0.0:
         return _zero_bias_edge(k.activation)
 
@@ -277,12 +275,8 @@ def critical_sigma_w2(sigma_b2: float, k: ActivationKernel) -> float:
         return q - float(diag_second_moment(k.activation, q, k.nodes, k.backend)) / d, 1.0 / d
 
     lo, hi = 0.0, max(1.0, 2.0 * sigma_b2)
-    for _ in range(_BRACKET_DOUBLINGS):
-        if line(hi)[0] > sigma_b2:
-            break
+    while line(hi)[0] <= sigma_b2:
         lo, hi = hi, 2.0 * hi
-    else:
-        raise BracketError(f"no order-to-chaos point with q below {hi} at sigma_b2={sigma_b2}")
     return line(_bisect(lambda q: line(q)[0] <= sigma_b2, lo, hi))[1]
 
 
@@ -309,8 +303,8 @@ def predict_spectrum(
     """Leading-order spectrum values for a size-m dataset at layer l.
 
     Where the underlying law fixes only a rate, the value carries a unit
-    prefactor (e.g. the ordered bulk l*chi1^l); constants like the critical
-    condition number (m*d+2)/2 are exact limits.
+    prefactor (e.g. the ordered NTK bulk l*chi1^l, chi1^(l/2) at a kink);
+    constants like the critical condition number (m*d+2)/2 are exact limits.
     """
     if m < 2:
         raise ValueError("need m >= 2 training points")
@@ -319,9 +313,10 @@ def predict_spectrum(
     d = _pool_factor(h)
     q, c = ph.qstar, ph.cstar
     chi1, chi_c = ph.chi1, ph.chi_c
+    kinked = math.isinf(ph.chi1_2)  # ReLU: the correlation map has a kink at c = 1
 
-    if ph.phase is Phase.CRITICAL and h.activation is Activation.RELU:
-        # ReLU's fractional expansion changes the critical constants: the
+    if ph.phase is Phase.CRITICAL and kinked:
+        # The kink's fractional expansion changes the critical constants: the
         # NTK off-diagonal grows as l*qstar/4 (not /3) and the NNGP bulk
         # collapses quadratically.
         if kind == "ntk":
@@ -341,7 +336,9 @@ def predict_spectrum(
         if ph.phase is Phase.ORDERED:
             if ph.pstar is None:
                 raise UndefinedPredictionError("ordered phase requires a finite pstar")
-            rate = l * _pow(chi1, l)
+            # kinked, the NTK deviation follows sqrt(-eps) ~ chi1^(l/2) (see
+            # predict_scalar_corrections), not l*chi1^l
+            rate = _pow(chi1, l / 2) if kinked else l * _pow(chi1, l)
             return AsymptoticPrediction(
                 lambda_max=m * ph.pstar,
                 lambda_bulk=rate / d,
@@ -396,10 +393,12 @@ def predict_scalar_corrections(
     deviations: eps0 is zeta = lim chi^{-l} eps_l (fit_zeta estimates it)
     and delta0 the constant term of chi^{-l} delta_l = delta0 + l*A.  For a
     nonlinear map they differ from the layer-0 values.  The data-independent
-    critical laws ignore them.  On the critical line an infinite chi1_2 (the
-    correlation map's curvature diverges at c = 1, as for ReLU) selects the
-    kinked law, with quadratic off-diagonal convergence; a finite one the
-    smooth law.
+    critical laws ignore them.  An infinite chi1_2 (the correlation map's
+    curvature diverges at c = 1, as at ReLU's kink) selects the kinked laws:
+    on the critical line quadratic off-diagonal convergence; in the ordered
+    phase, since T_dot(1) - T_dot(c) ~ sqrt(2(1 - c))/(2 pi), an NTK deviation
+    F sqrt(|eps|), F = -chi1 pstar sqrt(2/qstar) / (pi (sqrt(chi1) - chi1)),
+    which does not read delta0.
     """
     q = ph.qstar
     if ph.phase is Phase.CRITICAL:
@@ -412,11 +411,11 @@ def predict_scalar_corrections(
         chi, chi2, pab = ph.chi1, ph.chi1_2, ph.pabstar
     if chi == 0.0:
         return 0.0, 0.0, _p_diag(q, ph.chi1, l)
-    if pab is None or math.isinf(chi2):
-        polynomial = 1.0
-    else:
-        polynomial = 1.0 + chi2 * pab / chi
     eps = eps0 * chi**l
+    if ph.phase is Phase.ORDERED and math.isinf(chi2):
+        F = -chi * ph.pstar * math.sqrt(2.0 / q) / (math.pi * (math.sqrt(chi) - chi))
+        return eps, F * math.sqrt(abs(eps)), _p_diag(q, ph.chi1, l)
+    polynomial = 1.0 if pab is None else 1.0 + chi2 * pab / chi
     delta = chi**l * (delta0 + l * polynomial * eps0)
     return eps, delta, _p_diag(q, ph.chi1, l)
 

@@ -24,6 +24,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
+from .data import center_labels
 from .errors import IllConditionedError, SingularKernelError
 from .phase import Phase, PhaseReport
 from .propagation import KernelPair, paper_layer
@@ -38,12 +39,6 @@ __all__ = [
     "max_learning_rate",
     "ordered_limit_predictor",
 ]
-
-
-def center_labels(Y_raw: np.ndarray) -> np.ndarray:
-    """Subtract each label column's mean."""
-    Y = np.asarray(Y_raw, dtype=float)
-    return Y - Y.mean(axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)

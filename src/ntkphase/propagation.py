@@ -212,6 +212,12 @@ def propagate_fcn(
 # convolutional path
 
 
+def _check_window(d: int, halfwidth: int) -> None:
+    """Raise ``WindowError`` unless the 2k + 1 filter window fits in ``d`` pixels."""
+    if 2 * halfwidth + 1 > d:
+        raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
+
+
 def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.ndarray:
     """Average the 2k+1 circular diagonal shifts of offset-stored kernels.
 
@@ -226,9 +232,7 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     it.  Entry a gets ``((K[a] + K[a+1]) + K[a-1]) + K[a+2] ...`` (mod d).
     """
     K = np.ascontiguousarray(K, dtype=float)
-    d = K.shape[-1]
-    if 2 * halfwidth + 1 > d:
-        raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
+    _check_window(K.shape[-1], halfwidth)
     if out is None:
         acc = K.copy()
     else:
@@ -276,8 +280,7 @@ def offsets_to_blocks(K: np.ndarray) -> np.ndarray:
 
 def fourier_eigs(d: int, halfwidth: int) -> np.ndarray:
     """Eigenvalues of the diagonal-averaging operator, one per spatial mode."""
-    if 2 * halfwidth + 1 > d:
-        raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
+    _check_window(d, halfwidth)
     q = np.arange(d)
     beta = np.arange(-halfwidth, halfwidth + 1)
     return np.cos(2.0 * math.pi * np.outer(q, beta) / d).sum(axis=1) / (2 * halfwidth + 1)
@@ -287,8 +290,7 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
     """Input-layer pixel-pixel kernels (every offset) from channel second moments."""
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
-    if 2 * halfwidth + 1 > d:
-        raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
+    _check_window(d, halfwidth)
     i, j = np.triu_indices(m)  # pair_index order
     nngp = blocks_to_offsets(np.matmul(X[i].transpose(0, 2, 1), X[j]) / n_ch)
     return CnnKernel(nngp=nngp, ntk=nngp.copy(), m=m, filter_halfwidth=halfwidth, depth=0)

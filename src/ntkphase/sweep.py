@@ -37,9 +37,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import Activation, ActivationKernel
-from .data import DataGenerator, _balanced_labels, cnn_inputs, generate_data
+from .data import DataGenerator, _balanced_labels, center_labels, cnn_inputs, generate_data
 from .errors import NtkPhaseError, UndefinedPredictionError
 from .phase import (
+    MAX_VARIANCE,
     Architecture,
     Hyperparams,
     PhaseReport,
@@ -47,11 +48,12 @@ from .phase import (
     critical_sigma_w2,
     predict_spectrum,
 )
-from .predictor import RegressionTask, center_labels, dynamics, mean_predict
+from .predictor import RegressionTask, dynamics, mean_predict
 from .propagation import (
     KernelPair,
     ReadoutMode,
     _check_depths,
+    _check_window,
     init_cnn_kernels,
     init_kernels,
     normalize_inputs,
@@ -150,8 +152,8 @@ class SweepConfig:
             raise ValueError("grids must be nonempty")
         if not self.outputs:
             raise ValueError("outputs must be nonempty")
-        if not all(0.0 <= v < math.inf for v in self.sigma_w2_grid + self.sigma_b2_grid):
-            raise ValueError("grid values must be finite and nonnegative")
+        if not all(0.0 <= v <= MAX_VARIANCE for v in self.sigma_w2_grid + self.sigma_b2_grid):
+            raise ValueError(f"grid values must lie in [0, {MAX_VARIANCE:g}]")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and nonnegative")
         if not self.depths:
@@ -174,9 +176,8 @@ class SweepConfig:
                   if f.name not in read and getattr(self, f.name) != f.default]
         if unread:
             raise ValueError(f"this run does not read {', '.join(unread)}; leave at the default")
-        if "spatial_size" in read and 2 * self.filter_halfwidth + 1 > self.spatial_size:
-            raise ValueError(f"window {2 * self.filter_halfwidth + 1} exceeds "
-                             f"spatial_size {self.spatial_size}")
+        if "spatial_size" in read:
+            _check_window(self.spatial_size, self.filter_halfwidth)
 
     def to_jsonable(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
@@ -192,9 +193,7 @@ def _fmt(value) -> str:
     """A CSV cell; floats in 17 significant digits (``nan``, ``inf`` and ``-inf`` as spelled)."""
     if value is None:
         return ""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, str):
+    if isinstance(value, str):  # csv writes a str enum such as Phase as its value
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -374,7 +373,7 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                     try:
                         pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
                         resid = summ.kappa - pred
-                    except (UndefinedPredictionError, OverflowError):
+                    except UndefinedPredictionError:
                         pred = resid = None
                     rows[SweepOutput.KAPPA].append(
                         [sw2, sb2, kp.depth, kind, summ.lambda_max, summ.lambda_bulk,
@@ -405,7 +404,7 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                     [sw2, sb2, t, eta, float(np.linalg.norm(mu_tr - Y)),
                      float(np.linalg.norm(mu_te)), None]
                 )
-    except (NtkPhaseError, np.linalg.LinAlgError, ValueError) as exc:
+    except (NtkPhaseError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         for out in kernel_outputs:
             rows[out].append(_error_row(out, sw2, sb2, exc))
     return rows

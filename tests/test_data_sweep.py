@@ -1,6 +1,7 @@
 """Synthetic data determinism, sweep outputs, schema and CLI behavior."""
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from ntkphase import (
     DiagonalDriftError,
     Hyperparams,
+    SingularKernelError,
     kappa_trajectory,
     normalize_inputs,
     predictor_decay,
@@ -249,6 +251,24 @@ class TestRunSweep:
             ("1", "DiagonalDriftError: drifted"), ("4", "DiagonalDriftError: drifted")]
         assert res.n_point_errors == 2
 
+    def test_singular_kernel_fills_one_predictor_decay_row_per_depth(self, tmp_path,
+                                                                      monkeypatch):
+        import ntkphase.sweep as sweep
+
+        def singular(task):
+            raise SingularKernelError("train-train kernel is not positive definite", -1e-17)
+
+        monkeypatch.setattr(sweep, "mean_predict", singular)
+        cfg = SweepConfig(**{**SMALL, "sigma_w2_grid": (1.0,), "outputs": ("predictor_decay",)})
+        res = run_sweep(cfg, tmp_path)
+        rows = _read_rows(tmp_path / "predictor_decay.csv")
+        assert [(r["depth"], r["kind"], r["pred_norm"]) for r in rows] == [
+            ("1", "ntk", ""), ("1", "nngp", ""), ("2", "ntk", ""), ("2", "nngp", "")]
+        assert {r["error"] for r in rows} == {
+            "SingularKernelError: train-train kernel is not positive definite "
+            "(min eigenvalue: -1.000e-17)"}
+        assert res.n_point_errors == 4
+
     def test_cnn_pool_sweep_smoke(self, tmp_path):
         cfg = SweepConfig(
             architecture="cnn_p",
@@ -267,9 +287,8 @@ class TestRunSweep:
 
 
 def _read_rows(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))  # an error cell with a comma comes quoted
 
 
 def _in_row_order(series):
@@ -353,18 +372,23 @@ class TestDynamicsStepSize:
 
 
 class TestPhaseDiagramOutput:
-    def test_relu_transition_at_two(self, tmp_path):
+    # with a bias the line sigma_w2 = 2 has no finite variance fixed point, so the
+    # row keeps the solved location and the phase and carries the error
+    @pytest.mark.parametrize("sb2, error", [(0.0, ""), (0.5, "NonConvergenceError:")])
+    def test_relu_transition_at_two(self, tmp_path, sb2, error):
         cfg = SweepConfig(
             activation="relu",
             sigma_w2_grid=(1.0,),
-            sigma_b2_grid=(0.0,),
+            sigma_b2_grid=(sb2,),
             outputs=(SweepOutput.PHASE_DIAGRAM,),
         )
         run_sweep(cfg, tmp_path, formats=("csv",))
-        lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
-        transition = [l for l in lines[1:] if l.split(",")[6] == "critical"]
+        transition = [r for r in _read_rows(tmp_path / "phase_diagram.csv")
+                      if r["phase"] == "critical"]
         assert len(transition) == 1
-        assert float(transition[0].split(",")[0]) == pytest.approx(2.0, abs=1e-6)
+        assert float(transition[0]["sigma_w2"]) == 2.0
+        assert transition[0]["error"].startswith(error)
+        assert bool(transition[0]["error"]) == bool(error)
 
     def test_every_ordered_row_has_chi1_below_one(self, tmp_path):
         cfg = SweepConfig(
@@ -450,6 +474,12 @@ class TestCli:
         ["--seed", "-1"],
         ["--seed", str(2**64)],
         ["--depths", ","],
+        # above MAX_VARIANCE = 100: erf at 1e16 and 1e160 died with ZeroDivisionError and
+        # OverflowError tracebacks, tanh at 1e12 ran for minutes
+        ["--sigma-w2-grid", "100.5"],
+        ["--sigma-b2-grid", "1e16"],
+        ["--sigma-b2-grid", "1e160"],
+        ["--activation", "tanh", "--sigma-b2-grid", "1e12"],
     ])
     def test_bad_value_or_usage_exit_code(self, tmp_path, flags):
         assert cli_main(["sweep", *flags, "--out", str(tmp_path)]) == 1

@@ -14,13 +14,16 @@ from ntkphase import (
     KernelPair,
     NonConvergenceError,
     Phase,
+    SweepConfig,
     analyze,
     critical_sigma_w2,
     depth_scales,
     diag_second_moment,
     fit_zeta,
+    paper_layer,
     predict_scalar_corrections,
     predict_spectrum,
+    run_sweep,
     slopes,
     solve_cstar,
     solve_qstar,
@@ -40,8 +43,10 @@ def erf_kernel(qstar):
 
 
 class TestHyperparams:
-    @pytest.mark.parametrize("sw2, sb2", [(float("nan"), 0.5), (1.0, float("nan")), (-1.0, 0.5)])
+    @pytest.mark.parametrize("sw2, sb2", [(float("nan"), 0.5), (1.0, float("nan")), (-1.0, 0.5),
+                                          (100.5, 0.5), (1.0, 1e16)])
     def test_rejects_nan_and_negative_variances(self, sw2, sb2):
+        # and variances above MAX_VARIANCE = 100
         with pytest.raises(ValueError):
             Hyperparams(sw2, sb2, "erf")
 
@@ -151,7 +156,7 @@ class TestDirectSolves:
     @pytest.mark.parametrize("backend", ["closed", "quadrature"])
     def test_relu_qstar_is_the_closed_form(self, monkeypatch, backend):
         counter = MapCounter(monkeypatch)
-        q = solve_qstar(Hyperparams(1.9, 0.5, "relu"), ActivationKernel("relu", 1.0, backend))
+        q = solve_qstar(Hyperparams(1.9, 0.5, "relu"), backend)
         assert q == 0.5 / (1.0 - 1.9 / 2.0)
         assert counter.diag == 0
         assert analyze(Hyperparams(1.9, 0.5, "relu")).qstar == 0.5 / (1.0 - 1.9 / 2.0)
@@ -264,7 +269,8 @@ class TestCriticalLine:
         k = ActivationKernel(activation, 1.0)
         assert critical_sigma_w2(0.0, k) == pytest.approx(limit, rel=1e-12)
 
-    @pytest.mark.parametrize("sb2", [float("nan"), math.inf, -0.5])
+    # above MAX_VARIANCE too: at 1e16 erf divided by a slope that underflowed to 0
+    @pytest.mark.parametrize("sb2", [float("nan"), math.inf, -0.5, 100.5, 1e16])
     def test_rejects_bad_bias_variance(self, sb2):
         with pytest.raises(ValueError):
             critical_sigma_w2(sb2, erf_kernel(1.0))
@@ -347,6 +353,28 @@ class TestSpectrumPredictions:
             for kind in ("ntk", "nngp"):
                 assert predict_spectrum(rep, h, 8, 64, kind).kappa >= 1.0
 
+    def test_ordered_nngp_kappa_saturates_to_inf(self):
+        # chi1 = 0.5 exactly; 0.5 ** -2000 overflows, and _pow saturates instead of raising
+        h = Hyperparams(1.0, 0.5, "relu")
+        rep = analyze(h)
+        assert rep.chi1 == 0.5
+        assert predict_spectrum(rep, h, 12, 2000, "nngp").kappa == math.inf
+
+    def test_relu_ordered_ntk_kappa_follows_the_half_rate(self, tmp_path):
+        # the kink sets the NTK bulk rate to chi1^(l/2): measured kappa over its
+        # unit-prefactor prediction stays constant (0.671 to 0.681) over depths 16-48;
+        # the old l*chi1^l law drifted from 0.032 to 1.4e-6.  Depth 64 sits at the
+        # precision floor of the measured kappa.
+        cfg = SweepConfig(activation="relu", sigma_w2_grid=(1.0,), depths=(16, 24, 32, 48),
+                          outputs=("kappa",))
+        run_sweep(cfg, tmp_path)
+        lines = (tmp_path / "kappa.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        ratios = [float(r["kappa"]) / float(r["kappa_pred"]) for r in rows if r["kind"] == "ntk"]
+        assert len(ratios) == 4
+        assert ratios[0] == pytest.approx(0.671, abs=1e-3)
+        assert max(ratios) / min(ratios) < 1.03
+
 
 class TestScalarCorrections:
     def test_critical_diag_is_linear(self):
@@ -361,6 +389,25 @@ class TestScalarCorrections:
         _, delta, p = predict_scalar_corrections(rep, 300)
         # p_ab = p + delta -> l*q*/3
         assert (p + delta) / 300 == pytest.approx(rep.qstar / 3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("sw2, depth, rel", [(1.0, 30, 1e-3), (1.5, 60, 2e-3)])
+    def test_relu_ordered_ntk_deviation_follows_sqrt_of_eps(self, sw2, depth, rel):
+        # T_dot(1) - T_dot(c) ~ sqrt(2(1 - c))/(2 pi) at the kink, so
+        # delta -> F sqrt(-eps), F = -chi1 pstar sqrt(2/qstar) / (pi (sqrt(chi1) - chi1))
+        h = Hyperparams(sw2, 0.5, "relu")
+        rep = analyze(h)
+        q, chi = rep.qstar, rep.chi1
+        K = np.array([[q, 0.2 * q], [0.2 * q, q]])
+        s = KernelPair(nngp=K, ntk=K.copy(), depth=0)
+        for _ in range(depth):
+            s = step_fcn(s, h, ActivationKernel("relu", q))
+        eps, delta = s.nngp[0, 1] - q, s.ntk[0, 1] - rep.pstar
+        l = paper_layer(s.depth)
+        eps_pred, delta_pred, _ = predict_scalar_corrections(rep, l, eps0=eps / chi**l)
+        assert eps_pred == pytest.approx(eps, rel=1e-12)
+        F = -chi * rep.pstar * math.sqrt(2.0 / q) / (math.pi * (math.sqrt(chi) - chi))
+        assert delta_pred == pytest.approx(F * math.sqrt(-eps), rel=1e-12)
+        assert delta == pytest.approx(delta_pred, rel=rel)
 
     def test_degenerate_zero_weight_variance(self):
         rep = analyze(Hyperparams(0.0, 1.3, "erf"))
