@@ -78,14 +78,11 @@ def _laggauss(n: int):
     return nodes, vecs[0] ** 2
 
 
-def _check_nodes(nodes: int) -> None:
-    if not 2 <= nodes <= _MAX_NODES:
-        raise ValueError(f"{nodes} quadrature nodes; need between 2 and {_MAX_NODES}")
-
-
-def _check_backend(backend: str) -> None:
+def _check_rule(backend: str, nodes: int) -> None:
     if backend not in ("closed", "quadrature"):
         raise ValueError(f"unknown backend {backend!r}")
+    if not 2 <= nodes <= _MAX_NODES:
+        raise ValueError(f"{nodes} quadrature nodes; need between 2 and {_MAX_NODES}")
 
 
 def _norm_pdf(z):
@@ -376,8 +373,7 @@ def diag_second_moment(activation: Activation, q: float, nodes: int = 128, backe
     for bit, so on "quadrature" it is independent of the closed forms.
     ``q`` is a scalar; q = 0 gives 0.
     """
-    _check_nodes(nodes)
-    _check_backend(backend)
+    _check_rule(backend, nodes)
     q = float(q)
     if not q >= 0:  # also rejects NaN, which would build a NaN Tanh table
         raise CovarianceDomainError("variance must be nonnegative")
@@ -408,8 +404,7 @@ class ActivationKernel:
     def __post_init__(self):
         if not 0.0 < self.qstar < math.inf:  # also rejects NaN
             raise ValueError(f"qstar must be positive and finite, not {self.qstar!r}")
-        _check_backend(self.backend)
-        _check_nodes(self.nodes)
+        _check_rule(self.backend, self.nodes)
         object.__setattr__(self, "activation", Activation(self.activation))
 
     # -- helpers ----------------------------------------------------------

@@ -17,10 +17,6 @@ class DegenerateFixedPointError(NtkPhaseError, ValueError):
     """The variance fixed point is q* = 0, where the normalized kernels are undefined."""
 
 
-class UndefinedPredictionError(NtkPhaseError, ValueError):
-    """Requested asymptotic prediction is not defined for this configuration."""
-
-
 class DiagonalDriftError(NtkPhaseError, RuntimeError):
     """Kernel diagonal drifted away from the variance fixed point."""
 

@@ -19,13 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .activations import _PHI, Activation, ActivationKernel, diag_second_moment
-from .errors import (
-    CovarianceDomainError,
-    DegenerateFixedPointError,
-    NonConvergenceError,
-    UndefinedPredictionError,
-)
+from .activations import _PHI, Activation, ActivationKernel, _check_rule, diag_second_moment
+from .errors import CovarianceDomainError, DegenerateFixedPointError, NonConvergenceError
 
 __all__ = [
     "Architecture",
@@ -145,8 +140,10 @@ def solve_qstar(h: Hyperparams, backend: str = "closed", nodes: int = 128) -> fl
     ``nodes`` (quadrature only).  Raises, before any map evaluation,
     ``NonConvergenceError`` where ReLU has no finite fixed point and
     ``DegenerateFixedPointError`` where q* = 0 (sigma_b2 = 0 and
-    sigma_w2 phi'(0)^2 <= 1).
+    sigma_w2 phi'(0)^2 <= 1).  ``backend`` and ``nodes`` are checked first,
+    also where ReLU's closed form reads neither.
     """
+    _check_rule(backend, nodes)
     act, sw2, sb2 = h.activation, h.sigma_w2, h.sigma_b2
     if act is Activation.RELU and sw2 >= 2.0:
         if sw2 == 2.0 and sb2 == 0.0:
@@ -288,7 +285,7 @@ def _pow(base: float, exponent: float) -> float:
     """base ** exponent saturating to inf/0 instead of raising at the float range."""
     try:
         return base**exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -334,8 +331,6 @@ def predict_spectrum(
 
     if kind == "ntk":
         if ph.phase is Phase.ORDERED:
-            if ph.pstar is None:
-                raise UndefinedPredictionError("ordered phase requires a finite pstar")
             # kinked, the NTK deviation follows sqrt(-eps) ~ chi1^(l/2) (see
             # predict_scalar_corrections), not l*chi1^l
             rate = _pow(chi1, l / 2) if kinked else l * _pow(chi1, l)
@@ -369,8 +364,6 @@ def predict_spectrum(
             lambda_bulk=1.0 / (l * d),
             kappa=max(d * m * float(l), 1.0),
         )
-    if c >= 1.0:
-        raise UndefinedPredictionError("chaotic NNGP prediction requires cstar < 1")
     return AsymptoticPrediction(
         lambda_max=((1.0 - c) / d + m * c) * q,
         lambda_bulk=(1.0 - c) * q / d,

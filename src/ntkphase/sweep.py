@@ -38,7 +38,7 @@ import numpy as np
 
 from .activations import Activation, ActivationKernel
 from .data import DataGenerator, _balanced_labels, center_labels, cnn_inputs, generate_data
-from .errors import NtkPhaseError, UndefinedPredictionError
+from .errors import NtkPhaseError
 from .phase import (
     MAX_VARIANCE,
     Architecture,
@@ -370,11 +370,8 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                     if kind == "ntk":
                         ntk_summ = summ
                 if SweepOutput.KAPPA in rows:
-                    try:
-                        pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
-                        resid = summ.kappa - pred
-                    except UndefinedPredictionError:
-                        pred = resid = None
+                    pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
+                    resid = summ.kappa - pred
                     rows[SweepOutput.KAPPA].append(
                         [sw2, sb2, kp.depth, kind, summ.lambda_max, summ.lambda_bulk,
                          summ.lambda_min, summ.kappa, summ.kappa_bulk, pred, resid, None]
@@ -415,11 +412,7 @@ def _transition_rows(cfg: SweepConfig) -> List[list]:
     out = []
     probe = ActivationKernel(cfg.activation, 1.0)
     for sb2 in cfg.sigma_b2_grid:
-        try:
-            sw2_c = critical_sigma_w2(sb2, probe)
-        except (NtkPhaseError, ValueError) as exc:
-            out.append(_error_row(SweepOutput.PHASE_DIAGRAM, None, sb2, exc))
-            continue
+        sw2_c = critical_sigma_w2(sb2, probe)
         try:
             out.append(_phase_row(sw2_c, sb2, analyze(_hyperparams(cfg, sw2_c, sb2))))
         except (NtkPhaseError, ValueError) as exc:

@@ -438,9 +438,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "kappa.csv").exists() and (tmp_path / "spectrum.csv").exists()
 
+    def test_zero_weight_variance_predicts_infinite_kappa(self, tmp_path):
+        # chi1 = 0 there; the ordered NNGP law once raised ZeroDivisionError
+        rc = cli_main(["trajectory", "--sigma-w2-grid", "0", "--sigma-b2-grid", "0.5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "kappa.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["kappa_pred"] == "inf" and r["error"] == "" for r in rows)
+
     def test_phase_diagram_does_not_import_scipy_optimize(self, tmp_path):
-        # importing scipy.optimize adds ~16 MB to the CLI's peak resident set; a
-        # fresh process is needed because this module imports it itself
+        # importing scipy.optimize (which scipy.integrate imports) adds ~16 MB to
+        # the CLI's peak resident set; a fresh process is needed because this
+        # module imports it itself
         code = (
             "import sys\n"
             "from ntkphase.cli import main\n"
@@ -448,6 +458,7 @@ class TestCli:
             f"           '--sigma-b2-grid', '0.05,0.5', '--out', {str(tmp_path)!r}])\n"
             "assert rc == 0, rc\n"
             "assert 'scipy.optimize' not in sys.modules\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,7 +1,10 @@
-"""Source hygiene: every imported name in the package and the tests is used, and
-every module-level private name of the package is read somewhere."""
+"""Source hygiene: every imported name in the package and the tests is used,
+every module-level private name of the package is read somewhere, and
+``tools/unrun_lines.py`` finds a statement that no call reaches."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +173,37 @@ def test_every_dataclass_field_is_read():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = {p: s for p, s in sources.items() if p.startswith("src/ntkphase/")}
     assert _unread_fields(package, sources) == []
+
+
+def _unrun_lines_tool():
+    path = ROOT / "tools" / "unrun_lines.py"
+    spec = importlib.util.spec_from_file_location("tools_unrun_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_unrun_lines_reports_the_statement_no_call_reaches(tmp_path):
+    tool = _unrun_lines_tool()
+    source = (
+        '"""Module docstring."""\n'
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    if x:\n"
+        "        return 1\n"
+        "    return 2\n"
+    )
+    statements = tool.statement_lines(source)
+    assert statements == {2: "def f(x):", 4: "if x:", 5: "return 1", 6: "return 2"}
+    path = (tmp_path / "m.py").resolve()
+    recorder = tool.LineRecorder(path.parent)
+    namespace = {}
+    outer = sys.gettrace()  # the tool itself may be tracing this test
+    sys.settrace(recorder)
+    try:
+        exec(compile(source, str(path), "exec"), namespace)
+        namespace["f"](True)
+    finally:
+        sys.settrace(outer)
+    ran = recorder.ran()
+    assert [line for line in statements if (path, line) not in ran] == [6]

@@ -50,6 +50,18 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(sw2, sb2, "erf")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(sigma_w2=0.0, sigma_b2=0.0), "both vanish"),
+        (dict(spatial_size=4), "FCN requires spatial_size == 1"),
+        (dict(architecture="cnn_f", spatial_size=0), "spatial_size must be positive"),
+        (dict(dropout_keep=0.0), "dropout_keep"),
+        (dict(dropout_keep=1.5), "dropout_keep"),
+    ])
+    def test_rejects_inconsistent_fields(self, kwargs, match):
+        args = dict(sigma_w2=1.0, sigma_b2=0.5, activation="erf") | kwargs
+        with pytest.raises(ValueError, match=match):
+            Hyperparams(**args)
+
 
 class TestQstar:
     def test_constant_map(self):
@@ -160,6 +172,18 @@ class TestDirectSolves:
         assert q == 0.5 / (1.0 - 1.9 / 2.0)
         assert counter.diag == 0
         assert analyze(Hyperparams(1.9, 0.5, "relu")).qstar == 0.5 / (1.0 - 1.9 / 2.0)
+
+    @pytest.mark.parametrize("activation", ["relu", "erf"])
+    @pytest.mark.parametrize("backend, nodes, match", [
+        ("bogus", 128, "unknown backend"), ("closed", 1, "quadrature nodes"),
+    ])
+    def test_bad_backend_or_nodes_raise_before_any_solve(self, monkeypatch, activation,
+                                                         backend, nodes, match):
+        # ReLU's closed form reads neither, and still checks both
+        counter = MapCounter(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            solve_qstar(Hyperparams(1.9, 0.5, activation), backend, nodes)
+        assert counter.total == 0
 
     def test_erf_qstar_to_full_precision(self):
         mp = pytest.importorskip("mpmath")
@@ -360,6 +384,20 @@ class TestSpectrumPredictions:
         assert rep.chi1 == 0.5
         assert predict_spectrum(rep, h, 12, 2000, "nngp").kappa == math.inf
 
+    @pytest.mark.parametrize("kind", ["ntk", "nngp"])
+    def test_zero_weight_variance_kappa_is_inf(self, kind):
+        # chi1 = 0: the ordered NNGP law reads 0.0 ** -l, which saturates to inf
+        h = Hyperparams(0.0, 0.5, "erf")
+        rep = analyze(h)
+        assert rep.chi1 == 0.0
+        for l in (1, 3, 50):
+            assert predict_spectrum(rep, h, 12, l, kind).kappa == math.inf
+
+    @pytest.mark.parametrize("m, kind, match", [(1, "ntk", "m >= 2"), (12, "cntk", "kind")])
+    def test_rejects_bad_arguments(self, m, kind, match):
+        with pytest.raises(ValueError, match=match):
+            predict_spectrum(self.rep, self.h, m, 64, kind)
+
     def test_relu_ordered_ntk_kappa_follows_the_half_rate(self, tmp_path):
         # the kink sets the NTK bulk rate to chi1^(l/2): measured kappa over its
         # unit-prefactor prediction stays constant (0.671 to 0.681) over depths 16-48;
@@ -422,6 +460,10 @@ class TestZetaExtraction:
         depths = np.arange(20, 61)
         eps = 0.37 * chi**depths
         assert fit_zeta(depths, eps, chi) == pytest.approx(0.37, rel=1e-12)
+
+    def test_needs_two_depths(self):
+        with pytest.raises(ValueError, match="two depths"):
+            fit_zeta([20], [0.37 * 0.8**20], 0.8)
 
     def test_cauchy_property_of_normalized_sequence(self):
         # chi^{-l} eps_l from the real recursion: successive differences shrink

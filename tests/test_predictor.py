@@ -11,6 +11,7 @@ from ntkphase import (
     Activation,
     Hyperparams,
     RegressionTask,
+    IllConditionedError,
     SingularKernelError,
     analyze,
     center_labels,
@@ -114,6 +115,14 @@ class TestMeanPredict:
         with pytest.raises(ValueError):
             RegressionTask(K_dd=np.eye(2), K_td=np.eye(2), Y=np.array([[1.0], [0.5]]))
 
+    def test_one_dimensional_labels_become_a_column(self):
+        task = RegressionTask(K_dd=np.eye(2), K_td=np.eye(2), Y=np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(task.Y, [[1.0], [-1.0]])
+
+    def test_negative_ridge_rejected(self):
+        with pytest.raises(ValueError, match="ridge"):
+            RegressionTask(K_dd=np.eye(2), K_td=np.eye(2), Y=np.array([1.0, -1.0]), ridge=-1e-3)
+
     def test_balanced_labels_annihilated_at_fixed_point(self):
         m, pstar = 8, 2.3
         K_dd = pstar * np.ones((m, m)) + 1e-8 * np.eye(m)
@@ -153,6 +162,10 @@ class TestMaxLearningRate:
     def test_direct_value(self):
         s = spectrum(np.diag([4.0, 1.0]))
         assert max_learning_rate(s) == 0.5
+
+    def test_needs_positive_lambda_max(self):
+        with pytest.raises(ValueError, match="lambda_max"):
+            max_learning_rate(spectrum(np.diag([0.0, -1.0])))
 
     def test_ordered_phase_scale(self):
         h = Hyperparams(1.5, 0.3, "erf")
@@ -257,3 +270,23 @@ class TestOrderedLimitPredictor:
         kp = propagate_fcn(self.kp0, self.h, self.k, [5])[0]
         with pytest.raises(ValueError):
             ordered_limit_predictor(kp, rep_chaotic, 6)
+
+    @pytest.mark.parametrize("n_train", [0, 10])
+    def test_needs_train_and_test_rows(self, n_train):
+        kp = propagate_fcn(self.kp0, self.h, self.k, [5])[0]
+        with pytest.raises(ValueError, match="train and test"):
+            ordered_limit_predictor(kp, self.rep, n_train)
+
+    def test_repeated_train_input_is_ill_conditioned(self):
+        X = normalize_inputs(normals(7, (10, 24)), self.rep.qstar)
+        X[1] = X[0]  # two train inputs coincide
+        kp = propagate_fcn(init_kernels(X), self.h, self.k, [25])[0]
+        with pytest.raises(IllConditionedError, match="deviation block"):
+            ordered_limit_predictor(kp, self.rep, 6)
+
+    def test_deviation_from_the_direct_solve_raises(self):
+        # at ~33 depth scales the direct solve is itself condition-limited and
+        # the two forms part by ~3e-3
+        kp = propagate_fcn(self.kp0, self.h, self.k, [500])[0]
+        with pytest.raises(IllConditionedError, match="direct solve"):
+            ordered_limit_predictor(kp, self.rep, 6)

@@ -13,6 +13,7 @@ from ntkphase import (
     CovarianceDomainError,
     DiagonalDriftError,
     Hyperparams,
+    NonConvergenceError,
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
@@ -686,19 +687,19 @@ class TestDropout:
 class TestResidualFlows:
     def test_plain_residual_exponential_laws(self):
         s0 = OdeKernelState(0.0, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU)
-        st = integrate_residual(s0, 5.0, 1e-3)[-1]
+        st = integrate_residual(s0, [5.0])[-1]
         assert st.q_diag == pytest.approx(math.e**5, rel=1e-6)
         assert st.p_diag == pytest.approx(5 * math.e**5, rel=1e-6)
 
     def test_layernorm_unit_variance_and_linear_ntk(self):
         s0 = OdeKernelState(0.0, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU_LAYERNORM)
-        st = integrate_residual(s0, 20.0, 1e-3)[-1]
+        st = integrate_residual(s0, [20.0])[-1]
         assert st.q_diag == pytest.approx(1.0, abs=1e-10)
         assert st.p_diag == pytest.approx(20.0, rel=1e-10)
 
     def test_layernorm_offdiagonal_power_law(self):
         s0 = OdeKernelState(0.0, 1.0, -0.5, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU_LAYERNORM)
-        traj = integrate_residual(s0, 100.0, 2e-3, sample_every=25000)
+        traj = integrate_residual(s0, [50.0, 100.0])
         by_t = {round(s.t): s for s in traj}
         f = lambda t: (1 - by_t[t].q_ab) * t * t
         # cancel the 1/t approach term with two sampling times
@@ -709,11 +710,51 @@ class TestResidualFlows:
 
     def test_step_size_guard(self):
         # the layer-norm flow never moves q_diag, so an off-unit start is
-        # rejected before any step is taken (t_end = t0 takes none)
+        # rejected before the solver runs (t = t0 asks for no integration)
         s0 = OdeKernelState(0.0, 1.0 + 5e-6, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU_LAYERNORM)
         for t_end in (0.0, 1.0):
             with pytest.raises(ValueError, match="unit diagonal"):
-                integrate_residual(s0, t_end, 0.1)
+                integrate_residual(s0, [t_end])
+
+    def test_sampled_times_land_exactly(self):
+        s0 = OdeKernelState(0.5, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU)
+        times = [0.5, 0.6, 0.8, 1.5]
+        traj = integrate_residual(s0, times)
+        assert [s.t for s in traj] == times
+        assert traj[0] == s0
+        assert [s.t for s in integrate_residual(s0, [0.6])] == [0.6]
+        assert traj[-1].q_diag == pytest.approx(math.e, rel=1e-12)
+
+    @pytest.mark.parametrize("times", [[], [0.4], [0.6, 0.6], [1.0, 0.7], [math.nan], [math.inf]])
+    def test_bad_times_raise(self, times):
+        s0 = OdeKernelState(0.5, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU)
+        with pytest.raises(ValueError, match="times must be"):
+            integrate_residual(s0, times)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        import scipy.integrate
+
+        class Failed:
+            success = False
+            message = "Required step size is less than spacing between numbers."
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: Failed())
+        s0 = OdeKernelState(0.0, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU)
+        with pytest.raises(NonConvergenceError, match="step size"):
+            integrate_residual(s0, [1.0])
+
+    @pytest.mark.parametrize("c0", [0.3, -0.5, 0.9])
+    def test_layernorm_correlation_is_the_plain_correlation(self, c0):
+        # both flows give c' = f(c) - c for the correlation c = q_ab / q_diag
+        times = [1.0, 5.0, 20.0]
+        plain = integrate_residual(
+            OdeKernelState(0.0, 1.0, c0, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU), times
+        )
+        normed = integrate_residual(
+            OdeKernelState(0.0, 1.0, c0, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU_LAYERNORM), times
+        )
+        for a, b in zip(plain, normed):
+            assert a.q_ab / a.q_diag == pytest.approx(b.q_ab, abs=1e-10)
 
 
 class TestCnnInit:

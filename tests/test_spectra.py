@@ -143,6 +143,10 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(1, 1.0), (2, 0.5), (3, -0.25), (4, 0.1)], "log_linear")
 
+    def test_power_law_needs_positive_depths(self):
+        with pytest.raises(ValueError, match="positive depths"):
+            fit_rate([(0, 1.0), (1, 0.5), (2, 0.25), (3, 0.1)], "power_law")
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit_rate([(1, 1.0)] * 5, "spline")
