@@ -8,12 +8,15 @@ depth trajectory is the generalization metric (``predictor_decay`` in
 the infinite-time limit.
 
 The Cholesky solves and the singular-kernel eigenvalue fallback go through
-``scipy.linalg``, as ``spectra.spectrum`` does: numpy and scipy each link
-their own OpenBLAS, and keeping the sweep's dense factorizations in one
-library keeps them on one BLAS thread pool instead of two that contend for
-the cores.  ``dynamics`` stays on ``numpy.linalg.eigh``: scipy's ``evd``
-driver returns eigenvectors that differ in the last bits, which moves the
-precision-limited deep-depth training traces.
+``scipy.linalg``, as ``spectra.spectrum`` does.  scipy's threaded Cholesky
+rounds differently with the BLAS thread count, so the sweep,
+``kappa_trajectory`` and ``predictor_decay`` call these functions with
+every loaded OpenBLAS at one thread (``sweep._one_blas_thread``; Linux and
+OpenBLAS only), and their predictor norms read the same on any host; a
+direct call runs at the library's own thread count.  ``dynamics`` stays on
+``numpy.linalg.eigh``: scipy's ``evd`` driver returns eigenvectors that
+differ in the last bits, which moves the precision-limited deep-depth
+training traces.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ offset 0, and a kernel may carry offset 0 alone.  Pooling and
 The state is C-contiguous, so ``apply_A`` adds each shifted neighbour as
 one contiguous add over the flat buffer and then redoes only the columns
 that wrap around a row.  ``step_cnn`` checks the covariance domain once on
-the whole state and then runs tile by tile, each tile a run of whole sample
-pairs of about ``_TILE_ENTRIES`` entries, so every pass stays in cache.
+the whole state and then maps it tile by tile without checking again, each
+tile a run of whole sample pairs of about ``_TILE_ENTRIES`` entries, so
+every pass stays in cache.
 Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
@@ -45,7 +46,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .activations import ActivationKernel, _relu_t, _relu_tdot
+from .activations import ActivationKernel, _CheckedKernel, _relu_t, _relu_tdot
 from .errors import DiagonalDriftError, NonConvergenceError, WindowError, ZeroRowError
 from .phase import Hyperparams
 
@@ -75,6 +76,7 @@ __all__ = [
 ]
 
 _DIAG_DRIFT_TOL = 1e-8
+_FLOW_BOUND = 1e300  # plain-flow diagonal cap: the solver's sums need headroom below 1.8e308
 _TILE_ENTRIES = 2**16  # kernel entries per step_cnn tile: a few passes fit in L2
 
 
@@ -316,6 +318,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
     """
     q = k._check_domain(ck.nngp)  # one check, so an error quotes the global maximum
+    tile_maps = _CheckedKernel(k.activation, k.qstar, k.backend, k.nodes)
     hw = ck.filter_halfwidth
     nngp = np.empty_like(q)
     ntk = np.empty_like(q)
@@ -323,7 +326,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     drifts = []
     for s in _pair_tiles(q.shape[0], q[0].size):
         tile_nngp, tile_ntk = nngp[s], ntk[s]
-        apply_A(k.t_map(q[s]), hw, out=tile_nngp)
+        apply_A(tile_maps.t_map(q[s]), hw, out=tile_nngp)
         tile_nngp *= h.sigma_w2
         tile_nngp += h.sigma_b2
         lo, hi = np.searchsorted(diag, [s.start, s.stop])
@@ -331,7 +334,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
             pixel_diag = (diag[lo:hi] - s.start, 0)  # offset 0 of (i, i): the pixel variances
             drifts.append(np.max(np.abs(tile_nngp[pixel_diag] - k.qstar)))
             tile_nngp[pixel_diag] = k.qstar
-        td = k.t_dot(q[s])
+        td = tile_maps.t_dot(q[s])
         td *= h.sigma_w2
         td *= ck.ntk[s]
         apply_A(td, hw, out=tile_ntk)
@@ -436,14 +439,13 @@ def integrate_residual(s0: OdeKernelState, times: Sequence[float]) -> List[OdeKe
     read from its dense output; each state's ``t`` is its requested time
     exactly.  ``times`` must be finite, nonempty, at or after ``s0.t`` and
     strictly increasing, or ``ValueError`` is raised; a solver failure
-    raises ``NonConvergenceError``.  The layer-norm variant holds a unit
-    diagonal: its diagonal derivative ``-q + q`` is exactly 0.0, so the
-    solver never moves ``q_diag``, and a start state more than 1e-6 off it
-    is rejected with ``ValueError``.
+    raises ``NonConvergenceError``, and so does, before any integration, a
+    plain flow whose diagonal would pass 1e300 by ``times[-1]`` (in closed
+    form q = q0 e^dt and p = (p0 + q0 dt) e^dt).  The layer-norm variant
+    holds a unit diagonal: its diagonal derivative ``-q + q`` is exactly
+    0.0, so the solver never moves ``q_diag``, and a start state more than
+    1e-6 off it is rejected with ``ValueError``.
     """
-    # scipy.integrate pulls in scipy.optimize (~16 MB RSS, ~0.3 s), which the CLI never needs
-    from scipy.integrate import solve_ivp
-
     variant = ResidualVariant(s0.variant)
     if variant is ResidualVariant.RESIDUAL_RELU_LAYERNORM and abs(s0.q_diag - 1.0) > 1e-6:
         raise ValueError(f"the layer-norm flow needs a unit diagonal, got q_diag={s0.q_diag!r}")
@@ -453,6 +455,16 @@ def integrate_residual(s0: OdeKernelState, times: Sequence[float]) -> List[OdeKe
         raise ValueError(
             f"times must be finite, nonempty, at least t={s0.t} and strictly increasing: {times}"
         )
+    if variant is ResidualVariant.RESIDUAL_RELU:
+        dt = times[-1] - s0.t
+        peak = max(abs(s0.q_diag), abs(s0.p_diag + s0.q_diag * dt))  # the diagonal over e^dt
+        if peak > 0.0 and math.log(peak) + dt > math.log(_FLOW_BOUND):
+            raise NonConvergenceError(
+                f"the plain flow's diagonal passes {_FLOW_BOUND:g} before t={times[-1]}"
+            )
+    # scipy.integrate pulls in scipy.optimize (~16 MB RSS, ~0.3 s), which the CLI never needs
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, y: _residual_rhs(y, variant),
         (s0.t, times[-1]),

@@ -5,12 +5,11 @@ the one kernel-trajectory pipeline in ``ntkphase.sweep``.
 
 Eigenvalues come from ``scipy.linalg.eigvalsh`` with the ``evd`` driver:
 the same LAPACK ``syevd`` on the same lower triangle as
-``numpy.linalg.eigvalsh``, so the values are identical.  numpy and scipy
-each link their own OpenBLAS with its own worker threads; the predictor's
-Cholesky solves already run through scipy, so computing spectra there too
-keeps the sweep's dense factorizations on one thread pool instead of two
-that contend for the cores (on a 2-vCPU host, alternating the two libraries
-made each 128 x 128 eigensolve about ten times slower than back to back).
+``numpy.linalg.eigvalsh``, so the values are identical.  The sweep calls
+it with every loaded OpenBLAS (numpy and scipy each link their own) at one
+thread, see ``sweep._one_blas_thread``: idle workers of a threaded BLAS
+spin on the other cores after each 128 x 128 eigensolve, and one thread
+gives the same bits on any host.
 ``check_finite=False`` keeps numpy's outcome on a non-finite kernel (NaN
 eigenvalues, or ``LinAlgError`` where LAPACK cannot converge) instead of
 scipy's finite-input ``ValueError``.

@@ -10,9 +10,13 @@ A sweep evaluates every (sigma_w2, sigma_b2) grid point independently:
 phase analysis, kernel trajectories over the requested depths, spectrum
 summaries with their asymptotic predictions, predictor-decay series and
 training-dynamics traces.  Points run in grid order on the calling thread
-(a worker pool was no faster on any activation), and all randomness is
-Philox-counter based, so a fixed config and seed produce byte-identical
-outputs.
+(a worker pool was no faster on any activation), all randomness is
+Philox-counter based, and the kernel tables, ``kappa_trajectory`` and
+``predictor_decay`` do their dense algebra with every loaded OpenBLAS at
+one thread (``_one_blas_thread``), so a fixed config and seed produce
+byte-identical outputs on any number of cores.  The pin needs Linux and
+OpenBLAS; elsewhere a threaded BLAS may round the solves differently from
+host to host.  A phase-only run does no dense algebra and never pins.
 
 CSV files (RFC 4180, CRLF, 17 significant digits) are the primary format;
 JSON files mirror the same tables and validate against the shipped schema
@@ -25,11 +29,16 @@ which the CLI also derives its flags.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import enum
+import functools
+import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -231,6 +240,62 @@ def _dataset(cfg: SweepConfig) -> Tuple[np.ndarray, np.ndarray]:
     return X, center_labels(_balanced_labels(cfg.m))
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of every OpenBLAS this process has loaded.
+
+    On Linux these libraries are the files named ``*openblas*`` among the
+    process's mappings (``/proc/self/maps``), opened again with
+    ``RTLD_NOLOAD``, which never loads a library.  Each exports
+    ``{openblas,scipy_openblas}_{get,set}_num_threads``, with a ``64_``
+    suffix in a 64-bit-integer build.  Elsewhere, or with a BLAS other than
+    OpenBLAS, the tuple is empty.  Looked up once per process.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}  # the path comes last
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # unmapped since, or not a shared library
+            continue
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then restore each count.
+
+    numpy and scipy each link their own OpenBLAS.  A 128 x 128 eigensolve
+    or Cholesky solve wakes both libraries' worker threads, which then spin
+    while idle (a 2-core dense sweep burned about twice its wall time in
+    CPU), and scipy's threaded Cholesky rounds differently with the thread
+    count.  On one thread the kernel tables cost one core and read the same
+    on any host.  The counts are process-wide and restored also when the
+    block raises; with no OpenBLAS found this changes nothing.
+    """
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, counts):
+            put(count)
+
+
 def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:
     return Hyperparams(
         sigma_w2=sw2,
@@ -273,6 +338,7 @@ def _trajectory(
     return pairs
 
 
+@_one_blas_thread()
 def kappa_trajectory(
     h: Hyperparams,
     X: np.ndarray,
@@ -292,6 +358,7 @@ def kappa_trajectory(
     }
 
 
+@_one_blas_thread()
 def predictor_decay(
     h: Hyperparams,
     X_train: np.ndarray,
@@ -372,6 +439,8 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                 if SweepOutput.KAPPA in rows:
                     pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
                     resid = summ.kappa - pred
+                    if math.isnan(resid):  # inf - inf (sigma_w2 = 0) has no value: an empty cell
+                        resid = None
                     rows[SweepOutput.KAPPA].append(
                         [sw2, sb2, kp.depth, kind, summ.lambda_max, summ.lambda_bulk,
                          summ.lambda_min, summ.kappa, summ.kappa_bulk, pred, resid, None]
@@ -430,10 +499,11 @@ def run_sweep(cfg: SweepConfig, out_dir, *, formats: Sequence[str] = ("csv",)) -
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg) if set(cfg.outputs) - {SweepOutput.PHASE_DIAGRAM} else None
     tables: Dict[SweepOutput, List[list]] = {out: [] for out in cfg.outputs}
-    for sb2 in cfg.sigma_b2_grid:
-        for sw2 in cfg.sigma_w2_grid:
-            for out, rows in _point_rows(cfg, data, sw2, sb2).items():
-                tables[out].extend(rows)
+    with _one_blas_thread() if data is not None else contextlib.nullcontext():
+        for sb2 in cfg.sigma_b2_grid:
+            for sw2 in cfg.sigma_w2_grid:
+                for out, rows in _point_rows(cfg, data, sw2, sb2).items():
+                    tables[out].extend(rows)
     if SweepOutput.PHASE_DIAGRAM in tables:
         tables[SweepOutput.PHASE_DIAGRAM].extend(_transition_rows(cfg))
     n_errors = sum(row[-1] is not None for rows in tables.values() for row in rows)

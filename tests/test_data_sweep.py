@@ -333,6 +333,133 @@ class TestSinglePipeline:
         ]
 
 
+class TestOneBlasThread:
+    """The kernel path runs with every loaded OpenBLAS at one thread; a phase-only run never looks."""
+
+    @staticmethod
+    def fake_controls(monkeypatch, counts):
+        """One stand-in library per entry of ``counts``, whose thread count lives there."""
+        import ntkphase.sweep as sweep
+
+        def control(i):
+            def put(n):
+                counts[i] = n
+
+            return (lambda: counts[i]), put
+
+        monkeypatch.setattr(sweep, "_openblas_thread_controls",
+                            lambda: tuple(control(i) for i in range(len(counts))))
+
+    def test_every_openblas_reports_one_thread_inside_the_kernel_path(self, tmp_path,
+                                                                       monkeypatch):
+        import ntkphase.sweep as sweep
+
+        controls = sweep._openblas_thread_controls()
+        if not controls:
+            pytest.skip("this process has loaded no OpenBLAS")
+        seen = []
+        for name in ("spectrum", "mean_predict", "dynamics"):
+            def recording(*args, _original=getattr(sweep, name), **kwargs):
+                seen.append([get() for get, _ in controls])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sweep, name, recording)
+        before = [get() for get, _ in controls]
+        assert run_sweep(SweepConfig(**SMALL), tmp_path).n_point_errors == 0
+        h = Hyperparams(1.0, 0.5, "erf")
+        X = normals(1, (6, 8))
+        kappa_trajectory(h, X[:4], (1, 2))
+        predictor_decay(h, X[:4], X[4:], [[1.0], [-1.0], [1.0], [-1.0]], (1, 2))
+        assert len(seen) > 3 and seen == [[1] * len(controls)] * len(seen)
+        assert [get() for get, _ in controls] == before
+
+    def test_counts_are_restored_after_a_return_and_after_an_exception(self, monkeypatch):
+        import ntkphase.sweep as sweep
+
+        counts = [2, 3]
+        self.fake_controls(monkeypatch, counts)
+        with sweep._one_blas_thread():
+            assert counts == [1, 1]
+        assert counts == [2, 3]
+        with pytest.raises(KeyError):
+            with sweep._one_blas_thread():
+                assert counts == [1, 1]
+                raise KeyError("boom")
+        assert counts == [2, 3]
+
+    def test_real_libraries_are_restored_after_an_exception(self):
+        import ntkphase.sweep as sweep
+
+        controls = sweep._openblas_thread_controls()
+        original = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)
+            with pytest.raises(KeyError):
+                with sweep._one_blas_thread():
+                    assert [get() for get, _ in controls] == [1] * len(controls)
+                    raise KeyError("boom")
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, put), n in zip(controls, original):
+                put(n)
+
+    def test_no_library_found_changes_nothing(self, tmp_path, monkeypatch):
+        expected = file_hashes(run_sweep(SweepConfig(**SMALL), tmp_path / "a").paths)
+        self.fake_controls(monkeypatch, [])
+        assert file_hashes(run_sweep(SweepConfig(**SMALL), tmp_path / "b").paths) == expected
+
+    def test_lookup_finds_nothing_without_proc_maps(self, monkeypatch):
+        import ntkphase.sweep as sweep
+
+        def no_maps(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(sweep, "open", no_maps, raising=False)
+        assert sweep._openblas_thread_controls.__wrapped__() == ()
+
+    def test_lookup_skips_a_mapped_file_that_is_not_loaded(self, tmp_path, monkeypatch):
+        import io
+
+        import ntkphase.sweep as sweep
+
+        stray = tmp_path / "libopenblas_stray.so"
+        stray.write_bytes(b"not a shared library")
+        maps = (f"7f0000000000-7f0000001000 r--p 00000000 00:00 1 {stray}\n"
+                "7f0000001000-7f0000002000 rw-p 00000000 00:00 0\n")
+        monkeypatch.setattr(sweep, "open", lambda path: io.StringIO(maps), raising=False)
+        assert sweep._openblas_thread_controls.__wrapped__() == ()
+
+    def test_a_phase_only_run_does_no_lookup(self, tmp_path, monkeypatch):
+        import ntkphase.sweep as sweep
+
+        def no_lookup():
+            raise AssertionError("looked up the BLAS libraries")
+
+        monkeypatch.setattr(sweep, "_openblas_thread_controls", no_lookup)
+        cfg = SweepConfig(sigma_w2_grid=(1.0, 4.0), outputs=(SweepOutput.PHASE_DIAGRAM,))
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+
+    def test_predictor_decay_is_independent_of_the_blas_thread_count(self, tmp_path):
+        # scipy's threaded Cholesky rounds with the thread count, so at m = 128 an
+        # unpinned run on two or more cores moves these rows; a fresh
+        # interpreter per leg, since OpenBLAS reads its variables at load
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for leg, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            argv = ["decay", "--sigma-w2-grid", "1.5", "--sigma-b2-grid", "0.05",
+                    "--depths", "1,2", "--m", "128", "--seed", "1", "--out", str(tmp_path / leg)]
+            proc = subprocess.run([sys.executable, "-m", "ntkphase.cli", *argv],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((tmp_path / leg / "predictor_decay.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestDynamicsStepSize:
     @pytest.mark.parametrize(
         "outputs",
@@ -446,6 +573,8 @@ class TestCli:
         with open(tmp_path / "kappa.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["kappa_pred"] == "inf" and r["error"] == "" for r in rows)
+        # the measured kappa is inf too, and inf - inf is no residual: the cell stays empty
+        assert all(r["kappa"] == "inf" and r["kappa_residual"] == "" for r in rows)
 
     def test_phase_diagram_does_not_import_scipy_optimize(self, tmp_path):
         # importing scipy.optimize (which scipy.integrate imports) adds ~16 MB to

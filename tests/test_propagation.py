@@ -552,6 +552,22 @@ class TestTiledStepCnn:
         with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
             step_cnn(replace(ck, nngp=nngp), h, k)
 
+    def test_domain_is_checked_once_per_step(self, monkeypatch):
+        # the tiles map the already-checked state without another min/max pass each
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
+        h, k, ck = self.state("erf", "cnn_p")
+        assert len(propagation._pair_tiles(ck.nngp.shape[0], ck.nngp[0].size)) == 15
+        calls = []
+        check = ActivationKernel._check_domain
+
+        def counted(self, q, strict=False):
+            calls.append(np.size(q))
+            return check(self, q, strict)
+
+        monkeypatch.setattr(ActivationKernel, "_check_domain", counted)
+        step_cnn(ck, h, k)
+        assert calls == [ck.nngp.size]
+
     def test_drift_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
         h, k, ck = self.state("erf", "cnn_p")
@@ -742,6 +758,19 @@ class TestResidualFlows:
         s0 = OdeKernelState(0.0, 1.0, 0.3, 0.0, 0.0, ResidualVariant.RESIDUAL_RELU)
         with pytest.raises(NonConvergenceError, match="step size"):
             integrate_residual(s0, [1.0])
+
+    def test_plain_flow_past_the_float_range_raises_before_integrating(self, monkeypatch):
+        # (p0 + q0 t) e^t passes 1e300 near t = 684; integrated to t = 700, the
+        # solver's own sums overflow and numpy warns instead of a typed error
+        import scipy.integrate
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", unreachable)
+        s0 = OdeKernelState(0.0, 1.0, 0.5, 1.0, 0.5, ResidualVariant.RESIDUAL_RELU)
+        with pytest.raises(NonConvergenceError, match="passes 1e\\+300 before t=700"):
+            integrate_residual(s0, [700.0])
 
     @pytest.mark.parametrize("c0", [0.3, -0.5, 0.9])
     def test_layernorm_correlation_is_the_plain_correlation(self, c0):
