@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf as _erf
+from numpy.fft import rfft
 
 from .errors import CovarianceDomainError
 
@@ -83,6 +83,13 @@ def _check_rule(backend: str, nodes: int) -> None:
         raise ValueError(f"unknown backend {backend!r}")
     if not 2 <= nodes <= _MAX_NODES:
         raise ValueError(f"{nodes} quadrature nodes; need between 2 and {_MAX_NODES}")
+
+
+def _erf(z):
+    # importing scipy.special takes ~0.3 s; only the quadrature backend reads erf
+    from scipy.special import erf
+
+    return erf(z)
 
 
 def _norm_pdf(z):
@@ -231,7 +238,7 @@ def _quad_relu_tdot(qstar, q, nodes):
 # theorem: the order-n map is E[phi^(n)(u) phi^(n)(v)])
 _PHI = {
     Activation.ERF: (
-        lambda z: _erf(z),
+        _erf,
         lambda z: (2.0 / _SQRT_PI) * np.exp(-z * z),
         lambda z: (-4.0 / _SQRT_PI) * z * np.exp(-z * z),
     ),
@@ -308,7 +315,7 @@ def _tanh_table(qstar, order):
     f = np.array([_edge(phi, qstar, "closed", 0)] + [sample(j, n) for j in range(1, n // 2 + 1)])
     while True:
         full = np.concatenate([f, (-1.0 if odd else 1.0) * f[-2::-1]])  # c from 1 to -1
-        coef = np.fft.rfft(np.concatenate([full, full[-2:0:-1]])).real / n  # DCT-I
+        coef = rfft(np.concatenate([full, full[-2:0:-1]])).real / n  # DCT-I
         coef[0] /= 2.0
         coef[-1] /= 2.0
         coef = coef[int(odd) :: 2]

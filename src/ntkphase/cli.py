@@ -25,6 +25,10 @@ from dataclasses import fields
 
 from .sweep import SweepConfig, SweepOutput, run_sweep
 
+# argparse translates its messages through gettext, which imports locale at the
+# first one; importing it here counts it in start-up, not in the run
+__import__("locale")
+
 _SUBCOMMAND_OUTPUTS = {
     "sweep": None,  # use the config's outputs
     "phase-diagram": (SweepOutput.PHASE_DIAGRAM,),

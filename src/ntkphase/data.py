@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = ["DataGenerator", "SyntheticDataset", "normals", "center_labels", "generate_data",
            "shift_register_inputs"]
@@ -32,7 +33,7 @@ class SyntheticDataset:
 def normals(seed: int, shape, stream: int = 0) -> np.ndarray:
     """Standard normals from Philox counters via Box-Muller."""
     n = int(np.prod(shape, dtype=np.int64))
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream)))
+    gen = Generator(Philox(key=np.uint64(seed) ^ np.uint64(stream)))
     u = gen.random((n, 2))
     u1 = 1.0 - u[:, 0]  # map [0,1) to (0,1] so the log is finite
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u[:, 1])

@@ -7,16 +7,14 @@ depth trajectory is the generalization metric (``predictor_decay`` in
 ``ntkphase.sweep``), and the gradient-flow dynamics below reproduce it in
 the infinite-time limit.
 
-The Cholesky solves and the singular-kernel eigenvalue fallback go through
-``scipy.linalg``, as ``spectra.spectrum`` does.  scipy's threaded Cholesky
-rounds differently with the BLAS thread count, so the sweep,
+Every factorization and eigensolve is numpy's (``numpy.linalg``), so a
+run loads one LAPACK.  numpy has no triangular solve; ``_cho_solve``
+substitutes through the Cholesky factor block by block.  A threaded
+Cholesky rounds differently with the BLAS thread count, so the sweep,
 ``kappa_trajectory`` and ``predictor_decay`` call these functions with
-every loaded OpenBLAS at one thread (``sweep._one_blas_thread``; Linux and
+numpy's OpenBLAS at one thread (``sweep._one_blas_thread``; Linux and
 OpenBLAS only), and their predictor norms read the same on any host; a
-direct call runs at the library's own thread count.  ``dynamics`` stays on
-``numpy.linalg.eigh``: scipy's ``evd`` driver returns eigenvectors that
-differ in the last bits, which moves the precision-limited deep-depth
-training traces.
+direct call runs at the library's own thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 from .data import center_labels
 from .errors import IllConditionedError, SingularKernelError
@@ -64,21 +61,52 @@ class RegressionTask:
             raise ValueError("ridge strength must be nonnegative")
 
 
+# numpy's lower Cholesky factor, a module global so that perfbench's layer
+# tracer counts one call per factorization attempt
+cho_factor = np.linalg.cholesky
+_SOLVE_BLOCK = 32  # rows per diagonal block of the substitution in _cho_solve
+
+
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve L L^T X = B for lower-triangular L, forward then backward.
+
+    numpy has no triangular solve, and an LU solve with all of L would
+    factor L again in each direction.  So the substitution runs by blocks
+    of ``_SOLVE_BLOCK`` rows: an LU solve with each diagonal block, matrix
+    products for the rest.
+    """
+    X = np.array(B, dtype=float)
+    starts = range(0, L.shape[0], _SOLVE_BLOCK)
+    for s in starts:  # L W = B
+        e = s + _SOLVE_BLOCK
+        X[s:e] = np.linalg.solve(L[s:e, s:e], X[s:e] - L[s:e, :s] @ X[:s])
+    for s in reversed(starts):  # L^T X = W
+        e = s + _SOLVE_BLOCK
+        X[s:e] = np.linalg.solve(L[s:e, s:e].T, X[s:e] - L[e:, s:e].T @ X[e:])
+    return X
+
+
 def _spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    Falls back once to a trace-scaled jitter ridge; if that still fails the
-    kernel is reported singular together with its smallest eigenvalue.
+    The factorization is the positive-definiteness test: it falls back once
+    to a trace-scaled jitter ridge, and if that still fails the kernel is
+    reported singular together with its smallest eigenvalue.  A NaN or inf
+    in A or B raises ``ValueError``, since numpy's Cholesky would pass it
+    through into the solution.
     """
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("a NaN or inf in the kernel or the right-hand side")
     try:
-        return cho_solve(cho_factor(A, lower=True), B)
+        L = cho_factor(A)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * np.trace(A) / A.shape[0]
         try:
-            return cho_solve(cho_factor(A + jitter * np.eye(A.shape[0]), lower=True), B)
+            L = cho_factor(A + jitter * np.eye(A.shape[0]))
         except np.linalg.LinAlgError:
-            min_eig = float(eigvalsh(0.5 * (A + A.T), driver="evd", check_finite=False)[0])
+            min_eig = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
             raise SingularKernelError("train-train kernel is not positive definite", min_eig)
+    return _cho_solve(L, B)
 
 
 def mean_predict(task: RegressionTask) -> np.ndarray:

@@ -3,16 +3,12 @@
 Depth trajectories of these summaries (``kappa_trajectory``) are built by
 the one kernel-trajectory pipeline in ``ntkphase.sweep``.
 
-Eigenvalues come from ``scipy.linalg.eigvalsh`` with the ``evd`` driver:
-the same LAPACK ``syevd`` on the same lower triangle as
-``numpy.linalg.eigvalsh``, so the values are identical.  The sweep calls
-it with every loaded OpenBLAS (numpy and scipy each link their own) at one
-thread, see ``sweep._one_blas_thread``: idle workers of a threaded BLAS
-spin on the other cores after each 128 x 128 eigensolve, and one thread
-gives the same bits on any host.
-``check_finite=False`` keeps numpy's outcome on a non-finite kernel (NaN
-eigenvalues, or ``LinAlgError`` where LAPACK cannot converge) instead of
-scipy's finite-input ``ValueError``.
+Eigenvalues come from ``numpy.linalg.eigvalsh`` (LAPACK ``syevd`` on the
+lower triangle).  A non-finite kernel gives NaN eigenvalues, or
+``LinAlgError`` where LAPACK cannot converge.  The sweep calls it with
+numpy's OpenBLAS at one thread, see ``sweep._one_blas_thread``: idle
+workers of a threaded BLAS spin on the other cores after each 128 x 128
+eigensolve, and one thread gives the same bits on any host.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .errors import NtkPhaseError
 
@@ -64,7 +59,7 @@ def spectrum(M: np.ndarray, depth: int = 0) -> SpectrumSummary:
     asym = float(np.max(np.abs(M - M.T)))
     if asym > 1e-10 * scale:
         raise AsymmetryError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    eigs = eigvalsh(0.5 * (M + M.T), driver="evd", check_finite=False)[::-1]
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
     lam_max, lam_min = float(eigs[0]), float(eigs[-1])
     lam_bulk = float(eigs[1]) if eigs.size > 1 else lam_max
     kappa = lam_max / lam_min if lam_min > 0 else np.inf

@@ -277,13 +277,15 @@ def _openblas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Run the block with every loaded OpenBLAS at one thread, then restore each count.
 
-    numpy and scipy each link their own OpenBLAS.  A 128 x 128 eigensolve
-    or Cholesky solve wakes both libraries' worker threads, which then spin
-    while idle (a 2-core dense sweep burned about twice its wall time in
-    CPU), and scipy's threaded Cholesky rounds differently with the thread
-    count.  On one thread the kernel tables cost one core and read the same
-    on any host.  The counts are process-wide and restored also when the
-    block raises; with no OpenBLAS found this changes nothing.
+    A CLI run loads one OpenBLAS, numpy's; scipy links its own, which the
+    quadrature backend and the residual flows load.  A 128 x 128
+    eigensolve or Cholesky factorization wakes the library's worker
+    threads, which then spin while idle (a 2-core dense sweep burned about
+    twice its wall time in CPU), and a threaded Cholesky rounds differently
+    with the thread count.  On one thread the kernel tables cost one core
+    and read the same on any host.  The counts are process-wide and
+    restored also when the block raises; with no OpenBLAS found this
+    changes nothing.
     """
     controls = _openblas_thread_controls()
     counts = [get() for get, _ in controls]
@@ -312,6 +314,7 @@ def _trajectory(
     X: np.ndarray,
     depths: Sequence[int],
     filter_halfwidth: int,
+    samples: Optional[int] = None,
 ) -> List[KernelPair]:
     """Joint NNGP/NTK matrices of the raw inputs ``X`` at the requested depths.
 
@@ -322,15 +325,24 @@ def _trajectory(
     evolve independently and flatten reads only offset 0, so cnn_f
     propagates offset 0 alone.  The CNN state advances one requested depth
     at a time and is read out at once, so only one state is held.
+
+    ``samples`` keeps the first that many samples of the input-layer state
+    (all by default).  Every entry evolves on its own, so the kept entries
+    match those of the full run bit for bit; slicing ``X`` instead would
+    not, since a Gram of fewer rows may take another gemm path.
     """
     _check_depths(depths, 0)
     k = ActivationKernel(h.activation, qstar)
     if h.architecture is Architecture.FCN:
-        return propagate_fcn(init_kernels(normalize_inputs(X, qstar)), h, k, depths)
+        kp = init_kernels(normalize_inputs(X, qstar))
+        kp = KernelPair(kp.nngp[:samples, :samples], kp.ntk[:samples, :samples], 0)
+        return propagate_fcn(kp, h, k, depths)
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
     ck = init_cnn_kernels(normalize_inputs_cnn(X, qstar), filter_halfwidth)
-    if mode is ReadoutMode.FLATTEN:
-        ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
+    m = ck.m if samples is None else samples
+    keep = np.triu_indices(ck.m)[1] < m  # the pairs of the first m samples, in pair order
+    offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
+    ck = replace(ck, nngp=ck.nngp[keep, offsets], ntk=ck.ntk[keep, offsets], m=m)
     pairs = []
     for depth in depths:
         (ck,) = propagate_cnn(ck, h, k, [depth])
@@ -425,7 +437,10 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
 
     try:
         X, Y = data
-        pairs = _trajectory(h, rep.qstar, X, cfg.depths, cfg.filter_halfwidth)
+        # a table that reads test rows reads n; without one, only the m train samples propagate
+        reads_test = any("n" in _TABLES[out][1] for out in kernel_outputs)
+        pairs = _trajectory(h, rep.qstar, X, cfg.depths, cfg.filter_halfwidth,
+                            None if reads_test else cfg.m)
 
         m = cfg.m
         ntk_summ = None  # the last depth's NTK summary, reused for eta

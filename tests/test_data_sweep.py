@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ntkphase import (
+    ActivationKernel,
     DiagonalDriftError,
     Hyperparams,
     SingularKernelError,
@@ -333,6 +334,46 @@ class TestSinglePipeline:
         ]
 
 
+class TestTrainRowsOnly:
+    """A run whose tables read no test row propagates the m train samples alone."""
+
+    @pytest.mark.parametrize("architecture, entries_per_pair", [("fcn", 1), ("cnn_f", 4),
+                                                                ("cnn_p", 16)])
+    def test_kappa_only_run_maps_each_train_pair_once_per_step(self, tmp_path, monkeypatch,
+                                                               architecture, entries_per_pair):
+        m, depths = 4, (1, 3)
+        entries = {"t_map": 0, "t_dot": 0}
+        for name in entries:
+            def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+                if np.ndim(q_ab):  # the phase analysis maps scalars
+                    entries[_name] += np.size(q_ab)
+                return _map(self, q_ab)
+
+            monkeypatch.setattr(ActivationKernel, name, counted)
+        cfg = SweepConfig(architecture=architecture, sigma_w2_grid=(1.5,), depths=depths, m=m,
+                          outputs=(SweepOutput.KAPPA,),
+                          **({} if architecture == "fcn" else dict(spatial_size=4)))
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+        per_map = depths[-1] * m * (m + 1) // 2 * entries_per_pair
+        assert entries == {"t_map": per_map, "t_dot": per_map}
+
+    @pytest.mark.parametrize("activation", ["erf", "tanh"])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f", "cnn_p"])
+    def test_kappa_and_spectrum_bytes_match_a_run_that_reads_test_rows(self, tmp_path,
+                                                                       activation, architecture):
+        kw = dict(activation=activation, architecture=architecture, sigma_w2_grid=(1.0, 4.0),
+                  depths=(1, 2, 8), m=6,
+                  **({} if architecture == "fcn" else dict(spatial_size=4)))
+        tables = (SweepOutput.KAPPA, SweepOutput.SPECTRUM)
+        alone = run_sweep(SweepConfig(outputs=tables, **kw), tmp_path / "alone",
+                          formats=("csv", "json"))
+        joint = run_sweep(SweepConfig(outputs=tables + (SweepOutput.PREDICTOR_DECAY,), **kw),
+                          tmp_path / "joint", formats=("csv", "json"))
+        expected = {name: digest for name, digest in file_hashes(joint.paths).items()
+                    if not name.startswith("predictor_decay")}
+        assert file_hashes(alone.paths) == expected and len(expected) == 4
+
+
 class TestOneBlasThread:
     """The kernel path runs with every loaded OpenBLAS at one thread; a phase-only run never looks."""
 
@@ -576,25 +617,28 @@ class TestCli:
         # the measured kappa is inf too, and inf - inf is no residual: the cell stays empty
         assert all(r["kappa"] == "inf" and r["kappa_residual"] == "" for r in rows)
 
-    def test_phase_diagram_does_not_import_scipy_optimize(self, tmp_path):
-        # importing scipy.optimize (which scipy.integrate imports) adds ~16 MB to
-        # the CLI's peak resident set; a fresh process is needed because this
-        # module imports it itself
-        code = (
+    def test_cli_imports_no_scipy_and_its_runs_import_nothing(self, tmp_path, run_python):
+        # scipy.special and scipy.linalg cost ~0.35 s of start-up and a second
+        # OpenBLAS, and a module that a run imports lands in its sweep time
+        runs = [
+            (["phase-diagram", "--activation", "relu", "--sigma-w2-grid", "0.5,1.9",
+              "--sigma-b2-grid", "0.5"], 2),  # the transition row at (2, 0.5) has no fixed point
+            (["sweep", "--activation", "tanh", "--architecture", "cnn_f",
+              "--sigma-w2-grid", "1.5", "--depths", "1,2", "--m", "4", "--n", "2",
+              "--spatial-size", "4", "--n-features", "4", "--outputs", "kappa,predictor_decay"], 0),
+            (["sweep", "--activation", "erf", "--sigma-w2-grid", "1.5", "--depths", "1,2",
+              "--m", "4", "--n", "2", "--outputs", ",".join(o.value for o in SweepOutput)], 0),
+        ]
+        run_python(
             "import sys\n"
             "from ntkphase.cli import main\n"
-            "rc = main(['phase-diagram', '--activation', 'erf', '--sigma-w2-grid', '1.0,4.0',\n"
-            f"           '--sigma-b2-grid', '0.05,0.5', '--out', {str(tmp_path)!r}])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n"
+            f"for i, (argv, code) in enumerate({runs!r}):\n"
+            "    before = set(sys.modules)\n"
+            f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == code, argv\n"
+            "    assert set(sys.modules) == before, (argv, sorted(set(sys.modules) - before))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     def test_config_error_exit_code(self, tmp_path):
         rc = cli_main(["sweep", "--m", "7", "--out", str(tmp_path)])

@@ -26,6 +26,7 @@ from ntkphase import (
     spectrum,
 )
 from ntkphase.data import normals
+from ntkphase.predictor import _spd_solve
 
 
 def adjugate_inverse(A):
@@ -100,16 +101,49 @@ class TestMeanPredict:
             mean_predict(RegressionTask(K_dd=K, K_td=np.ones((1, 2)), Y=Y))
         assert exc.value.min_eigenvalue == pytest.approx(-0.5)
 
-    def test_singular_fallback_does_not_call_numpy_eigensolver(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("numpy.linalg.eigvalsh called")
+    def test_singular_fallback_runs_without_scipy_linalg(self, run_python):
+        # the factorization and the eigenvalue fallback are numpy's, so a run loads one LAPACK
+        run_python(
+            "import sys\n"
+            "sys.modules['scipy.linalg'] = None  # importing it now raises ImportError\n"
+            "import numpy as np\n"
+            "from ntkphase import RegressionTask, SingularKernelError, mean_predict\n"
+            "task = RegressionTask(K_dd=np.diag([1.0, -0.5]), K_td=np.ones((1, 2)),\n"
+            "                      Y=np.array([[1.0], [-1.0]]))\n"
+            "try:\n"
+            "    mean_predict(task)\n"
+            "except SingularKernelError as exc:\n"
+            "    assert exc.min_eigenvalue == -0.5, exc.min_eigenvalue\n"
+            "else:\n"
+            "    raise AssertionError('no SingularKernelError')\n"
+        )
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        K = np.diag([1.0, -0.5])
-        Y = center_labels(np.array([[1.0], [-1.0]]))
-        with pytest.raises(SingularKernelError) as exc:
-            mean_predict(RegressionTask(K_dd=K, K_td=np.ones((1, 2)), Y=Y))
-        assert exc.value.min_eigenvalue == -0.5
+    @pytest.mark.parametrize("where, value", [
+        ("off-diagonal", math.nan), ("diagonal", math.nan), ("diagonal", math.inf),
+        ("label", math.nan),
+    ])
+    def test_non_finite_input_raises(self, where, value):
+        # numpy's Cholesky passes a NaN through to the prediction, and turns an
+        # inf diagonal into a finite one
+        task = random_task(5)
+        K, Y = task.K_dd.copy(), task.Y.copy()
+        if where == "label":
+            Y[0, 0] = value
+        else:
+            i, j = (0, 1) if where == "off-diagonal" else (1, 1)
+            K[i, j] = K[j, i] = value
+        with pytest.raises(ValueError, match="NaN or inf"):
+            mean_predict(RegressionTask(K_dd=K, K_td=task.K_td, Y=Y))
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 70, 128])
+    def test_block_substitution_matches_a_dense_solve(self, m):
+        # the substitution runs in blocks of 32 rows; sizes on and around the edges
+        X = normals(m, (m, m + 3))
+        A = X @ X.T / m + 0.1 * np.eye(m)
+        B = normals(m + 1, (m, 3))
+        ref = np.linalg.solve(A, B)
+        np.testing.assert_allclose(_spd_solve(A, B), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
 
     def test_uncentered_labels_rejected(self):
         with pytest.raises(ValueError):
