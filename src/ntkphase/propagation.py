@@ -31,6 +31,16 @@ Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
 
+``step_cnn`` is a pure function of its state; the depth walk behind
+``propagate_fcn`` and ``propagate_cnn`` reuses its maps.  The NNGP update
+reads only the NNGP, so once a step returns the NNGP bit for bit, every
+later step returns it again, the domain and drift checks see the same
+input, and T_dot at it is already known.  From there the walk computes
+``sigma_w2 * T_dot`` once and steps the NTK alone, ``nngp + A(sigma_w2 *
+T_dot * ntk)``, over the same tiles and in the same order as the full
+step: every state it yields holds the full steps' bits.  Each call
+detects the fixed point anew, after one full step.
+
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
 the closed-form depth laws (whose recursion starts from zero); see
@@ -193,20 +203,34 @@ def _check_depths(depths: Sequence[int], start: int) -> None:
         raise ValueError(f"depths must be at least {start} and strictly increasing: {list(depths)}")
 
 
-def _walk(state, step, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> Iterator:
-    """Apply ``step`` repeatedly, yielding the state at each requested depth."""
-    _check_depths(depths, state.depth)
+def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> Iterator:
+    """Step ``ck`` repeatedly, yielding the state at each requested depth.
+
+    Once a full ``step_cnn`` returns the NNGP bit for bit (``_nngp_fixed``),
+    every later step would too, so the walk caches ``sigma_w2 * T_dot`` at
+    it and advances the NTK alone (``_frozen_step``); every state it yields
+    holds the bits of the full steps.
+    """
+    _check_depths(depths, ck.depth)
+    wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
     for target in depths:
-        while state.depth < target:
-            state = step(state, h, k)
-        yield state
+        while ck.depth < target:
+            if wtd is None:
+                new = step_cnn(ck, h, k)
+                if _nngp_fixed(ck.nngp, new.nngp):
+                    wtd = k.t_dot(new.nngp)
+                    wtd *= h.sigma_w2  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
+                ck = new
+            else:
+                ck = _frozen_step(ck, wtd)
+        yield ck
 
 
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (strictly increasing) depths."""
-    states = _walk(_as_pairs(kp), step_cnn, h, k, depths)
+    states = _walk(_as_pairs(kp), h, k, depths)
     return [readout(ck, ReadoutMode.FLATTEN) for ck in states]  # one pair state held at a time
 
 
@@ -347,10 +371,30 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     return replace(ck, nngp=nngp, ntk=ntk, depth=ck.depth + 1)
 
 
+def _nngp_fixed(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether a step returned the NNGP bit for bit, so every later step returns it too."""
+    return np.array_equal(old, new)
+
+
+def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
+    """``step_cnn`` on a state whose NNGP is its own image, with ``wtd = sigma_w2 * T_dot(nngp)``.
+
+    The NNGP carries over; the NTK gets ``nngp + A(wtd * ntk)`` tile by tile
+    over the same tiles, so every entry sees the operations of the full step.
+    """
+    nngp = ck.nngp
+    ntk = np.empty_like(nngp)
+    for s in _pair_tiles(nngp.shape[0], nngp[0].size):
+        tile_ntk = ntk[s]
+        apply_A(wtd[s] * ck.ntk[s], ck.filter_halfwidth, out=tile_ntk)
+        tile_ntk += nngp[s]
+    return replace(ck, ntk=ntk, depth=ck.depth + 1)
+
+
 def propagate_cnn(
     ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[CnnKernel]:
-    return list(_walk(ck, step_cnn, h, k, depths))
+    return list(_walk(ck, h, k, depths))
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:

@@ -324,7 +324,12 @@ def _trajectory(
     mean-square ``qstar``, the solved variance fixed point.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
     propagates offset 0 alone.  The CNN state advances one requested depth
-    at a time and is read out at once, so only one state is held.
+    at a time and is read out at once, so only one state is held.  Past
+    the depth where a step returns the NNGP bit for bit, the propagation
+    reuses the maps (see ``ntkphase.propagation``) and the pairs keep the
+    full steps' bits; a CNN segment finds that depth again after one full
+    step, so the reuse costs at most one extra full step per requested
+    depth.
 
     ``samples`` keeps the first that many samples of the input-layer state
     (all by default).  Every entry evolves on its own, so the kept entries

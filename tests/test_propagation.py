@@ -17,6 +17,8 @@ from ntkphase import (
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
+    SweepConfig,
+    SweepOutput,
     WindowError,
     ZeroRowError,
     analyze,
@@ -35,6 +37,7 @@ from ntkphase import (
     propagate_cnn,
     propagate_fcn,
     readout,
+    run_sweep,
     step_cnn,
     step_fcn,
 )
@@ -56,6 +59,18 @@ def erf_setup(sw2, sb2):
     h = Hyperparams(sw2, sb2, "erf")
     rep = analyze(h)
     return h, rep, ActivationKernel(Activation.ERF, rep.qstar)
+
+
+def _count_map_entries(monkeypatch):
+    """Entries mapped by ``t_map`` and ``t_dot`` from now on, counted in the returned dict."""
+    entries = {"t_map": 0, "t_dot": 0}
+    for name in entries:
+        def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+            entries[_name] += np.size(q_ab)
+            return _map(self, q_ab)
+
+        monkeypatch.setattr(ActivationKernel, name, counted)
+    return entries
 
 
 class TestNormalizeAndInit:
@@ -162,13 +177,7 @@ class TestStepFcn:
         h, rep, k = erf_setup(1.7, 0.4)
         m = 5
         kp = init_kernels(normalize_inputs(normals(4, (m, 10)), rep.qstar))
-        entries = {"t_map": 0, "t_dot": 0}
-        for name in entries:
-            def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
-                entries[_name] += np.size(q_ab)
-                return _map(self, q_ab)
-
-            monkeypatch.setattr(ActivationKernel, name, counted)
+        entries = _count_map_entries(monkeypatch)
         step_fcn(kp, h, k)
         assert entries == {"t_map": m * (m + 1) // 2, "t_dot": m * (m + 1) // 2}
 
@@ -580,6 +589,88 @@ class TestTiledStepCnn:
         assert last > first > 1e-8
         with pytest.raises(DiagonalDriftError, match=f"drifted {last:.3e} from"):
             step_cnn(drifted, h, k)
+
+
+def _full_steps(ck, h, k, depth):
+    """The states at depths 0..depth of a plain ``step_cnn`` loop from ``ck`` at depth 0."""
+    states = [ck]
+    while states[-1].depth < depth:
+        states.append(step_cnn(states[-1], h, k))
+    return states
+
+
+def _freeze_depth(states):
+    """The first depth whose NNGP equals the one before it, bit for bit."""
+    return next(d for d in range(1, len(states)) if np.array_equal(states[d].nngp, states[d - 1].nngp))
+
+
+class TestFrozenWalk:
+    """Once a step returns the NNGP bit for bit, the walk steps the NTK alone."""
+
+    def test_no_map_runs_after_the_freeze(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4)  # 15 pairs in 4 tiles
+        h, rep, k = erf_setup(0.5, 0.05)
+        m = 5
+        pairs = m * (m + 1) // 2
+        kp0 = init_kernels(normalize_inputs(normals(4, (m, 10)), rep.qstar))
+        loop = _full_steps(propagation._as_pairs(kp0), h, k, 512)
+        freeze = _freeze_depth(loop)
+        assert 1 < freeze < 500
+        assert not np.array_equal(loop[freeze + 1].ntk, loop[freeze].ntk)  # the NTK still moves
+        entries = _count_map_entries(monkeypatch)
+        depths = [freeze - 1, freeze, freeze + 1, 512]
+        states = propagate_fcn(kp0, h, k, depths)
+        # full steps to the freeze, then one T_dot of the whole fixed NNGP
+        assert entries == {"t_map": freeze * pairs, "t_dot": (freeze + 1) * pairs}
+        for kp, depth in zip(states, depths):
+            ref = readout(loop[depth], ReadoutMode.FLATTEN)
+            assert kp.depth == depth
+            np.testing.assert_array_equal(kp.nngp, ref.nngp)
+            np.testing.assert_array_equal(kp.ntk, ref.ntk)
+
+    def test_frozen_pool_steps_match_full_steps_pair_by_pair(self, monkeypatch):
+        # every offset, window 3, one pair per tile; the chaotic fixed point holds
+        # q* on the pixel diagonal and a smaller covariance elsewhere, so a tile
+        # stepped with another tile's T_dot would show
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+        h = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+        k = ActivationKernel(Activation.ERF, analyze(h).qstar)
+        ck0 = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 4, 6, seed=1), k.qstar), 1)
+        loop = _full_steps(ck0, h, k, 200)
+        freeze = _freeze_depth(loop)
+        assert freeze < 190
+        assert np.ptp(loop[freeze].nngp) > 0.1 * k.qstar
+        depths = [freeze, freeze + 1, 200]
+        for ck, depth in zip(propagate_cnn(ck0, h, k, depths), depths):
+            assert ck.depth == depth
+            np.testing.assert_array_equal(ck.nngp, loop[depth].nngp)
+            np.testing.assert_array_equal(ck.ntk, loop[depth].ntk)
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
+    def test_forced_full_steps_write_the_same_bytes(
+        self, monkeypatch, tmp_path, activation, architecture
+    ):
+        cfg = SweepConfig(activation=activation, architecture=architecture,
+                          outputs=tuple(SweepOutput))
+        frozen_depths = []
+        frozen_step = propagation._frozen_step
+
+        def counted(ck, wtd):
+            frozen_depths.append(ck.depth)
+            return frozen_step(ck, wtd)
+
+        monkeypatch.setattr(propagation, "_frozen_step", counted)
+        frozen = run_sweep(cfg, tmp_path / "frozen", formats=("csv", "json"))
+        assert frozen_depths  # the default depths reach past the freeze
+        frozen_depths.clear()
+        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        full = run_sweep(cfg, tmp_path / "full", formats=("csv", "json"))
+        assert frozen_depths == []
+        assert frozen.n_point_errors == full.n_point_errors
+        assert [p.name for p in frozen.paths] == [p.name for p in full.paths]
+        for a, b in zip(frozen.paths, full.paths):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 class TestOffsetStorage:
