@@ -462,14 +462,3 @@ class ActivationKernel:
         """E[phi''(u) phi''(v)], the second derivative of t_map in q_ab."""
         return self._evaluate(2, q_ab)
 
-
-class _CheckedKernel(ActivationKernel):
-    """The maps of an ``ActivationKernel`` on arrays already checked and clipped.
-
-    ``step_cnn`` checks the whole state once, so an error quotes its global
-    maximum, and then maps it tile by tile through ``t_map`` and ``t_dot``
-    (the names a tracer wraps) without a second min/max pass per tile.
-    """
-
-    def _check_domain(self, q, strict: bool = False):
-        return q

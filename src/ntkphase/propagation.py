@@ -24,9 +24,11 @@ offset 0, and a kernel may carry offset 0 alone.  Pooling and
 The state is C-contiguous, so ``apply_A`` adds each shifted neighbour as
 one contiguous add over the flat buffer and then redoes only the columns
 that wrap around a row.  ``step_cnn`` checks the covariance domain once on
-the whole state and then maps it tile by tile without checking again, each
-tile a run of whole sample pairs of about ``_TILE_ENTRIES`` entries, so
-every pass stays in cache.
+the whole state, so an error quotes its global maximum and an overshoot is
+clipped once, and then maps the checked state tile by tile through the
+kernel's own ``t_map`` and ``t_dot``, whose check of an in-domain tile is
+one min/max pass.  Each tile is a run of whole sample pairs of about
+``_TILE_ENTRIES`` entries, so every pass stays in cache.
 Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
@@ -56,7 +58,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .activations import ActivationKernel, _CheckedKernel, _relu_t, _relu_tdot
+from .activations import ActivationKernel, _relu_t, _relu_tdot
 from .errors import DiagonalDriftError, NonConvergenceError, WindowError, ZeroRowError
 from .phase import Hyperparams
 
@@ -342,7 +344,6 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
     """
     q = k._check_domain(ck.nngp)  # one check, so an error quotes the global maximum
-    tile_maps = _CheckedKernel(k.activation, k.qstar, k.backend, k.nodes)
     hw = ck.filter_halfwidth
     nngp = np.empty_like(q)
     ntk = np.empty_like(q)
@@ -350,7 +351,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     drifts = []
     for s in _pair_tiles(q.shape[0], q[0].size):
         tile_nngp, tile_ntk = nngp[s], ntk[s]
-        apply_A(tile_maps.t_map(q[s]), hw, out=tile_nngp)
+        apply_A(k.t_map(q[s]), hw, out=tile_nngp)
         tile_nngp *= h.sigma_w2
         tile_nngp += h.sigma_b2
         lo, hi = np.searchsorted(diag, [s.start, s.stop])
@@ -358,7 +359,7 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
             pixel_diag = (diag[lo:hi] - s.start, 0)  # offset 0 of (i, i): the pixel variances
             drifts.append(np.max(np.abs(tile_nngp[pixel_diag] - k.qstar)))
             tile_nngp[pixel_diag] = k.qstar
-        td = tile_maps.t_dot(q[s])
+        td = k.t_dot(q[s])
         td *= h.sigma_w2
         td *= ck.ntk[s]
         apply_A(td, hw, out=tile_ntk)
@@ -372,8 +373,14 @@ def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
 
 
 def _nngp_fixed(old: np.ndarray, new: np.ndarray) -> bool:
-    """Whether a step returned the NNGP bit for bit, so every later step returns it too."""
-    return np.array_equal(old, new)
+    """Whether a step returned the NNGP bit for bit, so every later step returns it too.
+
+    ``np.array_equal`` of the two states, taken tile by tile over
+    ``_pair_tiles`` and stopping at the first unequal tile, so it builds no
+    temporary the size of the state.
+    """
+    tiles = _pair_tiles(old.shape[0], old[0].size)
+    return all(np.array_equal(old[s], new[s]) for s in tiles)
 
 
 def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:

@@ -448,14 +448,11 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
                             None if reads_test else cfg.m)
 
         m = cfg.m
-        ntk_summ = None  # the last depth's NTK summary, reused for eta
         for kp in pairs:
             for kind in ("ntk", "nngp"):
                 K = getattr(kp, kind)
                 if SweepOutput.KAPPA in rows or SweepOutput.SPECTRUM in rows:
                     summ = spectrum(K[:m, :m], kp.depth)
-                    if kind == "ntk":
-                        ntk_summ = summ
                 if SweepOutput.KAPPA in rows:
                     pred = predict_spectrum(rep, h, m, paper_layer(kp.depth), kind).kappa
                     resid = summ.kappa - pred
@@ -480,9 +477,7 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
 
         if SweepOutput.DYNAMICS_TRACE in rows:
             kp = pairs[-1]
-            if ntk_summ is None:
-                ntk_summ = spectrum(kp.ntk[:m, :m], kp.depth)
-            eta = 1.0 / ntk_summ.lambda_max
+            eta = 1.0 / spectrum(kp.ntk[:m, :m], kp.depth).lambda_max
             times = np.logspace(-2.0, 2.0, 9)
             trace = dynamics(_task(kp.ntk, m, Y), eta, times)
             for t, mu_tr, mu_te in zip(trace.times, trace.mu_train, trace.mu_test):

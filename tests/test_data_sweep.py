@@ -510,7 +510,7 @@ class TestDynamicsStepSize:
             (SweepOutput.DYNAMICS_TRACE,),
         ],
     )
-    def test_eta_reuses_the_last_ntk_summary(self, tmp_path, monkeypatch, outputs):
+    def test_eta_is_one_over_the_last_ntk_lambda_max(self, tmp_path, monkeypatch, outputs):
         import ntkphase.sweep as sweep
 
         calls = []
@@ -525,10 +525,8 @@ class TestDynamicsStepSize:
         cfg = SweepConfig(**{**SMALL, "depths": depths, "outputs": outputs})
         assert run_sweep(cfg, tmp_path).n_point_errors == 0
         points = len(cfg.sigma_w2_grid)
-        if len(outputs) == 1:
-            assert calls == [depths[-1]] * points
-        else:
-            assert calls == [d for d in depths for _kind in ("ntk", "nngp")] * points
+        tables = [] if len(outputs) == 1 else [d for d in depths for _kind in ("ntk", "nngp")]
+        assert calls == (tables + [depths[-1]]) * points  # eta's own solve at the last depth
 
         X, _ = sweep._dataset(cfg)
         rows = _read_rows(tmp_path / "dynamics.csv")

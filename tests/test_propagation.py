@@ -561,22 +561,6 @@ class TestTiledStepCnn:
         with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
             step_cnn(replace(ck, nngp=nngp), h, k)
 
-    def test_domain_is_checked_once_per_step(self, monkeypatch):
-        # the tiles map the already-checked state without another min/max pass each
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
-        h, k, ck = self.state("erf", "cnn_p")
-        assert len(propagation._pair_tiles(ck.nngp.shape[0], ck.nngp[0].size)) == 15
-        calls = []
-        check = ActivationKernel._check_domain
-
-        def counted(self, q, strict=False):
-            calls.append(np.size(q))
-            return check(self, q, strict)
-
-        monkeypatch.setattr(ActivationKernel, "_check_domain", counted)
-        step_cnn(ck, h, k)
-        assert calls == [ck.nngp.size]
-
     def test_drift_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
         h, k, ck = self.state("erf", "cnn_p")
@@ -606,6 +590,18 @@ def _freeze_depth(states):
 
 class TestFrozenWalk:
     """Once a step returns the NNGP bit for bit, the walk steps the NTK alone."""
+
+    @pytest.mark.parametrize("changed", [None, 0, -1])
+    def test_nngp_fixed_is_array_equal_over_every_tile(self, monkeypatch, changed):
+        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", ck.nngp[0].size)  # one pair per tile
+        assert len(propagation._pair_tiles(ck.nngp.shape[0], ck.nngp[0].size)) == 15
+        new = ck.nngp.copy()
+        if changed is not None:  # one entry of the first or the last pair, by one ulp
+            new[changed, 1, 2] = np.nextafter(new[changed, 1, 2], np.inf)
+        fixed = propagation._nngp_fixed(ck.nngp, new)
+        assert fixed is (changed is None)
+        assert fixed == np.array_equal(ck.nngp, new)
 
     def test_no_map_runs_after_the_freeze(self, monkeypatch):
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4)  # 15 pairs in 4 tiles
