@@ -20,10 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
-from .sweep import SweepConfig, SweepOutput, run_sweep
+# OpenBLAS reads its thread count once, when it loads: numpy's, loaded at one
+# thread, starts no worker to spin while idle (the sweep's algebra runs at one
+# thread anyway, see sweep._one_blas_thread)
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .sweep import SweepConfig, SweepOutput, run_sweep  # noqa: E402
 
 # argparse translates its messages through gettext, which imports locale at the
 # first one; importing it here counts it in start-up, not in the run

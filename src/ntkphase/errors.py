@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NtkPhaseError",
+    "CovarianceDomainError",
+    "NonConvergenceError",
+    "DegenerateFixedPointError",
+    "DiagonalDriftError",
+    "ZeroRowError",
+    "WindowError",
+    "SingularKernelError",
+    "IllConditionedError",
+]
+
 
 class NtkPhaseError(Exception):
     """Base class for all package-specific errors."""

@@ -14,7 +14,9 @@ Cholesky rounds differently with the BLAS thread count, so the sweep,
 ``kappa_trajectory`` and ``predictor_decay`` call these functions with
 numpy's OpenBLAS at one thread (``sweep._one_blas_thread``; Linux and
 OpenBLAS only), and their predictor norms read the same on any host; a
-direct call runs at the library's own thread count.
+direct call runs at the library's own thread count.  A CLI process loads
+numpy's OpenBLAS at one thread to begin with (``ntkphase.cli``); library
+callers rely on the pin.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ lower triangle).  A non-finite kernel gives NaN eigenvalues, or
 ``LinAlgError`` where LAPACK cannot converge.  The sweep calls it with
 numpy's OpenBLAS at one thread, see ``sweep._one_blas_thread``: idle
 workers of a threaded BLAS spin on the other cores after each 128 x 128
-eigensolve, and one thread gives the same bits on any host.
+eigensolve, and one thread gives the same bits on any host.  A CLI process
+loads that OpenBLAS at one thread to begin with; library callers rely on
+the pin.
 """
 
 from __future__ import annotations

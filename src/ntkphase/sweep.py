@@ -16,7 +16,11 @@ Philox-counter based, and the kernel tables, ``kappa_trajectory`` and
 one thread (``_one_blas_thread``), so a fixed config and seed produce
 byte-identical outputs on any number of cores.  The pin needs Linux and
 OpenBLAS; elsewhere a threaded BLAS may round the solves differently from
-host to host.  A phase-only run does no dense algebra and never pins.
+host to host.  A phase-only run does no dense algebra and never pins.  A
+CLI process loads numpy's OpenBLAS at one thread in the first place
+(``ntkphase.cli`` sets ``OPENBLAS_NUM_THREADS`` before numpy loads), so no
+idle worker spins there; a library caller loads numpy itself, and the pin
+is what makes its tables host-independent.
 
 CSV files (RFC 4180, CRLF, 17 significant digits) are the primary format;
 JSON files mirror the same tables and validate against the shipped schema
@@ -285,7 +289,10 @@ def _one_blas_thread():
     with the thread count.  On one thread the kernel tables cost one core
     and read the same on any host.  The counts are process-wide and
     restored also when the block raises; with no OpenBLAS found this
-    changes nothing.
+    changes nothing.  A CLI process has loaded numpy's OpenBLAS at one
+    thread already (``ntkphase.cli``), so there the pin changes no count
+    unless the environment asked for more; a library caller's numpy starts
+    at the host's count, and the pin is what it relies on.
     """
     controls = _openblas_thread_controls()
     counts = [get() for get, _ in controls]

@@ -5,9 +5,6 @@ import csv
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -481,24 +478,39 @@ class TestOneBlasThread:
         cfg = SweepConfig(sigma_w2_grid=(1.0, 4.0), outputs=(SweepOutput.PHASE_DIAGRAM,))
         assert run_sweep(cfg, tmp_path).n_point_errors == 0
 
-    def test_predictor_decay_is_independent_of_the_blas_thread_count(self, tmp_path):
-        # scipy's threaded Cholesky rounds with the thread count, so at m = 128 an
-        # unpinned run on two or more cores moves these rows; a fresh
-        # interpreter per leg, since OpenBLAS reads its variables at load
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    def test_predictor_decay_is_independent_of_the_blas_thread_count(self, tmp_path,
+                                                                     run_python):
+        # a threaded Cholesky rounds with the thread count, so at m = 128 an
+        # unpinned run on two or more cores moves these rows.  A fresh interpreter
+        # per leg, since OpenBLAS reads its thread count at load: numpy loaded
+        # first starts at the host's count, the CLI alone loads it at one thread
         outputs = []
-        for leg, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        for leg, preload in (("host", "import numpy\n"), ("one", "")):
             argv = ["decay", "--sigma-w2-grid", "1.5", "--sigma-b2-grid", "0.05",
                     "--depths", "1,2", "--m", "128", "--seed", "1", "--out", str(tmp_path / leg)]
-            proc = subprocess.run([sys.executable, "-m", "ntkphase.cli", *argv],
-                                  env={**env, **extra}, capture_output=True, text=True,
-                                  timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            run_python(f"{preload}from ntkphase.cli import main\nassert main({argv!r}) == 0\n")
             outputs.append((tmp_path / leg / "predictor_decay.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_the_cli_loads_numpy_at_one_thread(self, run_python):
+        # an idle OpenBLAS worker spins; at one thread the library starts none
+        run_python(
+            "import os\n"
+            "import ntkphase.cli\n"
+            "from ntkphase.sweep import _openblas_thread_controls\n"
+            "assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
+            "counts = [get() for get, _ in _openblas_thread_controls()]\n"
+            "assert counts == [1] * len(counts), counts\n"
+        )
+
+    def test_the_cli_leaves_the_environment_alone_once_numpy_is_loaded(self, run_python):
+        # the variable would pin nothing then, and a child process would inherit it
+        run_python(
+            "import os\n"
+            "import numpy\n"
+            "import ntkphase.cli\n"
+            "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+        )
 
 
 class TestDynamicsStepSize:
