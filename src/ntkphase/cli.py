@@ -26,11 +26,16 @@ from dataclasses import fields
 
 # OpenBLAS reads its thread count once, when it loads: numpy's, loaded at one
 # thread, starts no worker to spin while idle (the sweep's algebra runs at one
-# thread anyway, see sweep._one_blas_thread)
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# thread anyway, see sweep._one_blas_thread).  The variable is removed again
+# once numpy has loaded, so a process this one starts does not inherit it.
+_SET_BLAS_THREADS = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _SET_BLAS_THREADS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .sweep import SweepConfig, SweepOutput, run_sweep  # noqa: E402
+
+if _SET_BLAS_THREADS:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 # argparse translates its messages through gettext, which imports locale at the
 # first one; importing it here counts it in start-up, not in the run

@@ -40,8 +40,7 @@ later step returns it again, the domain and drift checks see the same
 input, and T_dot at it is already known.  From there the walk computes
 ``sigma_w2 * T_dot`` once and steps the NTK alone, ``nngp + A(sigma_w2 *
 T_dot * ntk)``, over the same tiles and in the same order as the full
-step: every state it yields holds the full steps' bits.  Each call
-detects the fixed point anew, after one full step.
+step: every state it yields holds the full steps' bits.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -213,7 +212,6 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
     it and advances the NTK alone (``_frozen_step``); every state it yields
     holds the bits of the full steps.
     """
-    _check_depths(depths, ck.depth)
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
     for target in depths:
         while ck.depth < target:
@@ -232,7 +230,7 @@ def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (strictly increasing) depths."""
-    states = _walk(_as_pairs(kp), h, k, depths)
+    states = propagate_cnn(_as_pairs(kp), h, k, depths)
     return [readout(ck, ReadoutMode.FLATTEN) for ck in states]  # one pair state held at a time
 
 
@@ -400,8 +398,10 @@ def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
 
 def propagate_cnn(
     ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
-) -> List[CnnKernel]:
-    return list(_walk(ck, h, k, depths))
+) -> Iterator[CnnKernel]:
+    """Yield the state at each requested depth as it is reached; depths are checked at the call."""
+    _check_depths(depths, ck.depth)
+    return _walk(ck, h, k, depths)
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:

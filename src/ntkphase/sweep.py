@@ -18,7 +18,7 @@ byte-identical outputs on any number of cores.  The pin needs Linux and
 OpenBLAS; elsewhere a threaded BLAS may round the solves differently from
 host to host.  A phase-only run does no dense algebra and never pins.  A
 CLI process loads numpy's OpenBLAS at one thread in the first place
-(``ntkphase.cli`` sets ``OPENBLAS_NUM_THREADS`` before numpy loads), so no
+(``ntkphase.cli`` sets ``OPENBLAS_NUM_THREADS`` while numpy loads), so no
 idle worker spins there; a library caller loads numpy itself, and the pin
 is what makes its tables host-independent.
 
@@ -330,22 +330,21 @@ def _trajectory(
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
     mean-square ``qstar``, the solved variance fixed point.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
-    propagates offset 0 alone.  The CNN state advances one requested depth
-    at a time and is read out at once, so only one state is held.  Past
-    the depth where a step returns the NNGP bit for bit, the propagation
-    reuses the maps (see ``ntkphase.propagation``) and the pairs keep the
-    full steps' bits; a CNN segment finds that depth again after one full
-    step, so the reuse costs at most one extra full step per requested
-    depth.
+    propagates offset 0 alone.  One walk yields each CNN state, which is
+    read out at once, so this frame holds no state of its own while the
+    walk steps.  Past the depth where a step returns the NNGP bit for bit,
+    the propagation reuses the maps (see ``ntkphase.propagation``) and the
+    pairs keep the full steps' bits.
 
     ``samples`` keeps the first that many samples of the input-layer state
     (all by default).  Every entry evolves on its own, so the kept entries
     match those of the full run bit for bit; slicing ``X`` instead would
     not, since a Gram of fewer rows may take another gemm path.
     """
-    _check_depths(depths, 0)
     k = ActivationKernel(h.activation, qstar)
     if h.architecture is Architecture.FCN:
+        if filter_halfwidth != 1:
+            raise ValueError("an FCN does not read filter_halfwidth; leave it at the default 1")
         kp = init_kernels(normalize_inputs(X, qstar))
         kp = KernelPair(kp.nngp[:samples, :samples], kp.ntk[:samples, :samples], 0)
         return propagate_fcn(kp, h, k, depths)
@@ -355,11 +354,10 @@ def _trajectory(
     keep = np.triu_indices(ck.m)[1] < m  # the pairs of the first m samples, in pair order
     offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
     ck = replace(ck, nngp=ck.nngp[keep, offsets], ntk=ck.ntk[keep, offsets], m=m)
-    pairs = []
-    for depth in depths:
-        (ck,) = propagate_cnn(ck, h, k, [depth])
-        pairs.append(readout(ck, mode))
-    return pairs
+    states = propagate_cnn(ck, h, k, depths)
+    del ck  # the walk drops the start state at its first step, unless a name here keeps it
+    # map, unlike a loop variable, keeps no read-out state alive while the walk steps on
+    return list(map(functools.partial(readout, mode=mode), states))
 
 
 @_one_blas_thread()
@@ -517,6 +515,8 @@ def _transition_rows(cfg: SweepConfig) -> List[list]:
 
 def run_sweep(cfg: SweepConfig, out_dir, *, formats: Sequence[str] = ("csv",)) -> SweepResult:
     """Evaluate the grid and write one file per requested output kind and format."""
+    if not formats or not set(formats) <= {"csv", "json"}:
+        raise ValueError(f"formats must name csv, json or both: {list(formats)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg) if set(cfg.outputs) - {SweepOutput.PHASE_DIAGRAM} else None

@@ -17,8 +17,9 @@ def run_python():
 
     For checks on what an import loads, which this process has long since
     loaded itself.  The BLAS thread-count variables are left out of the
-    child's environment: importing ``ntkphase.cli`` here before numpy may
-    have set one.  Fails the test on a nonzero exit, quoting standard error.
+    child's environment, so a value set in the caller's shell does not
+    change the thread count a check sees.  Fails the test on a nonzero
+    exit, quoting standard error.
     """
     def run(code: str) -> subprocess.CompletedProcess:
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}

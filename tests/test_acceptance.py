@@ -147,7 +147,7 @@ def test_criterion_04_critical_conditioning():
         d = 6
         Xc = normalize_inputs_cnn(cnn_inputs(12, 24, d, seed=0), rep.qstar)
         hp = Hyperparams(ERF_CRITICAL_SW2, 0.5, "erf", architecture="cnn_p", spatial_size=d)
-        ck = propagate_cnn(init_cnn_kernels(Xc, 1), hp, k, [512])[0]
+        ck = next(iter(propagate_cnn(init_cnn_kernels(Xc, 1), hp, k, [512])))
         kappa_pool = spectrum(readout(ck, ReadoutMode.POOL).ntk, 512).kappa
         target = (12 * d + 2) / 2.0
         pool_dev = abs(kappa_pool / target - 1.0)

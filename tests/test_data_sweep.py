@@ -167,6 +167,18 @@ class TestRunSweep:
         assert len(decay) == 1 + 2 * 2 * 2
         assert res.n_point_errors == 0
 
+    @pytest.mark.parametrize("formats", [("CSV",), (), ("csv", "xml")])
+    def test_unknown_or_no_formats_fail_before_any_work(self, tmp_path, monkeypatch, formats):
+        import ntkphase.sweep as sweep
+
+        def no_work(*args):
+            raise AssertionError("evaluated a grid point")
+
+        monkeypatch.setattr(sweep, "_point_rows", no_work)
+        with pytest.raises(ValueError, match="formats"):
+            run_sweep(SweepConfig(**SMALL), tmp_path / "out", formats=formats)
+        assert not (tmp_path / "out").exists()
+
     def test_two_by_two_grid_gives_four_rows_per_slice(self, tmp_path):
         cfg = SweepConfig(
             sigma_w2_grid=(1.0, 4.0), sigma_b2_grid=(0.3, 0.9), depths=(1, 2),
@@ -329,6 +341,16 @@ class TestSinglePipeline:
             (depth, kind, norm)
             for kind, (depth, norm) in _in_row_order(predictor_decay(h, X_train, X_test, Y, depths))
         ]
+
+    @pytest.mark.parametrize("call", [kappa_trajectory, predictor_decay])
+    def test_fcn_library_calls_reject_a_filter_halfwidth(self, call):
+        # an FCN reads no filter; a value it ignored would return the default's rows
+        h = Hyperparams(1.0, 0.5, "erf")
+        X = normals(1, (6, 8))
+        data = (X[:4],) if call is kappa_trajectory else (X[:4], X[4:], [[1.0], [-1.0]] * 2)
+        with pytest.raises(ValueError, match="filter_halfwidth"):
+            call(h, *data, (1, 2), filter_halfwidth=7)
+        call(h, *data, (1, 2), filter_halfwidth=1)  # the default, given explicitly
 
 
 class TestTrainRowsOnly:
@@ -501,6 +523,26 @@ class TestOneBlasThread:
             "assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
             "counts = [get() for get, _ in _openblas_thread_controls()]\n"
             "assert counts == [1] * len(counts), counts\n"
+        )
+
+    def test_the_cli_import_leaves_the_environment_as_it_found_it(self, run_python):
+        # OpenBLAS has read the variable once numpy has loaded; a process the
+        # CLI starts afterwards must not inherit it
+        run_python(
+            "import os, subprocess, sys\n"
+            "import ntkphase.cli\n"
+            "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+            "child = subprocess.run([sys.executable, '-c', 'import os; "
+            "print(os.environ.get(\"OPENBLAS_NUM_THREADS\"))'], capture_output=True, text=True)\n"
+            "assert child.stdout == 'None\\n', child.stdout\n"
+        )
+
+    def test_the_cli_keeps_a_preset_thread_count(self, run_python):
+        run_python(
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "import ntkphase.cli\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
         )
 
     def test_the_cli_leaves_the_environment_alone_once_numpy_is_loaded(self, run_python):

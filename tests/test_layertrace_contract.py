@@ -51,7 +51,7 @@ def test_cnn_trajectory_reaches_the_traced_cnn_names():
     )}
     assert calls == {
         "propagation.apply_A": 6, "ActivationKernel.t_map": 3, "ActivationKernel.t_dot": 3,
-        "sweep.propagate_cnn": 2, "sweep.readout": 2, "propagation.step_cnn": 3,
+        "sweep.propagate_cnn": 1, "sweep.readout": 2, "propagation.step_cnn": 3,
     }
     state_entries = 10 * 6 * 6  # 4 samples -> 10 pairs, 6 offsets x 6 positions
     assert tracer.metrics()["activations.entries"] == 2 * 3 * state_entries

@@ -1,6 +1,7 @@
 """Depth recursions: dense (and its two-point pair), convolutional, dropout and residual flows."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -244,7 +245,7 @@ def _pair_start(rep):
 )
 def test_propagate_rejects_depth_before_state(propagate, start):
     h, rep, k = erf_setup(2.0, 0.5)
-    state = propagate(start(rep), h, k, [3])[0]
+    state = next(iter(propagate(start(rep), h, k, [3])))
     assert state.depth == 3
     with pytest.raises(ValueError):
         propagate(state, h, k, [2, 5])
@@ -641,6 +642,65 @@ class TestFrozenWalk:
             assert ck.depth == depth
             np.testing.assert_array_equal(ck.nngp, loop[depth].nngp)
             np.testing.assert_array_equal(ck.ntk, loop[depth].ntk)
+
+    def test_a_cnn_trajectory_finds_the_freeze_once(self, monkeypatch):
+        # one walk over every depth: after the freeze each further depth costs
+        # frozen steps only, however many requested depths lie past it
+        h = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+        k = ActivationKernel(Activation.ERF, analyze(h).qstar)
+        X = cnn_inputs(3, 4, 6, seed=1)
+        freeze = _freeze_depth(_full_steps(init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), 1),
+                                           h, k, 200))
+        assert 1 < freeze < 190
+        depths = [freeze - 1, freeze + 2, freeze + 5, 200]
+        stepped = []
+
+        def counted(ck, *args):
+            stepped.append(ck.depth)
+            return step_cnn(ck, *args)
+
+        monkeypatch.setattr(propagation, "step_cnn", counted)
+        pairs = _trajectory(h, k.qstar, X, depths, 1)
+        assert stepped == list(range(freeze))  # the step to `freeze` returns the NNGP unchanged
+        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        full = _trajectory(h, k.qstar, X, depths, 1)
+        assert len(stepped) == freeze + 200
+        for a, b in zip(pairs, full, strict=True):
+            assert a.depth == b.depth
+            np.testing.assert_array_equal(a.nngp, b.nngp)
+            np.testing.assert_array_equal(a.ntk, b.ntk)
+
+    def test_propagate_cnn_steps_only_when_asked(self, monkeypatch):
+        # the depths are still checked at the call, before any state is asked
+        # for: see the two test_propagate_rejects_* tests
+        h, rep, k = erf_setup(2.0, 0.5)
+
+        def first_step_only(ck, *args):
+            assert ck.depth == 0, f"stepped on from depth {ck.depth}"
+            return step_cnn(ck, *args)
+
+        monkeypatch.setattr(propagation, "step_cnn", first_step_only)
+        assert next(propagate_cnn(_cnn_start(rep), h, k, [1, 10**6])).depth == 1
+
+    def test_a_longer_cnn_trajectory_holds_no_further_state(self):
+        # the walk holds its own state and the consumer none, so stepping on to
+        # further depths does not raise the one-depth run's peak by a state
+        h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=16)
+        qstar = analyze(h).qstar
+        X = cnn_inputs(16, 4, 16, seed=0)
+        start = init_cnn_kernels(normalize_inputs_cnn(X, qstar), 1)
+        state_bytes = start.nngp.nbytes + start.ntk.nbytes  # 136 pairs x 16 x 16, twice
+        del start
+        peaks = {}
+        for depths in [(1,), (1, 2, 4, 8)]:
+            _trajectory(h, qstar, X, depths, 1)  # first-call allocations out of the way
+            tracemalloc.start()
+            try:
+                _trajectory(h, qstar, X, depths, 1)
+                peaks[depths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[(1, 2, 4, 8)] - peaks[(1,)] < state_bytes / 4, (peaks, state_bytes)
 
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
     @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
