@@ -25,9 +25,9 @@ import sys
 from dataclasses import fields
 
 # OpenBLAS reads its thread count once, when it loads: numpy's, loaded at one
-# thread, starts no worker to spin while idle (the sweep's algebra runs at one
-# thread anyway, see sweep._one_blas_thread).  The variable is removed again
-# once numpy has loaded, so a process this one starts does not inherit it.
+# thread, starts no worker to spin while idle (the policy: sweep._one_blas_thread).
+# The variable is removed again once numpy has loaded, so a process this one
+# starts does not inherit it.
 _SET_BLAS_THREADS = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
 if _SET_BLAS_THREADS:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -9,14 +9,10 @@ the infinite-time limit.
 
 Every factorization and eigensolve is numpy's (``numpy.linalg``), so a
 run loads one LAPACK.  numpy has no triangular solve; ``_cho_solve``
-substitutes through the Cholesky factor block by block.  A threaded
-Cholesky rounds differently with the BLAS thread count, so the sweep,
-``kappa_trajectory`` and ``predictor_decay`` call these functions with
-numpy's OpenBLAS at one thread (``sweep._one_blas_thread``; Linux and
-OpenBLAS only), and their predictor norms read the same on any host; a
-direct call runs at the library's own thread count.  A CLI process loads
-numpy's OpenBLAS at one thread to begin with (``ntkphase.cli``); library
-callers rely on the pin.
+substitutes through the Cholesky factor block by block.  The sweep,
+``kappa_trajectory`` and ``predictor_decay`` call these functions at one
+BLAS thread, see ``sweep._one_blas_thread``; a direct call runs at the
+library's own thread count.
 """
 
 from __future__ import annotations

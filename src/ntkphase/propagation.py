@@ -167,6 +167,8 @@ def normalize_inputs(X: np.ndarray, qstar: float) -> np.ndarray:
     pixel columns ``(samples, channels, pixels)``, each pixel's channel
     vector scaled on its own.
     """
+    if not 0.0 < qstar < math.inf:  # also rejects NaN
+        raise ValueError(f"qstar must be positive and finite, not {qstar!r}")
     X = np.asarray(X, dtype=float)
     ms = np.mean(X * X, axis=1, keepdims=True)
     if not np.all((0.0 < ms) & (ms < np.inf)):  # also rejects NaN
@@ -240,6 +242,8 @@ def propagate_fcn(
 
 def _check_window(d: int, halfwidth: int) -> None:
     """Raise ``WindowError`` unless the 2k + 1 filter window fits in ``d`` pixels."""
+    if halfwidth < 0:
+        raise WindowError(f"filter halfwidth {halfwidth} is negative")
     if 2 * halfwidth + 1 > d:
         raise WindowError(f"window {2 * halfwidth + 1} exceeds spatial size {d}")
 

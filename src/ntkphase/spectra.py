@@ -5,12 +5,8 @@ the one kernel-trajectory pipeline in ``ntkphase.sweep``.
 
 Eigenvalues come from ``numpy.linalg.eigvalsh`` (LAPACK ``syevd`` on the
 lower triangle).  A non-finite kernel gives NaN eigenvalues, or
-``LinAlgError`` where LAPACK cannot converge.  The sweep calls it with
-numpy's OpenBLAS at one thread, see ``sweep._one_blas_thread``: idle
-workers of a threaded BLAS spin on the other cores after each 128 x 128
-eigensolve, and one thread gives the same bits on any host.  A CLI process
-loads that OpenBLAS at one thread to begin with; library callers rely on
-the pin.
+``LinAlgError`` where LAPACK cannot converge.  The sweep calls it at one
+BLAS thread, see ``sweep._one_blas_thread``.
 """
 
 from __future__ import annotations

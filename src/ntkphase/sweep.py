@@ -12,15 +12,9 @@ summaries with their asymptotic predictions, predictor-decay series and
 training-dynamics traces.  Points run in grid order on the calling thread
 (a worker pool was no faster on any activation), all randomness is
 Philox-counter based, and the kernel tables, ``kappa_trajectory`` and
-``predictor_decay`` do their dense algebra with every loaded OpenBLAS at
-one thread (``_one_blas_thread``), so a fixed config and seed produce
-byte-identical outputs on any number of cores.  The pin needs Linux and
-OpenBLAS; elsewhere a threaded BLAS may round the solves differently from
-host to host.  A phase-only run does no dense algebra and never pins.  A
-CLI process loads numpy's OpenBLAS at one thread in the first place
-(``ntkphase.cli`` sets ``OPENBLAS_NUM_THREADS`` while numpy loads), so no
-idle worker spins there; a library caller loads numpy itself, and the pin
-is what makes its tables host-independent.
+``predictor_decay`` do their dense algebra at one BLAS thread (the policy
+is stated once, in ``_one_blas_thread``), so a fixed config and seed
+produce byte-identical outputs on any number of cores.
 
 CSV files (RFC 4180, CRLF, 17 significant digits) are the primary format;
 JSON files mirror the same tables and validate against the shipped schema
@@ -42,7 +36,6 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -245,64 +238,62 @@ def _dataset(cfg: SweepConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_thread_controls() -> tuple:
-    """``(get, set)`` thread-count functions of every OpenBLAS this process has loaded.
+def _numpy_openblas_threads() -> Optional[tuple]:
+    """``(get, set)`` thread-count functions of numpy's OpenBLAS, or None.
 
-    On Linux these libraries are the files named ``*openblas*`` among the
-    process's mappings (``/proc/self/maps``), opened again with
-    ``RTLD_NOLOAD``, which never loads a library.  Each exports
+    They are looked up through numpy's loaded ``numpy.linalg._umath_linalg``
+    extension, whose handle also searches the libraries it links, so the
+    lookup finds numpy's OpenBLAS and no other.  That library exports
     ``{openblas,scipy_openblas}_{get,set}_num_threads``, with a ``64_``
-    suffix in a 64-bit-integer build.  Elsewhere, or with a BLAS other than
-    OpenBLAS, the tuple is empty.  Looked up once per process.
+    suffix in a 64-bit-integer build.  With another BLAS or another numpy
+    layout there is none.  Looked up once per process.
     """
     try:
-        with open("/proc/self/maps") as fh:
-            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}  # the path comes last
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:  # unmapped since, or not a shared library
-            continue
-        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return tuple(controls)
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread, then restore each count.
+    """Run the block with numpy's OpenBLAS at one thread, then restore its count.
 
-    A CLI run loads one OpenBLAS, numpy's; scipy links its own, which the
-    quadrature backend and the residual flows load.  A 128 x 128
+    This is the package's one-thread policy.  Every BLAS and LAPACK call of
+    the kernel tables is numpy's (``numpy.linalg``).  A 128 x 128
     eigensolve or Cholesky factorization wakes the library's worker
     threads, which then spin while idle (a 2-core dense sweep burned about
     twice its wall time in CPU), and a threaded Cholesky rounds differently
     with the thread count.  On one thread the kernel tables cost one core
-    and read the same on any host.  The counts are process-wide and
-    restored also when the block raises; with no OpenBLAS found this
-    changes nothing.  A CLI process has loaded numpy's OpenBLAS at one
-    thread already (``ntkphase.cli``), so there the pin changes no count
-    unless the environment asked for more; a library caller's numpy starts
-    at the host's count, and the pin is what it relies on.
+    and read the same on any host.  The count is process-wide and restored
+    also when the block raises.  With no OpenBLAS found in numpy (another
+    BLAS, such as MKL or Accelerate) this changes nothing, and a threaded
+    solve may round differently from host to host; it has been checked on
+    Linux only.  A CLI process has loaded numpy's OpenBLAS at one thread
+    already (``ntkphase.cli``), so there the pin changes no count unless
+    the environment asked for more; a library caller's numpy starts at the
+    host's count, and the pin is what it relies on.  A phase-only run does
+    no dense algebra and never pins.
     """
-    controls = _openblas_thread_controls()
-    counts = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    controls = _numpy_openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    count = get()
+    put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, counts):
-            put(count)
+        put(count)
 
 
 def _hyperparams(cfg: SweepConfig, sw2: float, sb2: float) -> Hyperparams:

@@ -17,6 +17,7 @@ from ntkphase import (
     DiagonalDriftError,
     Hyperparams,
     SingularKernelError,
+    WindowError,
     kappa_trajectory,
     normalize_inputs,
     predictor_decay,
@@ -352,6 +353,12 @@ class TestSinglePipeline:
             call(h, *data, (1, 2), filter_halfwidth=7)
         call(h, *data, (1, 2), filter_halfwidth=1)  # the default, given explicitly
 
+    def test_cnn_library_call_rejects_a_negative_filter_halfwidth(self):
+        # it ran on until a misleading DiagonalDriftError (drift 1.5 from q* = 1.26)
+        h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+        with pytest.raises(WindowError, match="negative"):
+            kappa_trajectory(h, cnn_inputs(4, 8, 6, seed=0), (1, 2, 4), filter_halfwidth=-1)
+
 
 class TestTrainRowsOnly:
     """A run whose tables read no test row propagates the m train samples alone."""
@@ -394,101 +401,121 @@ class TestTrainRowsOnly:
 
 
 class TestOneBlasThread:
-    """The kernel path runs with every loaded OpenBLAS at one thread; a phase-only run never looks."""
+    """The kernel path runs with numpy's OpenBLAS at one thread; a phase-only run never looks."""
 
-    @staticmethod
-    def fake_controls(monkeypatch, counts):
-        """One stand-in library per entry of ``counts``, whose thread count lives there."""
+    def test_numpy_openblas_reports_one_thread_inside_the_kernel_path(self, tmp_path,
+                                                                      monkeypatch):
         import ntkphase.sweep as sweep
 
-        def control(i):
-            def put(n):
-                counts[i] = n
-
-            return (lambda: counts[i]), put
-
-        monkeypatch.setattr(sweep, "_openblas_thread_controls",
-                            lambda: tuple(control(i) for i in range(len(counts))))
-
-    def test_every_openblas_reports_one_thread_inside_the_kernel_path(self, tmp_path,
-                                                                       monkeypatch):
-        import ntkphase.sweep as sweep
-
-        controls = sweep._openblas_thread_controls()
-        if not controls:
-            pytest.skip("this process has loaded no OpenBLAS")
+        controls = sweep._numpy_openblas_threads()
+        if controls is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, _ = controls
         seen = []
         for name in ("spectrum", "mean_predict", "dynamics"):
             def recording(*args, _original=getattr(sweep, name), **kwargs):
-                seen.append([get() for get, _ in controls])
+                seen.append(get())
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(sweep, name, recording)
-        before = [get() for get, _ in controls]
+        before = get()
         assert run_sweep(SweepConfig(**SMALL), tmp_path).n_point_errors == 0
         h = Hyperparams(1.0, 0.5, "erf")
         X = normals(1, (6, 8))
         kappa_trajectory(h, X[:4], (1, 2))
         predictor_decay(h, X[:4], X[4:], [[1.0], [-1.0], [1.0], [-1.0]], (1, 2))
-        assert len(seen) > 3 and seen == [[1] * len(controls)] * len(seen)
-        assert [get() for get, _ in controls] == before
+        assert len(seen) > 3 and seen == [1] * len(seen)
+        assert get() == before
 
     def test_counts_are_restored_after_a_return_and_after_an_exception(self, monkeypatch):
         import ntkphase.sweep as sweep
 
-        counts = [2, 3]
-        self.fake_controls(monkeypatch, counts)
+        count = [3]  # a stand-in for numpy's OpenBLAS keeps its thread count here
+
+        def put(n):
+            count[0] = n
+
+        monkeypatch.setattr(sweep, "_numpy_openblas_threads", lambda: ((lambda: count[0]), put))
         with sweep._one_blas_thread():
-            assert counts == [1, 1]
-        assert counts == [2, 3]
+            assert count == [1]
+        assert count == [3]
         with pytest.raises(KeyError):
             with sweep._one_blas_thread():
-                assert counts == [1, 1]
+                assert count == [1]
                 raise KeyError("boom")
-        assert counts == [2, 3]
+        assert count == [3]
 
-    def test_real_libraries_are_restored_after_an_exception(self):
+    def test_real_library_is_restored_after_an_exception(self):
         import ntkphase.sweep as sweep
 
-        controls = sweep._openblas_thread_controls()
-        original = [get() for get, _ in controls]
+        controls = sweep._numpy_openblas_threads()
+        if controls is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, put = controls
+        original = get()
         try:
-            for _, put in controls:
-                put(2)
+            put(2)
             with pytest.raises(KeyError):
                 with sweep._one_blas_thread():
-                    assert [get() for get, _ in controls] == [1] * len(controls)
+                    assert get() == 1
                     raise KeyError("boom")
-            assert [get() for get, _ in controls] == [2] * len(controls)
+            assert get() == 2
         finally:
-            for (_, put), n in zip(controls, original):
-                put(n)
+            put(original)
 
-    def test_no_library_found_changes_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("handle", ["without_symbols", "unopenable"])
+    def test_no_library_found_changes_nothing(self, tmp_path, monkeypatch, handle):
+        # another BLAS exports no OpenBLAS symbol; another numpy layout may not open at all
+        import ctypes
+        import types
+
+        import ntkphase.sweep as sweep
+
+        def cdll(path):
+            if handle == "unopenable":
+                raise OSError(path)
+            return types.SimpleNamespace()
+
         expected = file_hashes(run_sweep(SweepConfig(**SMALL), tmp_path / "a").paths)
-        self.fake_controls(monkeypatch, [])
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(sweep, "_numpy_openblas_threads",
+                            sweep._numpy_openblas_threads.__wrapped__)  # uncached
+        assert sweep._numpy_openblas_threads() is None
         assert file_hashes(run_sweep(SweepConfig(**SMALL), tmp_path / "b").paths) == expected
 
-    def test_lookup_finds_nothing_without_proc_maps(self, monkeypatch):
-        import ntkphase.sweep as sweep
+    def test_the_lookup_finds_numpy_openblas_alone(self, run_python):
+        # scipy links an OpenBLAS of its own, which no pinned call reaches
+        run_python(
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "import numpy, scipy.linalg\n"
+            "from ntkphase import sweep\n"
+            "controls = sweep._numpy_openblas_threads()\n"
+            "assert controls is not None and len(controls) == 2, controls\n"
+            "get, _ = controls\n"
+            "assert get() == 2, get()\n"
+            "with sweep._one_blas_thread():\n"
+            "    assert get() == 1, get()\n"
+            "assert get() == 2, get()\n"
+        )
 
-        def no_maps(path):
-            raise FileNotFoundError(path)
-
-        monkeypatch.setattr(sweep, "open", no_maps, raising=False)
-        assert sweep._openblas_thread_controls.__wrapped__() == ()
-
-    def test_lookup_skips_a_mapped_file_that_is_not_loaded(self, tmp_path, monkeypatch):
-        import io
-
-        import ntkphase.sweep as sweep
-
-        stray = tmp_path / "libopenblas_stray.so"
-        stray.write_bytes(b"not a shared library")
-        maps = (f"7f0000000000-7f0000001000 r--p 00000000 00:00 1 {stray}\n"
-                "7f0000001000-7f0000002000 rw-p 00000000 00:00 0\n")
-        monkeypatch.setattr(sweep, "open", lambda path: io.StringIO(maps), raising=False)
-        assert sweep._openblas_thread_controls.__wrapped__() == ()
+    def test_the_pinned_library_calls_need_no_scipy(self, run_python):
+        # the pin covers numpy's OpenBLAS alone, so no pinned call may reach scipy's
+        run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+            "from ntkphase import Hyperparams, kappa_trajectory, predictor_decay\n"
+            "from ntkphase.data import cnn_inputs, normals\n"
+            "Y = [[1.0], [-1.0], [1.0], [-1.0]]\n"
+            "for act in ('erf', 'relu', 'tanh'):\n"
+            "    for arch, X in (('fcn', normals(1, (6, 8))), ('cnn_f', cnn_inputs(6, 4, 4, 1)),\n"
+            "                    ('cnn_p', cnn_inputs(6, 4, 4, 1))):\n"
+            "        h = Hyperparams(1.5, 0.5, act, architecture=arch,\n"
+            "                        spatial_size=1 if arch == 'fcn' else 4)\n"
+            "        kappa_trajectory(h, X[:4], (1, 2))\n"
+            "        predictor_decay(h, X[:4], X[4:], Y, (1, 2))\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        )
 
     def test_a_phase_only_run_does_no_lookup(self, tmp_path, monkeypatch):
         import ntkphase.sweep as sweep
@@ -496,7 +523,7 @@ class TestOneBlasThread:
         def no_lookup():
             raise AssertionError("looked up the BLAS libraries")
 
-        monkeypatch.setattr(sweep, "_openblas_thread_controls", no_lookup)
+        monkeypatch.setattr(sweep, "_numpy_openblas_threads", no_lookup)
         cfg = SweepConfig(sigma_w2_grid=(1.0, 4.0), outputs=(SweepOutput.PHASE_DIAGRAM,))
         assert run_sweep(cfg, tmp_path).n_point_errors == 0
 
@@ -519,10 +546,10 @@ class TestOneBlasThread:
         run_python(
             "import os\n"
             "import ntkphase.cli\n"
-            "from ntkphase.sweep import _openblas_thread_controls\n"
+            "from ntkphase.sweep import _numpy_openblas_threads\n"
             "assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
-            "counts = [get() for get, _ in _openblas_thread_controls()]\n"
-            "assert counts == [1] * len(counts), counts\n"
+            "get, _ = _numpy_openblas_threads()\n"
+            "assert get() == 1, get()\n"
         )
 
     def test_the_cli_import_leaves_the_environment_as_it_found_it(self, run_python):

@@ -92,6 +92,12 @@ class TestNormalizeAndInit:
         with pytest.raises(ZeroRowError):
             normalize_inputs(np.zeros((2, 4)), 1.0)
 
+    @pytest.mark.parametrize("qstar", [-1.0, 0.0, math.nan, math.inf])
+    def test_qstar_must_be_positive_and_finite(self, qstar):
+        # -1 gave NaN rows and a RuntimeWarning
+        with pytest.raises(ValueError, match="qstar must be positive and finite"):
+            normalize_inputs(normals(0, (3, 4)), qstar)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_row_raises(self, bad):
         X = normals(0, (3, 4))
@@ -375,6 +381,11 @@ class TestConvolutionOperator:
         with pytest.raises(WindowError):
             apply_A(blocks_to_offsets(np.zeros((3, 3))), 2)
 
+    def test_negative_halfwidth_raises(self):
+        # a window of 2k + 1 = -1 pixels would divide the sum by -1: apply_A returned -K
+        with pytest.raises(WindowError, match="negative"):
+            apply_A(blocks_to_offsets(normals(1, (6, 6))), -1)
+
     def test_symmetry_preserved(self):
         B = normals(1, (6, 6))
         B = B + B.T
@@ -408,6 +419,10 @@ class TestConvolutionOperator:
 
     def test_fourier_eigs_trivial_window(self):
         np.testing.assert_allclose(fourier_eigs(7, 0), np.ones(7), atol=0)
+
+    def test_fourier_eigs_rejects_a_negative_halfwidth(self):
+        with pytest.raises(WindowError, match="negative"):  # was all zeros
+            fourier_eigs(6, -1)
 
     def test_fourier_leading_eigenvalue(self):
         # hw = 0 is the identity operator (every eigenvalue 1); any real
