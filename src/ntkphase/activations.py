@@ -100,20 +100,20 @@ def _norm_pdf(z):
 # closed forms
 
 
+# Over 0.5 + qstar, not 1 + 2 qstar: scaling a numerator and its denominator by a power of
+# two is exact, so these keep the bits of 2q / (1 + 2q*) and (4/pi) / sqrt((1 + 2q*)^2 - 4q^2).
 def _erf_t(qstar, q):
-    out = np.asarray(2.0 * q)  # the one temporary (0-d for a float); the rest runs in place
-    out /= 1.0 + 2.0 * qstar
+    out = np.asarray(q / (0.5 + qstar))  # the one temporary (0-d for a float); then in place
     np.arcsin(out, out=out)
     out *= 2.0 / math.pi
     return out
 
 
 def _erf_tdot(qstar, q):
-    out = np.asarray(4.0 * q)
-    out *= q
-    np.subtract((1.0 + 2.0 * qstar) ** 2, out, out=out)
+    out = np.asarray(q * q)
+    np.subtract((0.5 + qstar) ** 2, out, out=out)
     np.sqrt(out, out=out)
-    np.divide(4.0 / math.pi, out, out=out)
+    np.divide(2.0 / math.pi, out, out=out)
     return out
 
 

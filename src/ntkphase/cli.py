@@ -76,21 +76,22 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is defined once, in a parent parser that every subcommand copies
+    common, outputs = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    common.add_argument("--config", type=str, default=None, help="JSON config file")
+    common.add_argument("--out", type=str, default="ntkphase_out", help="output directory")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; grid points run on one thread")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    for f in fields(SweepConfig):  # --seed and every other field
+        (outputs if f.name == "outputs" else common).add_argument(
+            "--" + f.name.replace("_", "-"), dest=f.name, type=_flag_type(f.default), default=None)
     parser = argparse.ArgumentParser(prog="ntkphase", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, forced in _SUBCOMMAND_OUTPUTS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[common] if forced else [common, outputs])
         p.set_defaults(outputs=forced)  # a forced subcommand has no --outputs to override it
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default="ntkphase_out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; grid points run on one thread")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        for f in fields(SweepConfig):  # --seed and every other field
-            if f.name != "outputs" or forced is None:
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                               type=_flag_type(f.default), default=None)
     return parser
 
 

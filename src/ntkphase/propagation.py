@@ -28,7 +28,8 @@ the whole state, so an error quotes its global maximum and an overshoot is
 clipped once, and then maps the checked state tile by tile through the
 kernel's own ``t_map`` and ``t_dot``, whose check of an in-domain tile is
 one min/max pass.  Each tile is a run of whole sample pairs of about
-``_TILE_ENTRIES`` entries, so every pass stays in cache.
+``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles, like the
+readouts' pair indices, are cached, so a small state pays for its entries.
 Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
@@ -52,7 +53,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -187,11 +189,18 @@ def init_kernels(X: np.ndarray) -> KernelPair:
     return KernelPair(nngp=nngp, ntk=nngp.copy(), depth=0)
 
 
+@lru_cache(maxsize=8)
+def _upper(m: int) -> np.ndarray:
+    """Read-only mask of an m x m upper triangle; in C order its entries are the pair order."""
+    mask = np.triu(np.ones((m, m), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _as_pairs(kp: KernelPair) -> CnnKernel:
     """A dense pair as the one-pixel, window-one convolutional kernel: its upper triangle."""
     m = kp.nngp.shape[0]
-    i, j = np.triu_indices(m)  # pair_index order
-    nngp, ntk = (K[i, j].reshape(-1, 1, 1) for K in (kp.nngp, kp.ntk))
+    nngp, ntk = (K[_upper(m)].reshape(-1, 1, 1) for K in (kp.nngp, kp.ntk))
     return CnnKernel(nngp, ntk, m, filter_halfwidth=0, depth=kp.depth)
 
 
@@ -219,7 +228,7 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
         while ck.depth < target:
             if wtd is None:
                 new = step_cnn(ck, h, k)
-                if _nngp_fixed(ck.nngp, new.nngp):
+                if _nngp_fixed(ck, new):
                     wtd = k.t_dot(new.nngp)
                     wtd *= h.sigma_w2  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
                 ck = new
@@ -259,27 +268,32 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     Each shift is one add over the flat C-ordered buffer, which is right
     except in the ``beta`` columns of each row that wrap around: those are
     summed from the row's other end before the add and written back after
-    it.  Entry a gets ``((K[a] + K[a+1]) + K[a-1]) + K[a+2] ...`` (mod d).
+    it.  The first shift writes ``K[a] + K[a+1]`` straight into the result,
+    which at halfwidth 0 is a copy of ``K``.  Entry a gets ``((K[a] +
+    K[a+1]) + K[a-1]) + K[a+2] ...`` (mod d).
     """
     K = np.ascontiguousarray(K, dtype=float)
     _check_window(K.shape[-1], halfwidth)
     if out is None:
-        acc = K.copy()
-    else:
-        if out.shape != K.shape or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous array of shape {K.shape}")
-        acc = out
-        acc[...] = K
-    flat, acc_flat = K.reshape(-1), acc.reshape(-1)
+        out = np.empty_like(K)
+    elif out.shape != K.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {K.shape}")
+    if halfwidth == 0:
+        np.copyto(out, K)
+        return out
+    flat, out_flat = K.reshape(-1), out.reshape(-1)
+    np.add(flat[:-1], flat[1:], out=out_flat[:-1])  # out[a] = K[a] + K[a + 1]
+    np.add(K[..., -1:], K[..., :1], out=out[..., -1:])  # out[a] = K[a] + K[a + 1 - d]
     for beta in range(1, halfwidth + 1):
-        wrap = acc[..., -beta:] + K[..., :beta]  # acc[a] += K[a + beta - d]
-        acc_flat[:-beta] += flat[beta:]  # acc[a] += K[a + beta]
-        acc[..., -beta:] = wrap
-        wrap = acc[..., :beta] + K[..., -beta:]  # acc[a] += K[a - beta + d]
-        acc_flat[beta:] += flat[:-beta]  # acc[a] += K[a - beta]
-        acc[..., :beta] = wrap
-    acc /= 2 * halfwidth + 1
-    return acc
+        if beta > 1:
+            wrap = out[..., -beta:] + K[..., :beta]  # out[a] += K[a + beta - d]
+            out_flat[:-beta] += flat[beta:]  # out[a] += K[a + beta]
+            out[..., -beta:] = wrap
+        wrap = out[..., :beta] + K[..., -beta:]  # out[a] += K[a - beta + d]
+        out_flat[beta:] += flat[:-beta]  # out[a] += K[a - beta]
+        out[..., :beta] = wrap
+    out /= 2 * halfwidth + 1
+    return out
 
 
 def _gather_square(X: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
@@ -326,63 +340,61 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
     return CnnKernel(nngp=nngp, ntk=nngp.copy(), m=m, filter_halfwidth=halfwidth, depth=0)
 
 
-def _diag_pair_indices(ck: CnnKernel) -> np.ndarray:
-    i = np.arange(ck.m)
-    return i * ck.m - i * (i - 1) // 2  # pair_index(i, i)
+@lru_cache(maxsize=16)
+def _tile_plan(m: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple:
+    """Runs of whole sample pairs of about ``tile_entries`` entries, each with its (i, i) rows."""
+    per_tile = max(1, tile_entries // pair_size)
+    diag = np.array([i * m - i * (i - 1) // 2 for i in range(m)])  # pair_index(i, i)
+    tiles = [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
+    return tuple((t, diag[(t.start <= diag) & (diag < t.stop)] - t.start) for t in tiles)
 
 
-def _pair_tiles(n_pairs: int, pair_size: int) -> List[slice]:
-    """Runs of whole sample pairs holding about ``_TILE_ENTRIES`` entries each."""
-    per_tile = max(1, _TILE_ENTRIES // pair_size)
-    return [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
+def _pair_tiles(ck: CnnKernel) -> tuple:
+    """The ``_tile_plan`` of ``ck``'s state at the current ``_TILE_ENTRIES``."""
+    return _tile_plan(ck.m, ck.nngp.shape[0], ck.nngp[0].size, _TILE_ENTRIES)
 
 
 def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
     """One convolutional layer (at one pixel and window one, the FCN layer): maps, then averaging.
 
-    Runs tile by tile over whole sample pairs so that every pass stays in
-    cache; each entry sees the same operations in the same order as the
-    untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
+    Runs tile by tile over whole sample pairs, planned once per shape, so
+    each pass stays in cache; every entry sees the operations, in order, of
+    the untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
     """
     q = k._check_domain(ck.nngp)  # one check, so an error quotes the global maximum
     hw = ck.filter_halfwidth
     nngp = np.empty_like(q)
     ntk = np.empty_like(q)
-    diag = _diag_pair_indices(ck)
-    drifts = []
-    for s in _pair_tiles(q.shape[0], q[0].size):
+    drift = 0.0  # the largest so far; a NaN stays
+    for s, rows in _pair_tiles(ck):
         tile_nngp, tile_ntk = nngp[s], ntk[s]
         apply_A(k.t_map(q[s]), hw, out=tile_nngp)
         tile_nngp *= h.sigma_w2
         tile_nngp += h.sigma_b2
-        lo, hi = np.searchsorted(diag, [s.start, s.stop])
-        if hi > lo:
-            pixel_diag = (diag[lo:hi] - s.start, 0)  # offset 0 of (i, i): the pixel variances
-            drifts.append(np.max(np.abs(tile_nngp[pixel_diag] - k.qstar)))
-            tile_nngp[pixel_diag] = k.qstar
+        if rows.size:  # offset 0 of (i, i): the pixel variances
+            drift = np.abs(tile_nngp[rows, 0] - k.qstar).max(initial=drift)
+            tile_nngp[rows, 0] = k.qstar
         td = k.t_dot(q[s])
         td *= h.sigma_w2
         td *= ck.ntk[s]
         apply_A(td, hw, out=tile_ntk)
         tile_ntk += tile_nngp
-    drift = np.max(drifts)
     if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    return replace(ck, nngp=nngp, ntk=ntk, depth=ck.depth + 1)
+    return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1)
 
 
-def _nngp_fixed(old: np.ndarray, new: np.ndarray) -> bool:
+def _nngp_fixed(old: CnnKernel, new: CnnKernel) -> bool:
     """Whether a step returned the NNGP bit for bit, so every later step returns it too.
 
-    ``np.array_equal`` of the two states, taken tile by tile over
+    ``np.array_equal`` of the two NNGPs, taken tile by tile over
     ``_pair_tiles`` and stopping at the first unequal tile, so it builds no
     temporary the size of the state.
     """
-    tiles = _pair_tiles(old.shape[0], old[0].size)
-    return all(np.array_equal(old[s], new[s]) for s in tiles)
+    return all(np.array_equal(old.nngp[s], new.nngp[s]) for s, _ in _pair_tiles(old))
 
 
 def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
@@ -393,11 +405,11 @@ def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
     """
     nngp = ck.nngp
     ntk = np.empty_like(nngp)
-    for s in _pair_tiles(nngp.shape[0], nngp[0].size):
+    for s, _ in _pair_tiles(ck):
         tile_ntk = ntk[s]
         apply_A(wtd[s] * ck.ntk[s], ck.filter_halfwidth, out=tile_ntk)
         tile_ntk += nngp[s]
-    return replace(ck, ntk=ntk, depth=ck.depth + 1)
+    return CnnKernel(nngp, ntk, ck.m, ck.filter_halfwidth, ck.depth + 1)
 
 
 def propagate_cnn(
@@ -416,11 +428,11 @@ def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
         reduce = lambda K: K[:, 0].mean(axis=-1)
     else:
         reduce = lambda K: offsets_to_blocks(K).mean(axis=(-2, -1))
-    i, j = np.triu_indices(ck.m)  # pair_index order
+    upper = _upper(ck.m)
 
     def square(K):
         out = np.empty((ck.m, ck.m))
-        out[i, j] = out[j, i] = reduce(K)
+        out[upper] = out.T[upper] = reduce(K)
         return out
 
     return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)

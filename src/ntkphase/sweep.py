@@ -207,10 +207,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, columns: List[str], rows: List[list]) -> None:
+    f = "%.17g".__mod__  # _fmt of the common cell types by exact type; any other goes to _fmt
+    cell = {float: f, np.float64: f, int: str, str: str}.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows([cell(type(v), _fmt)(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, table: str, columns: List[str], rows: List[list]) -> None:

@@ -19,7 +19,7 @@ from ntkphase import (
     solve_qstar,
 )
 from ntkphase import propagation
-from ntkphase.activations import _relu_t, _relu_tdot, _tanh_table
+from ntkphase.activations import _erf_t, _erf_tdot, _relu_t, _relu_tdot, _tanh_table
 from ntkphase.sweep import SweepConfig, run_sweep
 
 # frozen from the 200-node tensor Gauss-Hermite oracle (matches the arcsine
@@ -220,6 +220,42 @@ class TestTanhTableReuse:
         X = normalize_inputs(np.random.default_rng(0).standard_normal((6, 5)), qstar)
         k = ActivationKernel(Activation.TANH, qstar)
         assert len(propagate_fcn(init_kernels(X), h, k, range(1, 9))) == 8
+
+
+def _erf_t_over_1_plus_2qstar(qstar, q):
+    out = np.asarray(2.0 * q)
+    out /= 1.0 + 2.0 * qstar
+    np.arcsin(out, out=out)
+    out *= 2.0 / math.pi
+    return out
+
+
+def _erf_tdot_over_1_plus_2qstar(qstar, q):
+    out = np.asarray(4.0 * q)
+    out *= q
+    np.subtract((1.0 + 2.0 * qstar) ** 2, out, out=out)
+    np.sqrt(out, out=out)
+    np.divide(4.0 / math.pi, out, out=out)
+    return out
+
+
+class TestErfMapBits:
+    """The Erf maps over 0.5 + qstar keep the bits of the textbook forms over 1 + 2 qstar."""
+
+    QSTARS = np.concatenate([np.logspace(-300, 100, 401), np.linspace(0.01, 10.0, 100)])
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310]
+
+    @pytest.mark.parametrize("new, old", [(_erf_t, _erf_t_over_1_plus_2qstar),
+                                          (_erf_tdot, _erf_tdot_over_1_plus_2qstar)])
+    def test_arrays_and_scalars_keep_their_bits(self, new, old):
+        c = np.random.default_rng(0).uniform(-1.0, 1.0, 500)
+        with np.errstate(divide="ignore"):  # past q* ~ 1e16 the 0.5 rounds away: T_dot(q*) = inf
+            for qstar in self.QSTARS:
+                q = np.concatenate([c * qstar, [qstar, -qstar, np.nextafter(qstar, 0.0)],
+                                    self.EDGES])
+                assert new(qstar, q).tobytes() == old(qstar, q).tobytes(), qstar
+                for x in q[::50]:
+                    assert new(qstar, float(x)).tobytes() == old(qstar, float(x)).tobytes(), x
 
 
 class TestDerivativeConsistency:

@@ -22,9 +22,10 @@ from ntkphase import (
     normalize_inputs,
     predictor_decay,
 )
-from ntkphase.cli import _build_config, build_parser, main as cli_main
+from ntkphase.cli import _SUBCOMMAND_OUTPUTS, _build_config, build_parser, main as cli_main
 from ntkphase.data import DataGenerator, cnn_inputs, generate_data, normals
-from ntkphase.sweep import SweepConfig, SweepOutput, run_sweep
+from ntkphase.phase import Phase
+from ntkphase.sweep import SweepConfig, SweepOutput, _fmt, _write_csv, run_sweep
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ntkphase/schemas/output_schema.json"
 
@@ -224,6 +225,17 @@ class TestRunSweep:
         qstar_cell = rows[0].split(",")[2]
         value = float(qstar_cell)
         assert f"{value:.17g}" == qstar_cell
+
+    def test_csv_cells_of_every_type_are_fmt_bytes(self, tmp_path):
+        # _write_csv formats the common cell types by exact type; every cell must keep _fmt's bytes
+        row = [0.1, -0.0, math.nan, -math.inf, np.float64(1 / 3), np.float32(0.1), 7, -2,
+               np.int64(5), True, np.bool_(False), "kappa", Phase.CRITICAL, None]
+        columns = [f"c{i}" for i in range(len(row))]
+        _write_csv(tmp_path / "t.csv", columns, [row, row[::-1]])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\r\n").writerows(
+                [columns] + [[_fmt(v) for v in r] for r in (row, row[::-1])])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_crash_isolation(self, tmp_path):
         # relu at (4.0, 0.5) has no finite variance fixed point; the healthy
@@ -765,6 +777,16 @@ class TestCli:
             assert {a.dest for a in actions} == expected, name
             assert {s for a in actions for s in a.option_strings} == {
                 "--" + dest.replace("_", "-") for dest in expected}, name
+
+    def test_each_forced_subcommand_parses_to_its_own_outputs(self):
+        # the subcommands share their flags' actions, so a default set on one must not
+        # reach another: parse every subcommand with one parser
+        parser = build_parser()
+        for name, forced in _SUBCOMMAND_OUTPUTS.items():
+            assert parser.parse_args([name]).outputs == forced, name
+        assert parser.parse_args(["sweep", "--outputs", "kappa"]).outputs == ["kappa"]
+        assert [f.value for f in _build_config(parser.parse_args(["decay"])).outputs] == [
+            "predictor_decay"]
 
     @pytest.mark.parametrize("exclusive", [
         dict(architecture="cnn_p", spatial_size=9, filter_halfwidth=2),

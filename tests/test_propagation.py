@@ -365,6 +365,15 @@ class TestConvolutionOperator:
         B = normals(0, (5, 5))
         np.testing.assert_array_equal(apply_A_block(B, 0), B)
 
+    def test_halfwidth_zero_is_a_copy(self):
+        K = normals(3, (4, 5, 5))
+        out = np.full_like(K, np.nan)
+        assert apply_A(K, 0, out=out) is out
+        fresh = apply_A(K, 0)
+        for res in (out, fresh):
+            np.testing.assert_array_equal(res, K)
+            assert not np.shares_memory(res, K)
+
     def test_constant_block_unchanged(self):
         B = np.full((6, 6), 2.5)
         np.testing.assert_allclose(apply_A_block(B, 2), B, atol=1e-15)
@@ -518,17 +527,39 @@ class TestTiledStepCnn:
             ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
         return h, k, ck
 
-    def test_tiles_cover_whole_pairs(self, monkeypatch):
+    def test_tiles_cover_whole_pairs(self):
         for tile_entries in (1, 2, 7, 36, 2**16):
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
-            for n_pairs in (1, 2, 3, 15, 16, 17):
+            for m in (1, 2, 5, 6):
+                n_pairs = m * (m + 1) // 2
                 for pair_size in (1, 2, 6, 36):
-                    tiles = propagation._pair_tiles(n_pairs, pair_size)
+                    plan = propagation._tile_plan(m, n_pairs, pair_size, tile_entries)
+                    tiles = [t for t, _ in plan]
                     assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
                     assert tiles[-1].stop == n_pairs
                     sizes = [(t.stop - t.start) * pair_size for t in tiles]
                     assert min(sizes) >= 1
                     assert max(sizes) <= max(tile_entries, pair_size)
+                    # each (i, i) pair is planned once, in order, as a row of its tile
+                    diag = [t.start + r for t, rows in plan for r in rows]
+                    i = np.arange(m)
+                    assert diag == list(i * m - i * (i - 1) // 2)
+
+    def test_the_plan_follows_the_tile_size(self, monkeypatch):
+        # the plan is cached, so a plan that ignored _TILE_ENTRIES would keep its first tiles
+        h, k, ck = self.state("erf", "cnn_p")  # 15 pairs
+        calls = []
+        t_map = ActivationKernel.t_map
+
+        def counted(self, q_ab):
+            calls.append(len(q_ab))
+            return t_map(self, q_ab)
+
+        monkeypatch.setattr(ActivationKernel, "t_map", counted)
+        for tile_entries, tiles in ((2**16, 1), (1, 15), (4 * ck.nngp[0].size, 4), (2**16, 1)):
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
+            calls.clear()
+            step_cnn(ck, h, k)
+            assert len(calls) == tiles and sum(calls) == 15  # tiles of whole pairs, every pair once
 
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
     @pytest.mark.parametrize("architecture, d, hw", [
@@ -611,11 +642,11 @@ class TestFrozenWalk:
     def test_nngp_fixed_is_array_equal_over_every_tile(self, monkeypatch, changed):
         _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", ck.nngp[0].size)  # one pair per tile
-        assert len(propagation._pair_tiles(ck.nngp.shape[0], ck.nngp[0].size)) == 15
+        assert len(propagation._pair_tiles(ck)) == 15
         new = ck.nngp.copy()
         if changed is not None:  # one entry of the first or the last pair, by one ulp
             new[changed, 1, 2] = np.nextafter(new[changed, 1, 2], np.inf)
-        fixed = propagation._nngp_fixed(ck.nngp, new)
+        fixed = propagation._nngp_fixed(ck, replace(ck, nngp=new))
         assert fixed is (changed is None)
         assert fixed == np.array_equal(ck.nngp, new)
 
