@@ -23,19 +23,23 @@ offset 0, and a kernel may carry offset 0 alone.  Pooling and
 
 The state is C-contiguous, so ``apply_A`` adds each shifted neighbour as
 one contiguous add over the flat buffer and then redoes only the columns
-that wrap around a row.  ``step_cnn`` checks the covariance domain once on
-the whole state, so an error quotes its global maximum and an overshoot is
-clipped once, and then maps the checked state tile by tile through the
-kernel's own ``t_map`` and ``t_dot``, whose check of an in-domain tile is
-one min/max pass.  Each tile is a run of whole sample pairs of about
+that wrap around a row.  ``step_cnn`` maps the state tile by tile through
+the kernel's own ``t_map`` and ``t_dot``, which check each tile's covariance
+domain (one min/max pass for an in-domain tile) and clip a tile's overshoot
+entry by entry, as one check of the whole state would; only when a tile
+fails does the step check the whole state, so the error quotes its global
+maximum.  Each tile is a run of whole sample pairs of about
 ``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles, like the
 readouts' pair indices, are cached, so a small state pays for its entries.
 Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
 
-``step_cnn`` is a pure function of its state; the depth walk behind
-``propagate_fcn`` and ``propagate_cnn`` reuses its maps.  The NNGP update
+``step_cnn`` is a pure function of its state, written into new arrays or
+into the ones it is given.  The depth walk behind ``propagate_fcn`` and
+``propagate_cnn`` steps each state into the arrays of the state two steps
+back, unless the caller gave or the walk yielded that state, so it
+allocates only for its first two states and once per yield.  The NNGP update
 reads only the NNGP, so once a step returns the NNGP bit for bit, every
 later step returns it again, the domain and drift checks see the same
 input, and T_dot at it is already known.  From there the walk computes
@@ -60,7 +64,8 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 from .activations import ActivationKernel, _relu_t, _relu_tdot
-from .errors import DiagonalDriftError, NonConvergenceError, WindowError, ZeroRowError
+from .errors import (CovarianceDomainError, DiagonalDriftError, NonConvergenceError,
+                     WindowError, ZeroRowError)
 from .phase import Hyperparams
 
 __all__ = [
@@ -121,11 +126,12 @@ class ResidualVariant(str, enum.Enum):
 class CnnKernel:
     """Pixel-pixel kernels of a 1-D convolutional network, stored by offset.
 
-    Only the upper triangle of sample pairs is stored, and each pair by
-    pixel offset: ``nngp[pair_index(i, j), o, a]`` is the covariance between
-    pixel a of sample i and pixel (a + o) mod d of sample j.  The offset
-    axis holds all d offsets, or offset 0 alone, which is all a flatten
-    readout reads; ``block`` and pooling need every offset.
+    Only the upper triangle of sample pairs is stored (or a prefix of it in
+    pair order), and each pair by pixel offset: ``nngp[pair_index(i, j), o,
+    a]`` is the covariance between pixel a of sample i and pixel (a + o) mod
+    d of sample j.  The offset axis holds all d offsets, or offset 0 alone,
+    which is all a flatten readout reads; ``block`` and pooling need every
+    offset.
     """
 
     nngp: np.ndarray  # (n_pairs, n_offsets, d)
@@ -224,16 +230,19 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
     holds the bits of the full steps.
     """
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
+    spare = None  # the arrays of the state before ck, if neither the caller's nor yielded
+    own = False  # whether ck's arrays may become spare
     for target in depths:
         while ck.depth < target:
             if wtd is None:
-                new = step_cnn(ck, h, k)
+                new = step_cnn(ck, h, k, out=spare)
                 if _nngp_fixed(ck, new):
                     wtd = k.t_dot(new.nngp)
                     wtd *= h.sigma_w2  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
-                ck = new
             else:
-                ck = _frozen_step(ck, wtd)
+                new = _frozen_step(ck, wtd, out=spare and spare[1])  # the NNGP is shared
+            spare = (ck.nngp, ck.ntk) if own else None
+            ck, own = new, new.depth < target
         yield ck
 
 
@@ -354,32 +363,42 @@ def _pair_tiles(ck: CnnKernel) -> tuple:
     return _tile_plan(ck.m, ck.nngp.shape[0], ck.nngp[0].size, _TILE_ENTRIES)
 
 
-def step_cnn(ck: CnnKernel, h: Hyperparams, k: ActivationKernel) -> CnnKernel:
+def step_cnn(
+    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, out: tuple | None = None
+) -> CnnKernel:
     """One convolutional layer (at one pixel and window one, the FCN layer): maps, then averaging.
 
     Runs tile by tile over whole sample pairs, planned once per shape, so
     each pass stays in cache; every entry sees the operations, in order, of
     the untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
+    The new state holds new arrays, or the given ``out = (nngp, ntk)``:
+    C-contiguous floats of its shape that share no memory with ``ck``.
     """
-    q = k._check_domain(ck.nngp)  # one check, so an error quotes the global maximum
     hw = ck.filter_halfwidth
-    nngp = np.empty_like(q)
-    ntk = np.empty_like(q)
+    if out and (np.may_share_memory(*out) or any(
+            a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
+            or np.may_share_memory(a, ck.nngp) or np.may_share_memory(a, ck.ntk) for a in out)):
+        raise ValueError(f"out must be two C-contiguous float arrays of shape {ck.nngp.shape} "
+                         "that share no memory with each other or with the state")
+    nngp, ntk = out or (np.empty_like(ck.nngp), np.empty_like(ck.nngp))
     drift = 0.0  # the largest so far; a NaN stays
-    for s, rows in _pair_tiles(ck):
-        tile_nngp, tile_ntk = nngp[s], ntk[s]
-        apply_A(k.t_map(q[s]), hw, out=tile_nngp)
-        tile_nngp *= h.sigma_w2
-        tile_nngp += h.sigma_b2
-        if rows.size:  # offset 0 of (i, i): the pixel variances
-            drift = np.abs(tile_nngp[rows, 0] - k.qstar).max(initial=drift)
-            tile_nngp[rows, 0] = k.qstar
-        td = k.t_dot(q[s])
-        td *= h.sigma_w2
-        td *= ck.ntk[s]
-        apply_A(td, hw, out=tile_ntk)
-        tile_ntk += tile_nngp
+    try:
+        for s, rows in _pair_tiles(ck):
+            q, tile_nngp, tile_ntk = ck.nngp[s], nngp[s], ntk[s]
+            apply_A(k.t_map(q), hw, out=tile_nngp)
+            tile_nngp *= h.sigma_w2
+            tile_nngp += h.sigma_b2
+            if rows.size:  # offset 0 of (i, i): the pixel variances
+                drift = np.abs(tile_nngp[rows, 0] - k.qstar).max(initial=drift)
+                tile_nngp[rows, 0] = k.qstar
+            td = k.t_dot(q)
+            td *= h.sigma_w2
+            td *= ck.ntk[s]
+            apply_A(td, hw, out=tile_ntk)
+            tile_ntk += tile_nngp
+    except CovarianceDomainError:  # a tile reaches past the domain, so the whole state does
+        k._check_domain(ck.nngp)  # and raises again, quoting its global maximum
     if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
@@ -397,14 +416,15 @@ def _nngp_fixed(old: CnnKernel, new: CnnKernel) -> bool:
     return all(np.array_equal(old.nngp[s], new.nngp[s]) for s, _ in _pair_tiles(old))
 
 
-def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
+def _frozen_step(ck: CnnKernel, wtd: np.ndarray, out: np.ndarray | None = None) -> CnnKernel:
     """``step_cnn`` on a state whose NNGP is its own image, with ``wtd = sigma_w2 * T_dot(nngp)``.
 
     The NNGP carries over; the NTK gets ``nngp + A(wtd * ntk)`` tile by tile
     over the same tiles, so every entry sees the operations of the full step.
+    It goes to new arrays, or to ``out``, which must not overlap ``ck``.
     """
     nngp = ck.nngp
-    ntk = np.empty_like(nngp)
+    ntk = np.empty_like(nngp) if out is None else out
     for s, _ in _pair_tiles(ck):
         tile_ntk = ntk[s]
         apply_A(wtd[s] * ck.ntk[s], ck.filter_halfwidth, out=tile_ntk)
@@ -415,24 +435,28 @@ def _frozen_step(ck: CnnKernel, wtd: np.ndarray) -> CnnKernel:
 def propagate_cnn(
     ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> Iterator[CnnKernel]:
-    """Yield the state at each requested depth as it is reached; depths are checked at the call."""
+    """Yield the state at each requested depth as it is reached; depths are checked at the call.
+
+    The walk never writes to ``ck`` or to a state it has yielded."""
     _check_depths(depths, ck.depth)
     return _walk(ck, h, k, depths)
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
     """Collapse spatial indices: flatten averages the block trace (offset 0
-    over positions), pooling averages the whole block (every offset)."""
+    over positions), pooling averages the whole block (every offset).  The
+    pairs past a state's stored prefix read NaN."""
     mode = ReadoutMode(mode)
     if mode is ReadoutMode.FLATTEN:
         reduce = lambda K: K[:, 0].mean(axis=-1)
     else:
         reduce = lambda K: offsets_to_blocks(K).mean(axis=(-2, -1))
     upper = _upper(ck.m)
+    missing = [np.nan] * (ck.m * (ck.m + 1) // 2 - ck.nngp.shape[0])
 
     def square(K):
         out = np.empty((ck.m, ck.m))
-        out[upper] = out.T[upper] = reduce(K)
+        out[upper] = out.T[upper] = np.append(reduce(K), missing) if missing else reduce(K)
         return out
 
     return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)

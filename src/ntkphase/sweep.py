@@ -314,7 +314,8 @@ def _trajectory(
     X: np.ndarray,
     depths: Sequence[int],
     filter_halfwidth: int,
-    samples: Optional[int] = None,
+    m: Optional[int] = None,
+    test_rows: bool = False,
 ) -> List[KernelPair]:
     """Joint NNGP/NTK matrices of the raw inputs ``X`` at the requested depths.
 
@@ -329,12 +330,16 @@ def _trajectory(
     the propagation reuses the maps (see ``ntkphase.propagation``) and the
     pairs keep the full steps' bits.
 
-    ``samples`` keeps the first that many samples of the input-layer state
-    (all by default).  Every entry evolves on its own, so the kept entries
-    match those of the full run bit for bit; slicing ``X`` instead would
-    not, since a Gram of fewer rows may take another gemm path.
+    ``m`` (all samples by default) marks the first m samples as the train
+    rows.  Without ``test_rows`` only the train rows' pairs propagate, into
+    m x m matrices.  With it, a CNN propagates the pairs (i, j) with i < m, a
+    prefix in pair order holding K_dd and K_td, and reads NaN in K_tt; an
+    FCN propagates every pair.  Every entry evolves on its own, so the kept
+    entries match those of the full run bit for bit; slicing ``X`` instead
+    would not, since a Gram of fewer rows may take another gemm path.
     """
     k = ActivationKernel(h.activation, qstar)
+    samples = None if test_rows else m  # the read-out matrices' samples; None for all
     if h.architecture is Architecture.FCN:
         if filter_halfwidth != 1:
             raise ValueError("an FCN does not read filter_halfwidth; leave it at the default 1")
@@ -343,10 +348,10 @@ def _trajectory(
         return propagate_fcn(kp, h, k, depths)
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
     ck = init_cnn_kernels(normalize_inputs_cnn(X, qstar), filter_halfwidth)
-    m = ck.m if samples is None else samples
-    keep = np.triu_indices(ck.m)[1] < m  # the pairs of the first m samples, in pair order
+    i, j = np.triu_indices(ck.m)  # pair order
+    keep = (i if test_rows else j) < (ck.m if m is None else m)
     offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
-    ck = replace(ck, nngp=ck.nngp[keep, offsets], ntk=ck.ntk[keep, offsets], m=m)
+    ck = replace(ck, nngp=ck.nngp[keep, offsets], ntk=ck.ntk[keep, offsets], m=samples or ck.m)
     states = propagate_cnn(ck, h, k, depths)
     del ck  # the walk drops the start state at its first step, unless a name here keeps it
     # map, unlike a loop variable, keeps no read-out state alive while the walk steps on
@@ -392,7 +397,7 @@ def predictor_decay(
     m = np.asarray(X_train).shape[0]
     X = np.concatenate([X_train, X_test])
     out: Dict[str, List[Tuple[int, float]]] = {"ntk": [], "nngp": []}
-    for kp in _trajectory(h, analyze(h).qstar, X, depths, filter_halfwidth):
+    for kp in _trajectory(h, analyze(h).qstar, X, depths, filter_halfwidth, m, test_rows=True):
         for kind in out:
             task = _task(getattr(kp, kind), m, Yc)
             out[kind].append((kp.depth, float(np.linalg.norm(mean_predict(task)))))
@@ -442,8 +447,7 @@ def _point_rows(cfg: SweepConfig, data: Optional[tuple], sw2: float, sb2: float)
         X, Y = data
         # a table that reads test rows reads n; without one, only the m train samples propagate
         reads_test = any("n" in _TABLES[out][1] for out in kernel_outputs)
-        pairs = _trajectory(h, rep.qstar, X, cfg.depths, cfg.filter_halfwidth,
-                            None if reads_test else cfg.m)
+        pairs = _trajectory(h, rep.qstar, X, cfg.depths, cfg.filter_halfwidth, cfg.m, reads_test)
 
         m = cfg.m
         for kp in pairs:

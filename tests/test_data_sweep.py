@@ -18,6 +18,7 @@ from ntkphase import (
     Hyperparams,
     SingularKernelError,
     WindowError,
+    analyze,
     kappa_trajectory,
     normalize_inputs,
     predictor_decay,
@@ -25,7 +26,7 @@ from ntkphase import (
 from ntkphase.cli import _SUBCOMMAND_OUTPUTS, _build_config, build_parser, main as cli_main
 from ntkphase.data import DataGenerator, cnn_inputs, generate_data, normals
 from ntkphase.phase import Phase
-from ntkphase.sweep import SweepConfig, SweepOutput, _fmt, _write_csv, run_sweep
+from ntkphase.sweep import SweepConfig, SweepOutput, _fmt, _trajectory, _write_csv, run_sweep
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src/ntkphase/schemas/output_schema.json"
 
@@ -372,28 +373,62 @@ class TestSinglePipeline:
             kappa_trajectory(h, cnn_inputs(4, 8, 6, seed=0), (1, 2, 4), filter_halfwidth=-1)
 
 
+def _count_array_entries(monkeypatch):
+    """Array entries mapped by ``t_map`` and ``t_dot`` from now on, counted in the returned dict."""
+    entries = {"t_map": 0, "t_dot": 0}
+    for name in entries:
+        def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+            if np.ndim(q_ab):  # the phase analysis maps scalars
+                entries[_name] += np.size(q_ab)
+            return _map(self, q_ab)
+
+        monkeypatch.setattr(ActivationKernel, name, counted)
+    return entries
+
+
 class TestTrainRowsOnly:
-    """A run whose tables read no test row propagates the m train samples alone."""
+    """A run whose tables read no test row propagates the m train samples alone; a CNN run
+    that reads test rows propagates every pair but the test-test ones."""
 
     @pytest.mark.parametrize("architecture, entries_per_pair", [("fcn", 1), ("cnn_f", 4),
                                                                 ("cnn_p", 16)])
     def test_kappa_only_run_maps_each_train_pair_once_per_step(self, tmp_path, monkeypatch,
                                                                architecture, entries_per_pair):
         m, depths = 4, (1, 3)
-        entries = {"t_map": 0, "t_dot": 0}
-        for name in entries:
-            def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
-                if np.ndim(q_ab):  # the phase analysis maps scalars
-                    entries[_name] += np.size(q_ab)
-                return _map(self, q_ab)
-
-            monkeypatch.setattr(ActivationKernel, name, counted)
+        entries = _count_array_entries(monkeypatch)
         cfg = SweepConfig(architecture=architecture, sigma_w2_grid=(1.5,), depths=depths, m=m,
                           outputs=(SweepOutput.KAPPA,),
                           **({} if architecture == "fcn" else dict(spatial_size=4)))
         assert run_sweep(cfg, tmp_path).n_point_errors == 0
         per_map = depths[-1] * m * (m + 1) // 2 * entries_per_pair
         assert entries == {"t_map": per_map, "t_dot": per_map}
+
+    @pytest.mark.parametrize("architecture, entries_per_pair", [("cnn_f", 4), ("cnn_p", 16)])
+    def test_a_run_reading_test_rows_maps_no_test_test_pair(self, tmp_path, monkeypatch,
+                                                            architecture, entries_per_pair):
+        m, n, depths = 4, 3, (1, 3)
+        entries = _count_array_entries(monkeypatch)
+        cfg = SweepConfig(architecture=architecture, sigma_w2_grid=(1.5,), depths=depths, m=m,
+                          n=n, spatial_size=4, outputs=(SweepOutput.PREDICTOR_DECAY,
+                                                        SweepOutput.DYNAMICS_TRACE))
+        assert run_sweep(cfg, tmp_path).n_point_errors == 0
+        pairs = (m + n) * (m + n + 1) // 2 - n * (n + 1) // 2  # 28 pairs less the 6 test-test
+        per_map = depths[-1] * pairs * entries_per_pair
+        assert entries == {"t_map": per_map, "t_dot": per_map}
+
+    @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
+    def test_train_row_pairs_keep_the_bits_of_every_pair(self, architecture):
+        h = Hyperparams(1.5, 0.5, "erf", architecture=architecture, spatial_size=4)
+        qstar = analyze(h).qstar
+        X, m, depths = cnn_inputs(7, 8, 4, seed=3), 4, (1, 3, 40)
+        rows = _trajectory(h, qstar, X, depths, 1, m, test_rows=True)
+        full = _trajectory(h, qstar, X, depths, 1)
+        for a, b in zip(rows, full, strict=True):
+            assert a.depth == b.depth
+            for K, ref in ((a.nngp, b.nngp), (a.ntk, b.ntk)):
+                np.testing.assert_array_equal(K[:, :m], ref[:, :m])  # K_dd and K_td
+                np.testing.assert_array_equal(K[:m], ref[:m])  # K_dd and K_td transposed
+                assert np.isnan(K[m:, m:]).all()  # K_tt
 
     @pytest.mark.parametrize("activation", ["erf", "tanh"])
     @pytest.mark.parametrize("architecture", ["fcn", "cnn_f", "cnn_p"])

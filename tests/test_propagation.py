@@ -701,9 +701,9 @@ class TestFrozenWalk:
         depths = [freeze - 1, freeze + 2, freeze + 5, 200]
         stepped = []
 
-        def counted(ck, *args):
+        def counted(ck, *args, **kwargs):
             stepped.append(ck.depth)
-            return step_cnn(ck, *args)
+            return step_cnn(ck, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "step_cnn", counted)
         pairs = _trajectory(h, k.qstar, X, depths, 1)
@@ -721,9 +721,9 @@ class TestFrozenWalk:
         # for: see the two test_propagate_rejects_* tests
         h, rep, k = erf_setup(2.0, 0.5)
 
-        def first_step_only(ck, *args):
+        def first_step_only(ck, *args, **kwargs):
             assert ck.depth == 0, f"stepped on from depth {ck.depth}"
-            return step_cnn(ck, *args)
+            return step_cnn(ck, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "step_cnn", first_step_only)
         assert next(propagate_cnn(_cnn_start(rep), h, k, [1, 10**6])).depth == 1
@@ -758,9 +758,9 @@ class TestFrozenWalk:
         frozen_depths = []
         frozen_step = propagation._frozen_step
 
-        def counted(ck, wtd):
+        def counted(ck, wtd, **kwargs):
             frozen_depths.append(ck.depth)
-            return frozen_step(ck, wtd)
+            return frozen_step(ck, wtd, **kwargs)
 
         monkeypatch.setattr(propagation, "_frozen_step", counted)
         frozen = run_sweep(cfg, tmp_path / "frozen", formats=("csv", "json"))
@@ -773,6 +773,92 @@ class TestFrozenWalk:
         assert [p.name for p in frozen.paths] == [p.name for p in full.paths]
         for a, b in zip(frozen.paths, full.paths):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+class TestReusedBuffers:
+    """The walk steps into the arrays of its own earlier states, never into the caller's or
+    a yielded state's, and lands on the bits of a plain ``step_cnn`` loop."""
+
+    @staticmethod
+    def case(name):
+        """(h, k, start state at depth 0, depths) of one walk."""
+        if name == "fcn":
+            h, rep, k = erf_setup(1.5, 0.5)
+            kp0 = init_kernels(normalize_inputs(normals(3, (5, 8)), rep.qstar))
+            return h, k, propagation._as_pairs(kp0), [1, 2, 5, 9]
+        if name == "frozen":
+            h = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+            k = ActivationKernel(Activation.ERF, analyze(h).qstar)
+            ck0 = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 4, 6, seed=1), k.qstar), 1)
+            freeze = _freeze_depth(_full_steps(ck0, h, k, 200))
+            assert 2 < freeze < 190
+            return h, k, ck0, [1, 2, freeze, freeze + 5, 200]
+        h, k, ck0 = TestTiledStepCnn.state("erf", name)
+        return h, k, ck0, [1, 2, 5, 9]
+
+    @pytest.mark.parametrize("name", ["cnn_p", "cnn_f", "fcn", "frozen"])
+    def test_walk_matches_a_step_loop_and_never_writes_what_it_gave_out(self, name):
+        h, k, ck0, depths = self.case(name)
+        loop = _full_steps(ck0, h, k, depths[-1])
+        start = (ck0.nngp.copy(), ck0.ntk.copy())
+        yielded = []
+        for ck in propagate_cnn(ck0, h, k, depths):
+            np.testing.assert_array_equal(ck.nngp, loop[ck.depth].nngp)
+            np.testing.assert_array_equal(ck.ntk, loop[ck.depth].ntk)
+            yielded.append(ck)
+        assert [ck.depth for ck in yielded] == depths
+        for ck in yielded:  # still, after the walk went on past it
+            np.testing.assert_array_equal(ck.nngp, loop[ck.depth].nngp)
+            np.testing.assert_array_equal(ck.ntk, loop[ck.depth].ntk)
+        np.testing.assert_array_equal(ck0.nngp, start[0])
+        np.testing.assert_array_equal(ck0.ntk, start[1])
+
+    def test_step_returns_the_arrays_it_is_given(self):
+        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        out = (np.full_like(ck.nngp, np.nan), np.full_like(ck.ntk, np.nan))
+        new = step_cnn(ck, h, k, out=out)
+        assert new.nngp is out[0] and new.ntk is out[1]
+        ref = step_cnn(ck, h, k)
+        np.testing.assert_array_equal(new.nngp, ref.nngp)
+        np.testing.assert_array_equal(new.ntk, ref.ntk)
+
+    @pytest.mark.parametrize("bad", ["shape", "order", "dtype", "state", "view", "each_other"])
+    def test_step_rejects_arrays_it_cannot_write(self, bad):
+        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        shape = ck.nngp.shape
+        fresh = np.empty(shape)
+        out = {
+            "shape": (np.empty(shape[:-1] + (shape[-1] + 1,)), fresh),
+            "order": (np.empty(shape[::-1]).T, fresh),  # Fortran order
+            "dtype": (np.empty(shape, dtype=np.float32), fresh),
+            "state": (fresh, ck.ntk),
+            "view": (ck.nngp[:], fresh),
+            "each_other": (fresh, fresh),
+        }[bad]
+        with pytest.raises(ValueError, match="out must be"):
+            step_cnn(ck, h, k, out=out)
+
+    @pytest.mark.parametrize("name", ["cnn_p", "frozen"])
+    @pytest.mark.parametrize("far", [True, False])
+    def test_a_walk_allocates_for_two_states_and_each_yield(self, monkeypatch, name, far):
+        h, k, ck0, depths = self.case(name)
+        depths = depths[-1:] if far else depths
+        allocated = []
+        step, frozen_step = propagation.step_cnn, propagation._frozen_step
+
+        def spy(ck, *args, out=None):
+            allocated.append(out is None)
+            return step(ck, *args, out=out)
+
+        def frozen_spy(ck, wtd, out=None):
+            allocated.append(out is None)
+            return frozen_step(ck, wtd, out=out)
+
+        monkeypatch.setattr(propagation, "step_cnn", spy)
+        monkeypatch.setattr(propagation, "_frozen_step", frozen_spy)
+        assert [ck.depth for ck in propagate_cnn(ck0, h, k, depths)] == depths
+        assert len(allocated) == depths[-1]
+        assert sum(allocated) <= 2 + len(depths)
 
 
 class TestOffsetStorage:
@@ -810,9 +896,9 @@ class TestOffsetStorage:
             init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), hw), h, k, depths)]
         stepped = []
 
-        def spy(ck, *args):
+        def spy(ck, *args, **kwargs):
             stepped.append(ck.nngp.shape[1])  # offsets carried
-            return step_cnn(ck, *args)
+            return step_cnn(ck, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "step_cnn", spy)
         fast = _trajectory(h, k.qstar, X, depths, hw)
