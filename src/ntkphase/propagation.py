@@ -39,7 +39,7 @@ does not depend on the tile size.
 into the ones it is given.  The depth walk behind ``propagate_fcn`` and
 ``propagate_cnn`` steps each state into the arrays of the state two steps
 back, unless the caller gave or the walk yielded that state, so it
-allocates only for its first two states and once per yield.  The NNGP update
+allocates at most twice plus once per state it yields.  The NNGP update
 reads only the NNGP, so once a step returns the NNGP bit for bit, every
 later step returns it again, the domain and drift checks see the same
 input, and T_dot at it is already known.  From there the walk computes
