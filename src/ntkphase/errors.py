@@ -10,6 +10,7 @@ __all__ = [
     "WindowError",
     "SingularKernelError",
     "IllConditionedError",
+    "AsymmetryError",
 ]
 
 
@@ -51,3 +52,7 @@ class SingularKernelError(NtkPhaseError, RuntimeError):
 
 class IllConditionedError(NtkPhaseError, RuntimeError):
     """Data-dependent block is too ill-conditioned for the requested identity."""
+
+
+class AsymmetryError(NtkPhaseError, ValueError):
+    """Matrix is not symmetric to the required tolerance."""

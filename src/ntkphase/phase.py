@@ -61,14 +61,14 @@ class Phase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Width-independent configuration of one network family."""
+    """Width-independent configuration of one network family; a dropout
+    layer's keep-rate is the ``rho`` of ``propagation.apply_dropout``."""
 
     sigma_w2: float
     sigma_b2: float
     activation: Activation
     architecture: Architecture = Architecture.FCN
     spatial_size: int = 1
-    dropout_keep: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))
@@ -81,8 +81,6 @@ class Hyperparams:
             raise ValueError("FCN requires spatial_size == 1")
         if self.spatial_size < 1:
             raise ValueError("spatial_size must be positive")
-        if not 0.0 < self.dropout_keep <= 1.0:
-            raise ValueError("dropout_keep must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

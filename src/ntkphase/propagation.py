@@ -147,6 +147,8 @@ class CnnKernel:
 
     def block(self, i: int, j: int, kind: str = "nngp") -> np.ndarray:
         """The d x d block of covariances between pixels of sample i and j."""
+        if kind not in ("nngp", "ntk"):
+            raise ValueError("kind must be 'ntk' or 'nngp'")
         arr = self.nngp if kind == "nngp" else self.ntk
         b = offsets_to_blocks(arr[self.pair_index(i, j)])
         return b if i <= j else b.T
@@ -285,8 +287,8 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     _check_window(K.shape[-1], halfwidth)
     if out is None:
         out = np.empty_like(K)
-    elif out.shape != K.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {K.shape}")
+    elif out.shape != K.shape or not out.flags.c_contiguous or np.may_share_memory(out, K):
+        raise ValueError(f"out must be a C-contiguous array of shape {K.shape} not overlapping K")
     if halfwidth == 0:
         np.copyto(out, K)
         return out
@@ -375,6 +377,8 @@ def step_cnn(
     The new state holds new arrays, or the given ``out = (nngp, ntk)``:
     C-contiguous floats of its shape that share no memory with ``ck``.
     """
+    if h.activation is not k.activation:
+        raise ValueError(f"h steps {h.activation.value} layers but k maps {k.activation.value}")
     hw = ck.filter_halfwidth
     if out and (np.may_share_memory(*out) or any(
             a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
@@ -478,24 +482,22 @@ def dropout_kappa_limit(m: int, pstar: float, sigma_b2: float, rho: float) -> fl
     return m * pstar / ((1.0 / rho - 1.0) * (pstar - sigma_b2)) + 1.0
 
 
-def apply_dropout(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> KernelPair:
-    """One plain readout layer on top of ``kp`` with dropout keep-rate rho.
+def apply_dropout(kp: KernelPair, h: Hyperparams, k: ActivationKernel, rho: float) -> KernelPair:
+    """One plain readout layer on top of ``kp`` with dropout keep-rate ``rho`` in (0, 1].
 
-    Dropout rescales only the diagonal: the off-diagonal entries coincide
-    bit-for-bit with the plain step, and rho = 1 returns the plain step
-    unchanged.  The result is a terminal kernel (its diagonal is no longer
-    the recursion fixed point), not meant for further propagation.
+    Dropout rescales, in place, only the diagonals of the new pair that
+    ``step_fcn`` returns: the off-diagonals keep the plain step's bits, and
+    rho = 1 returns the plain step.  The result is a terminal kernel (its
+    diagonal is no longer the recursion fixed point), not for propagation.
     """
-    rho = h.dropout_keep
+    if not 0.0 < rho <= 1.0:  # also rejects NaN
+        raise ValueError(f"the keep-rate rho must lie in (0, 1], not {rho!r}")
     stepped = step_fcn(kp, h, k)
-    if rho == 1.0:
-        return stepped
-    nngp = stepped.nngp.copy()
-    ntk = stepped.ntk.copy()
-    inv = 1.0 / rho
-    np.fill_diagonal(nngp, inv * (np.diagonal(stepped.nngp) - h.sigma_b2) + h.sigma_b2)
-    np.fill_diagonal(ntk, inv * np.diagonal(stepped.ntk) + (1.0 - inv) * h.sigma_b2)
-    return KernelPair(nngp=nngp, ntk=ntk, depth=stepped.depth)
+    if rho < 1.0:
+        inv = 1.0 / rho
+        np.fill_diagonal(stepped.nngp, inv * (np.diagonal(stepped.nngp) - h.sigma_b2) + h.sigma_b2)
+        np.fill_diagonal(stepped.ntk, inv * np.diagonal(stepped.ntk) + (1.0 - inv) * h.sigma_b2)
+    return stepped
 
 
 # ---------------------------------------------------------------------------

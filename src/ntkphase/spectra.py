@@ -16,13 +16,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import NtkPhaseError
+from .errors import AsymmetryError
 
 __all__ = ["SpectrumSummary", "RateFit", "spectrum", "fit_rate"]
-
-
-class AsymmetryError(NtkPhaseError, ValueError):
-    """Matrix is not symmetric to the required tolerance."""
 
 
 @dataclass(frozen=True)

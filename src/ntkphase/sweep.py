@@ -346,6 +346,8 @@ def _trajectory(
         kp = init_kernels(normalize_inputs(X, qstar))
         kp = KernelPair(kp.nngp[:samples, :samples], kp.ntk[:samples, :samples], 0)
         return propagate_fcn(kp, h, k, depths)
+    if h.spatial_size != np.shape(X)[-1]:
+        raise ValueError(f"spatial_size {h.spatial_size} is not the {np.shape(X)[-1]} pixels of X")
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
     ck = init_cnn_kernels(normalize_inputs_cnn(X, qstar), filter_halfwidth)
     i, j = np.triu_indices(ck.m)  # pair order

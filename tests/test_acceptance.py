@@ -316,13 +316,12 @@ def test_criterion_10_dropout():
         kp = propagate_fcn(init_kernels(X), h, k, [depth - 1])[0]
         devs = {}
         for rho in (0.8, 0.95, 0.99):
-            h_drop = Hyperparams(2.0, 0.5, "erf", dropout_keep=rho)
-            kappa = spectrum(apply_dropout(kp, h_drop, k).ntk, depth).kappa
+            kappa = spectrum(apply_dropout(kp, h, k, rho).ntk, depth).kappa
             limit = dropout_kappa_limit(m, rep.pstar, 0.5, rho)
             devs[rho] = abs(kappa / limit - 1.0)
             assert devs[rho] < 0.02
         plain = step_fcn(kp, h, k)
-        same = apply_dropout(kp, h, k)
+        same = apply_dropout(kp, h, k, 1.0)
         assert np.array_equal(plain.ntk, same.ntk) and np.array_equal(plain.nngp, same.nngp)
     report(10, budget, sw,
            "kappa limit deviations at 8*xi1: "

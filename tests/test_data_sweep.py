@@ -372,6 +372,16 @@ class TestSinglePipeline:
         with pytest.raises(WindowError, match="negative"):
             kappa_trajectory(h, cnn_inputs(4, 8, 6, seed=0), (1, 2, 4), filter_halfwidth=-1)
 
+    @pytest.mark.parametrize("call", [kappa_trajectory, predictor_decay])
+    def test_cnn_library_calls_reject_a_spatial_size_the_inputs_lack(self, call):
+        # the walk takes its pixels from X, but predict_spectrum pools by h.spatial_size
+        h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=5)
+        X = cnn_inputs(6, 8, 6, seed=0)
+        data = (X[:4],) if call is kappa_trajectory else (X[:4], X[4:], [[1.0], [-1.0]] * 2)
+        with pytest.raises(ValueError, match="spatial_size 5 is not the 6 pixels of X"):
+            call(h, *data, (1, 2))
+        call(Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=6), *data, (1, 2))
+
 
 def _count_array_entries(monkeypatch):
     """Array entries mapped by ``t_map`` and ``t_dot`` from now on, counted in the returned dict."""
@@ -880,7 +890,7 @@ class TestCli:
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "dropout_keep": 0.5}))
+        cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "keep_rate": 0.5}))
         assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
     def test_help_exits_zero(self, capsys):

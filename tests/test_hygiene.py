@@ -1,10 +1,12 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every module-level private name of the package is read somewhere, and
-``tools/unrun_lines.py`` finds a statement that no call reaches."""
+every module-level private name of the package is read somewhere, every
+exception class lives in ``ntkphase.errors``, and ``tools/unrun_lines.py``
+finds a statement that no call reaches."""
 
 import ast
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,28 @@ def test_every_dataclass_field_is_read():
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
     package = {p: s for p, s in sources.items() if p.startswith("src/ntkphase/")}
     assert _unread_fields(package, sources) == []
+
+
+def _exception_classes(module) -> list:
+    """Names of the exception classes that ``module`` itself defines at its top level."""
+    return sorted(name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__)
+
+
+def test_scan_flags_an_exception_class_defined_in_the_module():
+    module = types.ModuleType("m")
+    exec("from json import JSONDecodeError\nclass Local(ValueError):\n    pass\n"
+         "class Plain:\n    pass\n", vars(module))
+    assert _exception_classes(module) == ["Local"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (ROOT / "src" / "ntkphase").glob("*.py")
+                                        if p.name != "errors.py"), ids=lambda p: p.name)
+def test_every_exception_class_lives_in_errors(path):
+    # one module holds the error types, so ntkphase.errors lists every one a caller can catch
+    name = "ntkphase" if path.stem == "__init__" else f"ntkphase.{path.stem}"
+    assert _exception_classes(importlib.import_module(name)) == []
 
 
 def _unrun_lines_tool():

@@ -54,8 +54,6 @@ class TestHyperparams:
         (dict(sigma_w2=0.0, sigma_b2=0.0), "both vanish"),
         (dict(spatial_size=4), "FCN requires spatial_size == 1"),
         (dict(architecture="cnn_f", spatial_size=0), "spatial_size must be positive"),
-        (dict(dropout_keep=0.0), "dropout_keep"),
-        (dict(dropout_keep=1.5), "dropout_keep"),
     ])
     def test_rejects_inconsistent_fields(self, kwargs, match):
         args = dict(sigma_w2=1.0, sigma_b2=0.5, activation="erf") | kwargs

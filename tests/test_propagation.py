@@ -179,6 +179,13 @@ class TestStepFcn:
         with pytest.raises(DiagonalDriftError, match="drifted nan"):
             step_fcn(kp, h, k)
 
+    def test_step_rejects_a_kernel_of_another_activation(self):
+        # the maps come from k alone, so a relu h with an erf k stepped erf layers
+        h, rep, k = erf_setup(1.5, 0.5)
+        kp = init_kernels(normalize_inputs(normals(4, (3, 10)), rep.qstar))
+        with pytest.raises(ValueError, match="h steps relu layers but k maps erf"):
+            step_fcn(kp, Hyperparams(1.5, 0.5, "relu"), k)
+
     def test_step_maps_each_sample_pair_once(self, monkeypatch):
         # the dense pair is stepped by its upper triangle: m(m+1)/2 entries per map
         h, rep, k = erf_setup(1.7, 0.4)
@@ -422,6 +429,15 @@ class TestConvolutionOperator:
             apply_A(K, 1, out=np.empty((3, 6, 12))[..., ::2])
         with pytest.raises(ValueError, match="C-contiguous"):
             apply_A(K, 1, out=np.empty((3, 6, 5)))
+
+    @pytest.mark.parametrize("overlap", ["same", "shifted_view"])
+    def test_out_must_not_overlap_K(self, overlap):
+        buf = normals(2, (4, 4, 8))
+        before = buf.copy()
+        K, out = (buf, buf) if overlap == "same" else (buf[:3], buf[1:])
+        with pytest.raises(ValueError, match="not overlapping K"):
+            apply_A(K, 2, out=out)
+        np.testing.assert_array_equal(buf, before)
 
     def test_fourier_eigs_hand_values(self):
         np.testing.assert_allclose(fourier_eigs(4, 1), [1.0, 1 / 3, -1 / 3, 1 / 3], atol=1e-14)
@@ -950,14 +966,18 @@ class TestDropout:
 
     def test_keep_rate_one_is_plain_step(self):
         plain = step_fcn(self.kp, self.h, self.k)
-        dropped = apply_dropout(self.kp, self.h, self.k)
+        dropped = apply_dropout(self.kp, self.h, self.k, 1.0)
         np.testing.assert_array_equal(plain.ntk, dropped.ntk)
         np.testing.assert_array_equal(plain.nngp, dropped.nngp)
 
+    @pytest.mark.parametrize("rho", [0.0, 1.5, math.nan])
+    def test_rejects_a_keep_rate_outside_the_unit_interval(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+            apply_dropout(self.kp, self.h, self.k, rho)
+
     def test_offdiagonals_bit_identical(self):
-        h_drop = Hyperparams(2.0, 0.5, "erf", dropout_keep=0.8)
         plain = step_fcn(self.kp, self.h, self.k)
-        dropped = apply_dropout(self.kp, h_drop, self.k)
+        dropped = apply_dropout(self.kp, self.h, self.k, 0.8)
         off = ~np.eye(8, dtype=bool)
         np.testing.assert_array_equal(dropped.ntk[off], plain.ntk[off])
         np.testing.assert_array_equal(dropped.nngp[off], plain.nngp[off])
@@ -965,9 +985,8 @@ class TestDropout:
 
     def test_diagonal_formula(self):
         rho = 0.6
-        h_drop = Hyperparams(2.0, 0.5, "erf", dropout_keep=rho)
         plain = step_fcn(self.kp, self.h, self.k)
-        dropped = apply_dropout(self.kp, h_drop, self.k)
+        dropped = apply_dropout(self.kp, self.h, self.k, rho)
         expected = plain.ntk[0, 0] / rho + (1 - 1 / rho) * 0.5
         assert dropped.ntk[0, 0] == pytest.approx(expected, rel=1e-14)
         expected_nngp = (plain.nngp[0, 0] - 0.5) / rho + 0.5
@@ -1087,6 +1106,11 @@ class TestCnnInit:
         ck = init_cnn_kernels(X, 1)
         np.testing.assert_allclose(ck.block(0, 1), ck.block(1, 0).T, atol=0)
         np.testing.assert_allclose(np.diagonal(ck.block(2, 2)), 1.0, atol=1e-12)
+
+    def test_block_rejects_an_unknown_kind(self):
+        ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(2, 4, 5, seed=1), 1.0), 1)
+        with pytest.raises(ValueError, match="kind must be"):
+            ck.block(0, 1, "bogus")
 
     def test_blocks_and_readout_match_pair_loop(self):
         h, rep, k = erf_setup(4.0, 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from ntkphase import Hyperparams, analyze, fit_rate, kappa_trajectory, spectrum
 from ntkphase.data import normals
-from ntkphase.spectra import AsymmetryError
+from ntkphase.errors import AsymmetryError
 
 
 def charpoly_roots_3x3(M):
