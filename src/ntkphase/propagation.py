@@ -141,9 +141,11 @@ class CnnKernel:
     depth: int
 
     def pair_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.m - (i * (i - 1)) // 2 + (j - i)
+        i, j = min(i, j), max(i, j)
+        row = i * self.m - (i * (i - 1)) // 2 + (j - i)
+        if i < 0 or j >= self.m or row >= len(self.nngp):
+            raise IndexError(f"pair ({i}, {j}) is not stored")
+        return row
 
     def block(self, i: int, j: int, kind: str = "nngp") -> np.ndarray:
         """The d x d block of covariances between pixels of sample i and j."""

@@ -117,7 +117,9 @@ _TABLES: Dict[SweepOutput, Tuple[str, set, List[str]]] = {
 
 
 def _cast(default, value):
-    """``value`` as the type of ``default``; integers by ``operator.index``, so 12.0 fails."""
+    """``value`` as the type of ``default``; integers by ``operator.index``; 12.0 and True fail."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     return operator.index(value) if isinstance(default, int) else type(default)(value)
 
 

@@ -227,7 +227,7 @@ def test_criterion_07_ordered_predictor_limit():
 
         depth = round(6 * rep.xi1)
         kp = propagate_fcn(kp0, h, k, [depth])[0]
-        P = ordered_limit_predictor(kp, rep, n_train, verify_tol=None)
+        P = ordered_limit_predictor(kp, rep, n_train)
         direct = kp.ntk[n_train:, :n_train] @ np.linalg.inv(kp.ntk[:n_train, :n_train])
         rel = np.max(np.abs(P - direct)) / np.max(np.abs(direct))
         assert rel < 1e-6
@@ -235,8 +235,8 @@ def test_criterion_07_ordered_predictor_limit():
         Y = center_labels(np.array([1.0, -1.0] * 3).reshape(-1, 1))
         l0 = round(12 * rep.xi1)
         kps = propagate_fcn(kp0, h, k, [l0, l0 + 20])
-        P1 = ordered_limit_predictor(kps[0], rep, n_train, verify_tol=None)
-        P2 = ordered_limit_predictor(kps[1], rep, n_train, verify_tol=None)
+        P1 = ordered_limit_predictor(kps[0], rep, n_train)
+        P2 = ordered_limit_predictor(kps[1], rep, n_train)
         change = np.linalg.norm(P1 @ Y - P2 @ Y) / np.linalg.norm(P1 @ Y)
         assert change < 0.01
     report(7, budget, sw,

@@ -104,6 +104,13 @@ class TestSweepConfig:
             SweepConfig(spatial_size=2, filter_halfwidth=1)
         assert SweepConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("bad", [dict(n=True), dict(ridge=True), dict(seed=False),
+                                     dict(depths=(True, 2)), dict(sigma_b2_grid=(False,))])
+    def test_rejects_a_bool_for_a_number(self, bad):
+        # a bool is an int to Python: n=True ran with n = 1, depths (True, 2) as (1, 2)
+        with pytest.raises(TypeError, match="not a number"):
+            SweepConfig(**bad)
+
     @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
     def test_cnn_rejects_a_generator_it_would_ignore(self, architecture):
         # CNN inputs always come from cnn_inputs, so no other generator may be asked for
@@ -807,6 +814,13 @@ class TestCli:
     @pytest.mark.parametrize("bad", [{"m": 12.0}, {"depths": [1.5, 3]}, {"seed": -1},
                                      {"sigma_w2_grid": "14"}])
     def test_config_file_type_or_range_error_exits_one(self, tmp_path, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "m": 4, "n": 2, **bad}))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("bad", [{"n": True}, {"ridge": True}, {"seed": False},
+                                     {"depths": [True, 2]}])
+    def test_config_file_bool_for_a_number_exits_one(self, tmp_path, bad):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sigma_w2_grid": [1.0], "m": 4, "n": 2, **bad}))
         assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1

@@ -1,10 +1,12 @@
 """Source hygiene: every imported name in the package and the tests is used,
 every module-level private name of the package is read somewhere, every
-exception class lives in ``ntkphase.errors``, and ``tools/unrun_lines.py``
-finds a statement that no call reaches."""
+exception class lives in ``ntkphase.errors``, no test skips for want of a
+declared test dependency, and ``tools/unrun_lines.py`` finds a statement
+that no call reaches."""
 
 import ast
 import importlib.util
+import re
 import sys
 import types
 from pathlib import Path
@@ -197,6 +199,34 @@ def test_every_exception_class_lives_in_errors(path):
     # one module holds the error types, so ntkphase.errors lists every one a caller can catch
     name = "ntkphase" if path.stem == "__init__" else f"ntkphase.{path.stem}"
     assert _exception_classes(importlib.import_module(name)) == []
+
+
+def _skipped_declared_imports(source: str, declared: set) -> list:
+    """``module (line n)`` for each ``importorskip`` call on a module of ``declared``."""
+    return sorted(
+        f"{node.args[0].value} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip"
+        and node.args and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value.split(".")[0] in declared
+    )
+
+
+def test_scan_flags_an_importorskip_of_a_declared_module():
+    src = ('mp = pytest.importorskip("mpmath")\nx = pytest.importorskip("mpmath.libmp")\n'
+           'y = pytest.importorskip("optional_extra")\n')
+    assert _skipped_declared_imports(src, {"mpmath"}) == ["mpmath (line 1)", "mpmath.libmp (line 2)"]
+
+
+def test_no_test_skips_a_declared_test_dependency():
+    # a declared dependency that is missing should fail the run, not skip the checks needing it
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in extra}
+    assert "mpmath" in declared
+    found = {p.name: _skipped_declared_imports(p.read_text(), declared)
+             for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def _unrun_lines_tool():

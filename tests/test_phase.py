@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -123,7 +124,7 @@ class MapCounter:
         return self.diag + self.t_map + self.t_dot
 
 
-def _mp_erf_qstar(mp, sw2, sb2):
+def _mp_erf_qstar(sw2, sb2):
     """50-digit root of q = sw2 (2/pi) asin(2q/(1+2q)) + sb2."""
     sw2, sb2 = mp.mpf(sw2), mp.mpf(sb2)
     return mp.findroot(lambda q: sw2 * 2 / mp.pi * mp.asin(2 * q / (1 + 2 * q)) + sb2 - q,
@@ -184,16 +185,14 @@ class TestDirectSolves:
         assert counter.total == 0
 
     def test_erf_qstar_to_full_precision(self):
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
-            root = _mp_erf_qstar(mp, "1.5", "0.3")
+            root = _mp_erf_qstar("1.5", "0.3")
             rep = analyze(Hyperparams(1.5, 0.3, "erf"))
             assert abs((rep.qstar - root) / root) <= 1e-14
 
     def test_erf_cstar_to_full_precision(self):
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
-            q = _mp_erf_qstar(mp, 4, "0.5")
+            q = _mp_erf_qstar(4, "0.5")
             c = mp.findroot(lambda c: (4 * 2 / mp.pi * mp.asin(2 * c * q / (1 + 2 * q))
                                        + mp.mpf("0.5")) / q - c, 0.6)
             rep = analyze(Hyperparams(4.0, 0.5, "erf"))

@@ -1112,6 +1112,25 @@ class TestCnnInit:
         with pytest.raises(ValueError, match="kind must be"):
             ck.block(0, 1, "bogus")
 
+    @pytest.mark.parametrize("i, j", [(0, 4), (0, 5), (4, 0), (-1, 0), (2, -3)])
+    def test_block_rejects_a_sample_outside_the_state(self, i, j):
+        # on 4 samples, (0, 5) read the (1, 2) block and (-1, 0) pair -4
+        ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(4, 4, 5, seed=1), 1.0), 1)
+        with pytest.raises(IndexError, match="not stored"):
+            ck.pair_index(i, j)
+        with pytest.raises(IndexError, match="not stored"):
+            ck.block(i, j)
+
+    def test_pair_index_rejects_a_pair_past_the_stored_prefix(self):
+        # the sweep's test-row state keeps the pairs (i, j) with i < 2 of 4 samples
+        ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(4, 4, 5, seed=1), 1.0), 1)
+        i, _ = np.triu_indices(4)
+        ck = replace(ck, nngp=ck.nngp[i < 2], ntk=ck.ntk[i < 2])
+        assert ck.pair_index(3, 1) == len(ck.nngp) - 1
+        for pair in [(2, 2), (2, 3), (3, 3)]:
+            with pytest.raises(IndexError, match="not stored"):
+                ck.pair_index(*pair)
+
     def test_blocks_and_readout_match_pair_loop(self):
         h, rep, k = erf_setup(4.0, 0.5)
         hc = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=5)
