@@ -35,17 +35,19 @@ Each entry sees the same operations in the same order as in one pass over
 the whole state, and every Gaussian map acts entry by entry, so the result
 does not depend on the tile size.
 
-``step_cnn`` is a pure function of its state, written into new arrays or
-into the ones it is given.  The depth walk behind ``propagate_fcn`` and
-``propagate_cnn`` steps each state into the arrays of the state two steps
-back, unless the caller gave or the walk yielded that state, so it
-allocates at most twice plus once per state it yields.  The NNGP update
-reads only the NNGP, so once a step returns the NNGP bit for bit, every
-later step returns it again, the domain and drift checks see the same
-input, and T_dot at it is already known.  From there the walk computes
-``sigma_w2 * T_dot`` once and steps the NTK alone, ``nngp + A(sigma_w2 *
-T_dot * ntk)``, over the same tiles and in the same order as the full
-step: every state it yields holds the full steps' bits.
+``step_cnn`` computes a state from the one before alone, into new arrays
+or into the ones it is given, which may be the old state's own NTK.  The
+depth walk behind ``propagate_fcn`` and ``propagate_cnn`` owns one state
+and allocates three state-sized arrays in all: after its first step it
+steps the NTK in place and the NNGP into the other of two buffers (the
+checks read the old one), and hands each depth to ``emit`` as reached.  The
+NNGP update reads only the NNGP, so once a step returns the NNGP bit for
+bit, every later step returns it again, the domain and drift checks see
+the same input, and T_dot at it is already known.  From there the walk
+computes ``sigma_w2 * T_dot`` once and steps the NTK alone, ``nngp +
+A(sigma_w2 * T_dot * ntk)``, over the same tiles and in the same order as
+the full step; once that returns the NTK too, the state repeats and the
+walk stops stepping.  Every state it hands out holds the full steps' bits.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, List, Sequence
 
@@ -225,37 +227,42 @@ def _check_depths(depths: Sequence[int], start: int) -> None:
         raise ValueError(f"depths must be at least {start} and strictly increasing: {list(depths)}")
 
 
-def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]) -> Iterator:
-    """Step ``ck`` repeatedly, yielding the state at each requested depth.
+def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit):
+    """Step ``ck`` repeatedly, yielding ``emit`` of the state at each requested depth.
 
     Once a full ``step_cnn`` returns the NNGP bit for bit (``_nngp_fixed``),
-    every later step would too, so the walk caches ``sigma_w2 * T_dot`` at
-    it and advances the NTK alone (``_frozen_step``); every state it yields
-    holds the bits of the full steps.
+    the walk caches ``sigma_w2 * T_dot`` at it and advances the NTK alone
+    (``_frozen_step``) into ``spare``; once that returns the NTK bit for
+    bit, the walk hands that state out at each deeper depth without stepping.
     """
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
-    spare = None  # the arrays of the state before ck, if neither the caller's nor yielded
-    own = False  # whether ck's arrays may become spare
+    spare = None  # the walk's state-sized array that ck does not hold, once there is one
+    own = False  # whether ck's arrays are the walk's, not the caller's
+    repeated = False  # whether the last step returned the whole state bit for bit
     for target in depths:
-        while ck.depth < target:
-            if wtd is None:
-                new = step_cnn(ck, h, k, out=spare)
+        while ck.depth < target and not repeated:
+            if wtd is not None:
+                new = _frozen_step(ck, wtd, out=spare)  # the NNGP is shared
+                repeated = all(np.array_equal(ck.ntk[s], new.ntk[s]) for s, _ in _pair_tiles(ck))
+                spare = ck.ntk
+            else:  # the first step writes new arrays, never the caller's
+                if own and spare is None:
+                    spare = np.empty_like(ck.nngp)
+                new = step_cnn(ck, h, k, out=(spare, ck.ntk) if own else None)
                 if _nngp_fixed(ck, new):
                     wtd = k.t_dot(new.nngp)
                     wtd *= h.sigma_w2  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
-            else:
-                new = _frozen_step(ck, wtd, out=spare and spare[1])  # the NNGP is shared
-            spare = (ck.nngp, ck.ntk) if own else None
-            ck, own = new, new.depth < target
-        yield ck
+                spare = ck.nngp if own else None
+            ck, own = new, True
+        yield emit(replace(ck, depth=target))
 
 
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (strictly increasing) depths."""
-    states = propagate_cnn(_as_pairs(kp), h, k, depths)
-    return [readout(ck, ReadoutMode.FLATTEN) for ck in states]  # one pair state held at a time
+    flat = lambda ck: readout(ck, ReadoutMode.FLATTEN)
+    return list(propagate_cnn(_as_pairs(kp), h, k, depths, emit=flat))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +356,9 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
     m, n_ch, d = X.shape
     _check_window(d, halfwidth)
     i, j = np.triu_indices(m)  # pair_index order
-    nngp = blocks_to_offsets(np.matmul(X[i].transpose(0, 2, 1), X[j]) / n_ch)
+    nngp = np.matmul(X[i].transpose(0, 2, 1), X[j])  # the Gram blocks, divided in place
+    nngp /= n_ch
+    nngp = blocks_to_offsets(nngp)
     return CnnKernel(nngp=nngp, ntk=nngp.copy(), m=m, filter_halfwidth=halfwidth, depth=0)
 
 
@@ -364,7 +373,7 @@ def _tile_plan(m: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple
 
 def _pair_tiles(ck: CnnKernel) -> tuple:
     """The ``_tile_plan`` of ``ck``'s state at the current ``_TILE_ENTRIES``."""
-    return _tile_plan(ck.m, ck.nngp.shape[0], ck.nngp[0].size, _TILE_ENTRIES)
+    return _tile_plan(ck.m, ck.nngp.shape[0], math.prod(ck.nngp.shape[1:]), _TILE_ENTRIES)
 
 
 def step_cnn(
@@ -377,16 +386,20 @@ def step_cnn(
     the untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
     The new state holds new arrays, or the given ``out = (nngp, ntk)``:
-    C-contiguous floats of its shape that share no memory with ``ck``.
+    C-contiguous floats of its shape that share no memory with each other
+    or with ``ck``, but ``ntk`` may be ``ck.ntk``: each tile forms
+    ``sigma_w2 * T_dot * ntk`` before it writes that tile, so the in-place
+    bits are the same, though a step that raises may leave it part written.
     """
     if h.activation is not k.activation:
         raise ValueError(f"h steps {h.activation.value} layers but k maps {k.activation.value}")
     hw = ck.filter_halfwidth
-    if out and (np.may_share_memory(*out) or any(
-            a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
-            or np.may_share_memory(a, ck.nngp) or np.may_share_memory(a, ck.ntk) for a in out)):
+    if out and (np.may_share_memory(*out) or np.may_share_memory(out[0], ck.ntk)
+                or out[1] is not ck.ntk and np.may_share_memory(out[1], ck.ntk) or any(
+                    a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
+                    or np.may_share_memory(a, ck.nngp) for a in out)):
         raise ValueError(f"out must be two C-contiguous float arrays of shape {ck.nngp.shape} "
-                         "that share no memory with each other or with the state")
+                         "sharing no memory with each other or the state, but for its own NTK")
     nngp, ntk = out or (np.empty_like(ck.nngp), np.empty_like(ck.nngp))
     drift = 0.0  # the largest so far; a NaN stays
     try:
@@ -439,30 +452,37 @@ def _frozen_step(ck: CnnKernel, wtd: np.ndarray, out: np.ndarray | None = None) 
 
 
 def propagate_cnn(
-    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
-) -> Iterator[CnnKernel]:
+    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit=None
+) -> Iterator:
     """Yield the state at each requested depth as it is reached; depths are checked at the call.
 
-    The walk never writes to ``ck`` or to a state it has yielded."""
+    With ``emit``, yield ``emit(state)`` instead: ``emit`` gets the walk's
+    own state, which the next step overwrites, so it must keep no array of
+    it.  Without it, each yielded state is a copy.  The walk never writes
+    to ``ck`` or to anything it has yielded."""
     _check_depths(depths, ck.depth)
-    return _walk(ck, h, k, depths)
+    copied = lambda ck: replace(ck, nngp=ck.nngp.copy(), ntk=ck.ntk.copy())
+    return _walk(ck, h, k, depths, emit or copied)
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
     """Collapse spatial indices: flatten averages the block trace (offset 0
-    over positions), pooling averages the whole block (every offset).  The
-    pairs past a state's stored prefix read NaN."""
+    over positions), pooling averages the whole block (every offset), tile
+    by tile, so no gather is the size of the state.  The pairs past a
+    state's stored prefix read NaN."""
     mode = ReadoutMode(mode)
     if mode is ReadoutMode.FLATTEN:
         reduce = lambda K: K[:, 0].mean(axis=-1)
     else:
         reduce = lambda K: offsets_to_blocks(K).mean(axis=(-2, -1))
     upper = _upper(ck.m)
-    missing = [np.nan] * (ck.m * (ck.m + 1) // 2 - ck.nngp.shape[0])
 
     def square(K):
+        pairs = np.full(ck.m * (ck.m + 1) // 2, np.nan)
+        for s, _ in _pair_tiles(ck):
+            pairs[s] = reduce(K[s])
         out = np.empty((ck.m, ck.m))
-        out[upper] = out.T[upper] = np.append(reduce(K), missing) if missing else reduce(K)
+        out[upper] = out.T[upper] = pairs
         return out
 
     return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)

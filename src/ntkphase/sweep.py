@@ -326,11 +326,12 @@ def _trajectory(
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
     mean-square ``qstar``, the solved variance fixed point.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
-    propagates offset 0 alone.  One walk yields each CNN state, which is
-    read out at once, so this frame holds no state of its own while the
-    walk steps.  Past the depth where a step returns the NNGP bit for bit,
-    the propagation reuses the maps (see ``ntkphase.propagation``) and the
-    pairs keep the full steps' bits.
+    propagates offset 0 alone.  The walk starts from one array (the depth-0
+    NTK is the NNGP), owns the only state and reads each depth out as it is
+    reached, so at most three state-sized arrays live at once.  Past the
+    depth where the NNGP or the whole state repeats, the walk reuses the
+    maps or stops stepping (see ``ntkphase.propagation``); the pairs keep
+    the full steps' bits.
 
     ``m`` (all samples by default) marks the first m samples as the train
     rows.  Without ``test_rows`` only the train rows' pairs propagate, into
@@ -355,11 +356,11 @@ def _trajectory(
     i, j = np.triu_indices(ck.m)  # pair order
     keep = (i if test_rows else j) < (ck.m if m is None else m)
     offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
-    ck = replace(ck, nngp=ck.nngp[keep, offsets], ntk=ck.ntk[keep, offsets], m=samples or ck.m)
-    states = propagate_cnn(ck, h, k, depths)
-    del ck  # the walk drops the start state at its first step, unless a name here keeps it
-    # map, unlike a loop variable, keeps no read-out state alive while the walk steps on
-    return list(map(functools.partial(readout, mode=mode), states))
+    nngp = ck.nngp[keep, offsets]
+    ck = replace(ck, nngp=nngp, ntk=nngp, m=samples or ck.m)
+    pairs = propagate_cnn(ck, h, k, depths, emit=functools.partial(readout, mode=mode))
+    del ck, nngp  # the walk drops the start array at its first step, unless a name here keeps it
+    return list(pairs)
 
 
 @_one_blas_thread()

@@ -46,7 +46,7 @@ from ntkphase import propagation
 from ntkphase.data import cnn_inputs, normals, shift_register_inputs
 from ntkphase.propagation import CnnKernel, KernelPair, blocks_to_offsets, offsets_to_blocks
 from ntkphase.spectra import fit_rate
-from ntkphase.sweep import _trajectory
+from ntkphase.sweep import _dataset, _trajectory
 
 
 def two_point(q, q_ab, p, p_ab):
@@ -764,6 +764,72 @@ class TestFrozenWalk:
                 tracemalloc.stop()
         assert peaks[(1, 2, 4, 8)] - peaks[(1,)] < state_bytes / 4, (peaks, state_bytes)
 
+    def test_a_multi_tile_cnn_trajectory_peaks_below_two_states(self):
+        # the walk owns the only state, steps it in place with one spare NNGP
+        # buffer and reads each depth out tile by tile
+        h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=32)
+        qstar = analyze(h).qstar
+        X = cnn_inputs(24, 4, 32, seed=0)
+        start = init_cnn_kernels(normalize_inputs_cnn(X, qstar), 1)
+        state_bytes = start.nngp.nbytes + start.ntk.nbytes  # 300 pairs x 32 x 32, twice
+        assert len(propagation._pair_tiles(start)) > 1
+        del start
+        depths = (1, 2, 4, 8)
+        _trajectory(h, qstar, X, depths, 1)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            _trajectory(h, qstar, X, depths, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state_bytes, (peak, state_bytes)
+
+    def test_the_walk_stops_at_a_repeated_state(self, monkeypatch):
+        # the ordered point of the fcn_erf_sweep benchmark at seed 1: the NNGP
+        # comes back bit for bit from depth 59 and the whole state from 66
+        X, _ = _dataset(SweepConfig(activation="erf", m=128, n=32, n_features=32, seed=1))
+        h = Hyperparams(0.5, 0.05, "erf")
+        qstar = analyze(h).qstar
+        depths = [2**i for i in range(10)]
+        steps = []
+        step, frozen_step = propagation.step_cnn, propagation._frozen_step
+
+        def spy(ck, *args, **kwargs):
+            steps.append(("full", ck.depth))
+            return step(ck, *args, **kwargs)
+
+        def frozen_spy(ck, *args, **kwargs):
+            steps.append(("frozen", ck.depth))
+            return frozen_step(ck, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "step_cnn", spy)
+        monkeypatch.setattr(propagation, "_frozen_step", frozen_spy)
+        pairs = _trajectory(h, qstar, X, depths, 1, 128, test_rows=True)
+        assert steps == [("full", d) for d in range(59)] + [("frozen", d) for d in range(59, 66)]
+        steps.clear()
+        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        full = _trajectory(h, qstar, X, depths, 1, 128, test_rows=True)
+        assert steps == [("full", d) for d in range(512)]
+        for a, b in zip(pairs, full, strict=True):
+            assert a.depth == b.depth
+            np.testing.assert_array_equal(a.nngp, b.nngp)
+            np.testing.assert_array_equal(a.ntk, b.ntk)
+
+    def test_a_repeated_state_is_emitted_at_each_deeper_depth(self):
+        h, rep, k = erf_setup(0.5, 0.05)
+        kp0 = init_kernels(normalize_inputs(normals(4, (5, 10)), rep.qstar))
+        loop = _full_steps(propagation._as_pairs(kp0), h, k, 300)
+        repeat = next(d for d in range(1, 300) if np.array_equal(loop[d].ntk, loop[d - 1].ntk)
+                      and np.array_equal(loop[d].nngp, loop[d - 1].nngp))
+        depths = [repeat - 1, repeat, repeat + 1, repeat + 7, 300]
+        # emit keeps the walk's own state, which a further step would overwrite
+        emitted = list(propagate_cnn(propagation._as_pairs(kp0), h, k, depths, emit=lambda ck: ck))
+        assert [ck.depth for ck in emitted] == depths
+        assert emitted[-1].ntk is emitted[2].ntk  # handed out again, not stepped
+        for ck in emitted[1:]:
+            np.testing.assert_array_equal(ck.nngp, loop[ck.depth].nngp)
+            np.testing.assert_array_equal(ck.ntk, loop[ck.depth].ntk)
+
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
     @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
     def test_forced_full_steps_write_the_same_bytes(
@@ -771,20 +837,27 @@ class TestFrozenWalk:
     ):
         cfg = SweepConfig(activation=activation, architecture=architecture,
                           outputs=tuple(SweepOutput))
-        frozen_depths = []
-        frozen_step = propagation._frozen_step
+        steps = []
+        step, frozen_step = propagation.step_cnn, propagation._frozen_step
 
-        def counted(ck, wtd, **kwargs):
-            frozen_depths.append(ck.depth)
+        def counted(ck, *args, **kwargs):
+            steps.append("full")
+            return step(ck, *args, **kwargs)
+
+        def frozen_counted(ck, wtd, **kwargs):
+            steps.append("frozen")
             return frozen_step(ck, wtd, **kwargs)
 
-        monkeypatch.setattr(propagation, "_frozen_step", counted)
+        monkeypatch.setattr(propagation, "step_cnn", counted)
+        monkeypatch.setattr(propagation, "_frozen_step", frozen_counted)
         frozen = run_sweep(cfg, tmp_path / "frozen", formats=("csv", "json"))
-        assert frozen_depths  # the default depths reach past the freeze
-        frozen_depths.clear()
+        stopped = len(steps)
+        assert "frozen" in steps  # the default depths reach past the freeze
+        steps.clear()
         monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
         full = run_sweep(cfg, tmp_path / "full", formats=("csv", "json"))
-        assert frozen_depths == []
+        assert "frozen" not in steps
+        assert stopped < len(steps)  # and past the repeat, where the walk stops stepping
         assert frozen.n_point_errors == full.n_point_errors
         assert [p.name for p in frozen.paths] == [p.name for p in full.paths]
         for a, b in zip(frozen.paths, full.paths):
@@ -792,8 +865,8 @@ class TestFrozenWalk:
 
 
 class TestReusedBuffers:
-    """The walk steps into the arrays of its own earlier states, never into the caller's or
-    a yielded state's, and lands on the bits of a plain ``step_cnn`` loop."""
+    """The walk steps its own state in place, never the caller's arrays or a yielded state,
+    and lands on the bits of a plain ``step_cnn`` loop."""
 
     @staticmethod
     def case(name):
@@ -829,6 +902,16 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(ck0.nngp, start[0])
         np.testing.assert_array_equal(ck0.ntk, start[1])
 
+    def test_a_walk_from_one_start_array_leaves_it_unchanged(self):
+        # the depth-0 NTK is the NNGP, so a start state may hold one array as both
+        h, k, ck0, depths = self.case("cnn_p")
+        one = replace(ck0, ntk=ck0.nngp)
+        before = ck0.nngp.copy()
+        for ck, ref in zip(propagate_cnn(one, h, k, depths), propagate_cnn(ck0, h, k, depths)):
+            np.testing.assert_array_equal(ck.nngp, ref.nngp)
+            np.testing.assert_array_equal(ck.ntk, ref.ntk)
+        np.testing.assert_array_equal(one.nngp, before)
+
     def test_step_returns_the_arrays_it_is_given(self):
         h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
         out = (np.full_like(ck.nngp, np.nan), np.full_like(ck.ntk, np.nan))
@@ -838,16 +921,37 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(new.nngp, ref.nngp)
         np.testing.assert_array_equal(new.ntk, ref.ntk)
 
-    @pytest.mark.parametrize("bad", ["shape", "order", "dtype", "state", "view", "each_other"])
+    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
+    def test_step_writes_the_ntk_in_place_with_the_out_of_place_bits(self, monkeypatch, tile_pairs):
+        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
+        if tile_pairs:  # one pair, a run that does not divide the pairs; else the whole state
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * ck.nngp[0].size)
+        ck = step_cnn(ck, h, k)  # an NTK that differs from the NNGP
+        ref = step_cnn(ck, h, k)
+        ntk = ck.ntk
+        new = step_cnn(ck, h, k, out=(np.empty_like(ck.nngp), ntk))
+        assert new.ntk is ntk
+        np.testing.assert_array_equal(new.nngp, ref.nngp)
+        np.testing.assert_array_equal(new.ntk, ref.ntk)
+
+    @pytest.mark.parametrize("bad", [
+        "shape", "order", "dtype", "nngp_as_ntk", "ntk_as_nngp", "ntk_view", "one_array", "view",
+        "each_other",
+    ])
     def test_step_rejects_arrays_it_cannot_write(self, bad):
         h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
         shape = ck.nngp.shape
         fresh = np.empty(shape)
+        if bad == "one_array":  # a state whose NTK is its NNGP may not step that NTK in place
+            ck = replace(ck, ntk=ck.nngp)
         out = {
             "shape": (np.empty(shape[:-1] + (shape[-1] + 1,)), fresh),
             "order": (np.empty(shape[::-1]).T, fresh),  # Fortran order
             "dtype": (np.empty(shape, dtype=np.float32), fresh),
-            "state": (fresh, ck.ntk),
+            "nngp_as_ntk": (fresh, ck.nngp),  # the NNGP is read after its tile's NTK is written
+            "ntk_as_nngp": (ck.ntk, fresh),
+            "ntk_view": (fresh, ck.ntk[:]),  # in place means the state's own NTK array
+            "one_array": (fresh, ck.ntk),
             "view": (ck.nngp[:], fresh),
             "each_other": (fresh, fresh),
         }[bad]
@@ -856,25 +960,26 @@ class TestReusedBuffers:
 
     @pytest.mark.parametrize("name", ["cnn_p", "frozen"])
     @pytest.mark.parametrize("far", [True, False])
-    def test_a_walk_allocates_for_two_states_and_each_yield(self, monkeypatch, name, far):
+    def test_a_walk_with_emit_steps_out_of_place_once(self, monkeypatch, name, far):
         h, k, ck0, depths = self.case(name)
         depths = depths[-1:] if far else depths
-        allocated = []
+        out_of_place = []
         step, frozen_step = propagation.step_cnn, propagation._frozen_step
 
         def spy(ck, *args, out=None):
-            allocated.append(out is None)
+            out_of_place.append(out is None)
             return step(ck, *args, out=out)
 
         def frozen_spy(ck, wtd, out=None):
-            allocated.append(out is None)
+            out_of_place.append(out is None)
             return frozen_step(ck, wtd, out=out)
 
         monkeypatch.setattr(propagation, "step_cnn", spy)
         monkeypatch.setattr(propagation, "_frozen_step", frozen_spy)
-        assert [ck.depth for ck in propagate_cnn(ck0, h, k, depths)] == depths
-        assert len(allocated) == depths[-1]
-        assert sum(allocated) <= 2 + len(depths)
+        emitted = list(propagate_cnn(ck0, h, k, depths, emit=lambda ck: ck.depth))
+        assert emitted == depths
+        assert 0 < len(out_of_place) <= depths[-1]
+        assert out_of_place[0] and sum(out_of_place) == 1
 
 
 class TestOffsetStorage:
@@ -950,6 +1055,23 @@ class TestReadout:
         flat = readout(self.make_idealized(p, p_ab, d), ReadoutMode.FLATTEN)
         assert flat.ntk[0, 0] == pytest.approx(p, rel=1e-14)
         assert flat.ntk[0, 1] == pytest.approx(p_ab, rel=1e-14)
+
+    @pytest.mark.parametrize("mode", list(ReadoutMode))
+    def test_a_state_with_no_stored_pair_reads_nan(self, mode):
+        ck = self.make_idealized(5.0, 2.0, 4)
+        empty = replace(ck, nngp=ck.nngp[:0], ntk=ck.ntk[:0])
+        kp = readout(empty, mode)
+        assert kp.nngp.shape == kp.ntk.shape == (2, 2)
+        assert np.isnan(kp.nngp).all() and np.isnan(kp.ntk).all()
+
+    def test_pool_does_not_depend_on_the_tile_size(self, monkeypatch):
+        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
+        ref = [offsets_to_blocks(K).mean(axis=(-2, -1)) for K in (ck.nngp, ck.ntk)]
+        for pairs in (1, 4, 15):
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", pairs * ck.nngp[0].size)
+            pooled = readout(ck, ReadoutMode.POOL)
+            for K, r in zip((pooled.nngp, pooled.ntk), ref):
+                np.testing.assert_array_equal(K[np.triu_indices(ck.m)], r)
 
     def test_uniform_blocks_make_flatten_equal_pool(self):
         ck = self.make_idealized(3.0, 3.0, 5)
