@@ -21,19 +21,19 @@ entry, so every offset evolves on its own; a flatten readout reads only
 offset 0, and a kernel may carry offset 0 alone.  Pooling and
 ``CnnKernel.block`` need every offset.
 
-The state is C-contiguous, so ``apply_A`` adds each shifted neighbour as
-one contiguous add over the flat buffer and then redoes only the columns
-that wrap around a row.  ``step_cnn`` maps the state tile by tile through
-the kernel's own ``t_map`` and ``t_dot``, which check each tile's covariance
-domain (one min/max pass for an in-domain tile) and clip a tile's overshoot
-entry by entry, as one check of the whole state would; only when a tile
-fails does the step check the whole state, so the error quotes its global
-maximum.  Each tile is a run of whole sample pairs of about
-``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles, like the
-readouts' pair indices, are cached, so a small state pays for its entries.
-Each entry sees the same operations in the same order as in one pass over
-the whole state, and every Gaussian map acts entry by entry, so the result
-does not depend on the tile size.
+``apply_A`` sums each +-beta pair first, K[a] + (K[a+1] + K[a-1]) + ...,
+so reversed pixels round every window sum the same way.  ``step_cnn`` maps
+the state tile by tile through the kernel's own ``t_map`` and ``t_dot``,
+which check each tile's covariance domain (one min/max pass for an
+in-domain tile) and clip a tile's overshoot entry by entry, as one check
+of the whole state would; only when a tile fails does the step check the
+whole state, so the error quotes its global maximum.  Each tile is a run
+of whole sample pairs of about ``_TILE_ENTRIES`` entries, so every pass
+stays in cache; the tiles are cached, so a small state pays for its
+entries.  Each entry sees the same operations in the same order as in one
+pass over the whole state, and every Gaussian map acts entry by entry, so
+the result does not depend on the tile size.  A readout is one reduction
+of the stored layout: a pooled block's mean is the mean over it.
 
 ``step_cnn`` computes a state from the one before alone, into new arrays
 or into the ones it is given, which may be the old state's own NTK.  The
@@ -194,11 +194,11 @@ normalize_inputs_cnn = normalize_inputs
 
 
 def init_kernels(X: np.ndarray) -> KernelPair:
-    """Input-layer kernels: NNGP is the feature second moment, NTK starts equal."""
+    """Input-layer kernels: NNGP is the feature second moment; the NTK is the NNGP's own array."""
     X = np.asarray(X, dtype=float)
     nngp = X @ X.T / X.shape[1]
     nngp = 0.5 * (nngp + nngp.T)
-    return KernelPair(nngp=nngp, ntk=nngp.copy(), depth=0)
+    return KernelPair(nngp=nngp, ntk=nngp, depth=0)
 
 
 @lru_cache(maxsize=8)
@@ -285,12 +285,11 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     axis; each offset is averaged on its own.  The result goes to ``out``
     (C-contiguous, the shape of ``K``, not overlapping it) when given.
 
-    Each shift is one add over the flat C-ordered buffer, which is right
-    except in the ``beta`` columns of each row that wrap around: those are
-    summed from the row's other end before the add and written back after
-    it.  The first shift writes ``K[a] + K[a+1]`` straight into the result,
-    which at halfwidth 0 is a copy of ``K``.  Entry a gets ``((K[a] +
-    K[a+1]) + K[a-1]) + K[a+2] ...`` (mod d).
+    Entry a gets ``(K[a] + (K[a+1] + K[a-1]) + (K[a+2] + K[a-2]) + ...) *
+    (1 / (2k + 1))`` (mod d), a copy at halfwidth 0.  Each pair sum is one add
+    over the flat C-ordered buffer, redone in the ``beta`` columns at each end
+    of a row, which wrap around.  Addition commutes, so a run on reversed
+    pixels rounds every window sum the same way.
     """
     K = np.ascontiguousarray(K, dtype=float)
     _check_window(K.shape[-1], halfwidth)
@@ -301,18 +300,15 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     if halfwidth == 0:
         np.copyto(out, K)
         return out
-    flat, out_flat = K.reshape(-1), out.reshape(-1)
-    np.add(flat[:-1], flat[1:], out=out_flat[:-1])  # out[a] = K[a] + K[a + 1]
-    np.add(K[..., -1:], K[..., :1], out=out[..., -1:])  # out[a] = K[a] + K[a + 1 - d]
-    for beta in range(1, halfwidth + 1):
-        if beta > 1:
-            wrap = out[..., -beta:] + K[..., :beta]  # out[a] += K[a + beta - d]
-            out_flat[:-beta] += flat[beta:]  # out[a] += K[a + beta]
-            out[..., -beta:] = wrap
-        wrap = out[..., :beta] + K[..., -beta:]  # out[a] += K[a - beta + d]
-        out_flat[beta:] += flat[:-beta]  # out[a] += K[a - beta]
-        out[..., :beta] = wrap
-    out /= 2 * halfwidth + 1
+    flat, pair = K.reshape(-1), out  # pair 1 is summed in out, then K added: a + b == b + a
+    for beta in range(1, halfwidth + 1):  # pair[a] = K[a + beta] + K[a - beta] (mod d)
+        if beta == 2:
+            pair = np.empty_like(K)
+        np.add(flat[2 * beta:], flat[:-2 * beta], out=pair.reshape(-1)[beta:-beta])
+        np.add(K[..., beta:2 * beta], K[..., -beta:], out=pair[..., :beta])
+        np.add(K[..., :beta], K[..., -2 * beta:-beta], out=pair[..., -beta:])
+        out += K if beta == 1 else pair
+    out *= 1.0 / (2 * halfwidth + 1)
     return out
 
 
@@ -336,7 +332,7 @@ def offsets_to_blocks(K: np.ndarray) -> np.ndarray:
     n_offsets, d = K.shape[-2:]
     if n_offsets != d:
         raise ValueError(
-            f"pooling and d x d blocks need every pixel offset; this kernel stores {n_offsets} of {d}"
+            f"d x d blocks need every pixel offset; this kernel stores {n_offsets} of {d}"
         )
     a, b = np.indices((d, d))
     return _gather_square(K, (b - a) % d * d + a)
@@ -351,7 +347,7 @@ def fourier_eigs(d: int, halfwidth: int) -> np.ndarray:
 
 
 def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
-    """Input-layer pixel-pixel kernels (every offset) from channel second moments."""
+    """Input-layer kernels (every offset) from channel second moments; the NTK is the NNGP array."""
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
     _check_window(d, halfwidth)
@@ -359,7 +355,7 @@ def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
     nngp = np.matmul(X[i].transpose(0, 2, 1), X[j])  # the Gram blocks, divided in place
     nngp /= n_ch
     nngp = blocks_to_offsets(nngp)
-    return CnnKernel(nngp=nngp, ntk=nngp.copy(), m=m, filter_halfwidth=halfwidth, depth=0)
+    return CnnKernel(nngp=nngp, ntk=nngp, m=m, filter_halfwidth=halfwidth, depth=0)
 
 
 @lru_cache(maxsize=16)
@@ -467,20 +463,18 @@ def propagate_cnn(
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
     """Collapse spatial indices: flatten averages the block trace (offset 0
-    over positions), pooling averages the whole block (every offset), tile
-    by tile, so no gather is the size of the state.  The pairs past a
+    over positions), pooling the whole block, which is the mean over the
+    stored layout (every offset at every position).  The pairs past a
     state's stored prefix read NaN."""
-    mode = ReadoutMode(mode)
-    if mode is ReadoutMode.FLATTEN:
-        reduce = lambda K: K[:, 0].mean(axis=-1)
-    else:
-        reduce = lambda K: offsets_to_blocks(K).mean(axis=(-2, -1))
+    flatten = ReadoutMode(mode) is ReadoutMode.FLATTEN
+    n_offsets, d = ck.nngp.shape[1:]
+    if not flatten and n_offsets != d:
+        raise ValueError(f"pooling needs every pixel offset; this kernel stores {n_offsets} of {d}")
     upper = _upper(ck.m)
 
     def square(K):
         pairs = np.full(ck.m * (ck.m + 1) // 2, np.nan)
-        for s, _ in _pair_tiles(ck):
-            pairs[s] = reduce(K[s])
+        pairs[:len(K)] = K[:, 0].mean(axis=-1) if flatten else K.mean(axis=(-2, -1))
         out = np.empty((ck.m, ck.m))
         out[upper] = out.T[upper] = pairs
         return out

@@ -324,7 +324,9 @@ def _trajectory(
     ``X`` holds rows for FCN and (samples, channels, pixels) for the
     convolutional architectures, which are read out per ``h.architecture``
     (pool for cnn_p, flatten for cnn_f).  Inputs are normalized to
-    mean-square ``qstar``, the solved variance fixed point.  Pixel offsets
+    mean-square ``qstar``, the solved variance fixed point, and the pixel
+    variances (the FCN diagonal, offset 0 of each CNN pair (i, i)) are set
+    to it, as ``step_cnn`` sets each later layer's.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f
     propagates offset 0 alone.  The walk starts from one array (the depth-0
     NTK is the NNGP), owns the only state and reads each depth out as it is
@@ -346,9 +348,9 @@ def _trajectory(
     if h.architecture is Architecture.FCN:
         if filter_halfwidth != 1:
             raise ValueError("an FCN does not read filter_halfwidth; leave it at the default 1")
-        kp = init_kernels(normalize_inputs(X, qstar))
-        kp = KernelPair(kp.nngp[:samples, :samples], kp.ntk[:samples, :samples], 0)
-        return propagate_fcn(kp, h, k, depths)
+        start = init_kernels(normalize_inputs(X, qstar)).nngp[:samples, :samples]
+        np.fill_diagonal(start, qstar)
+        return propagate_fcn(KernelPair(start, start, 0), h, k, depths)
     if h.spatial_size != np.shape(X)[-1]:
         raise ValueError(f"spatial_size {h.spatial_size} is not the {np.shape(X)[-1]} pixels of X")
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
@@ -357,6 +359,7 @@ def _trajectory(
     keep = (i if test_rows else j) < (ck.m if m is None else m)
     offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
     nngp = ck.nngp[keep, offsets]
+    nngp[(i == j)[keep], 0] = qstar  # the pixel variances, pinned as step_cnn pins each layer's
     ck = replace(ck, nngp=nngp, ntk=nngp, m=samples or ck.m)
     pairs = propagate_cnn(ck, h, k, depths, emit=functools.partial(readout, mode=mode))
     del ck, nngp  # the walk drops the start array at its first step, unless a name here keeps it

@@ -49,6 +49,11 @@ from ntkphase.spectra import fit_rate
 from ntkphase.sweep import _dataset, _trajectory
 
 
+# a pooled readout against the block mean, which sums the same entries in another order:
+# at most this times the entries' mean magnitude
+FEW_ULPS = 4 * np.finfo(float).eps
+
+
 def two_point(q, q_ab, p, p_ab):
     """One input pair as a 2 x 2 state of the dense recursion."""
     return KernelPair(
@@ -414,10 +419,9 @@ class TestConvolutionOperator:
         K = normals(d, (4, d if layout == "every_offset" else 1, d))
         for hw in range((d - 1) // 2 + 1):
             ref = K.copy()
-            for beta in range(1, hw + 1):  # same summation order: +beta, then -beta
-                ref = ref + np.roll(K, -beta, axis=-1)
-                ref = ref + np.roll(K, beta, axis=-1)
-            ref = ref / (2 * hw + 1)
+            for beta in range(1, hw + 1):  # same summation order: each +-beta pair, then the sum
+                ref = ref + (np.roll(K, -beta, axis=-1) + np.roll(K, beta, axis=-1))
+            ref = ref * (1.0 / (2 * hw + 1))
             np.testing.assert_array_equal(apply_A(K, hw), ref)
             out = np.full_like(K, np.nan)
             assert apply_A(K, hw, out=out) is out
@@ -1013,8 +1017,9 @@ class TestOffsetStorage:
         k = ActivationKernel(h.activation, analyze(h).qstar)
         X = cnn_inputs(3, 6, d, seed=d + hw)
         depths = [1, 3]
-        full = [readout(c, ReadoutMode.FLATTEN) for c in propagate_cnn(
-            init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), hw), h, k, depths)]
+        start = init_cnn_kernels(normalize_inputs_cnn(X, k.qstar), hw)
+        start.nngp[[start.pair_index(i, i) for i in range(3)], 0] = k.qstar  # _trajectory's pin
+        full = [readout(c, ReadoutMode.FLATTEN) for c in propagate_cnn(start, h, k, depths)]
         stepped = []
 
         def spy(ck, *args, **kwargs):
@@ -1066,12 +1071,14 @@ class TestReadout:
 
     def test_pool_does_not_depend_on_the_tile_size(self, monkeypatch):
         _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
-        ref = [offsets_to_blocks(K).mean(axis=(-2, -1)) for K in (ck.nngp, ck.ntk)]
         for pairs in (1, 4, 15):
             monkeypatch.setattr(propagation, "_TILE_ENTRIES", pairs * ck.nngp[0].size)
             pooled = readout(ck, ReadoutMode.POOL)
-            for K, r in zip((pooled.nngp, pooled.ntk), ref):
-                np.testing.assert_array_equal(K[np.triu_indices(ck.m)], r)
+            for kind in ("nngp", "ntk"):
+                K, got = getattr(ck, kind), getattr(pooled, kind)[np.triu_indices(ck.m)]
+                np.testing.assert_array_equal(got, K.mean(axis=(-2, -1)))  # the layout mean
+                block_mean = offsets_to_blocks(K).mean(axis=(-2, -1))  # sums in another order
+                assert np.all(np.abs(got - block_mean) <= FEW_ULPS * np.abs(K).mean(axis=(-2, -1)))
 
     def test_uniform_blocks_make_flatten_equal_pool(self):
         ck = self.make_idealized(3.0, 3.0, 5)
@@ -1262,14 +1269,15 @@ class TestCnnInit:
             for j in range(i, 4):
                 assert np.array_equal(ck.block(i, j), X[i].T @ X[j] / 6)
         ck = step_cnn(step_cnn(ck, hc, k), hc, k)
-        for mode, reduce in ((ReadoutMode.FLATTEN, lambda b: np.trace(b) / 5),
-                             (ReadoutMode.POOL, np.mean)):
-            out = readout(ck, mode)
+        for kind in ("nngp", "ntk"):
+            flat, pool = (getattr(readout(ck, mode), kind) for mode in ReadoutMode)
             for i in range(4):
                 for j in range(4):
                     lo, hi = min(i, j), max(i, j)  # the stored (upper-triangle) block
-                    assert out.nngp[i, j] == reduce(ck.block(lo, hi, "nngp"))
-                    assert out.ntk[i, j] == reduce(ck.block(lo, hi, "ntk"))
+                    B, K = ck.block(lo, hi, kind), getattr(ck, kind)[ck.pair_index(lo, hi)]
+                    assert flat[i, j] == np.trace(B) / 5
+                    assert pool[i, j] == K.mean()  # the mean over the offset layout
+                    assert abs(pool[i, j] - B.mean()) <= FEW_ULPS * np.abs(K).mean()
 
     def test_window_validation(self):
         X = cnn_inputs(2, 4, 3, seed=0)
