@@ -100,25 +100,30 @@ def _norm_pdf(z):
 # closed forms
 
 
+# Every map rule takes ``out``, None or a float array of an array q's shape, and computes its
+# last operations in it, with the bits it has without one; a float q keeps the scalar operators.
+
 # Over 0.5 + qstar, not 1 + 2 qstar: scaling a numerator and its denominator by a power of
 # two is exact, so these keep the bits of 2q / (1 + 2q*) and (4/pi) / sqrt((1 + 2q*)^2 - 4q^2).
-def _erf_t(qstar, q):
-    out = np.asarray(q / (0.5 + qstar))  # the one temporary (0-d for a float); then in place
+def _erf_t(qstar, q, out=None):
+    # the one temporary (0-d for a float), or the given output array; then in place
+    out = np.asarray(q / (0.5 + qstar)) if out is None else np.divide(q, 0.5 + qstar, out=out)
     np.arcsin(out, out=out)
     out *= 2.0 / math.pi
     return out
 
 
-def _erf_tdot(qstar, q):
-    out = np.asarray(q * q)
+def _erf_tdot(qstar, q, out=None):
+    out = np.asarray(q * q) if out is None else np.multiply(q, q, out=out)
     np.subtract((0.5 + qstar) ** 2, out, out=out)
     np.sqrt(out, out=out)
     np.divide(2.0 / math.pi, out, out=out)
     return out
 
 
-def _erf_tddot(qstar, q):
-    return (16.0 * q / math.pi) * ((1.0 + 2.0 * qstar) ** 2 - 4.0 * q * q) ** -1.5
+def _erf_tddot(qstar, q, out=None):
+    scale, power = 16.0 * q / math.pi, ((1.0 + 2.0 * qstar) ** 2 - 4.0 * q * q) ** -1.5
+    return scale * power if out is None else np.multiply(scale, power, out=out)
 
 
 def _relu_theta(qstar, q):
@@ -131,18 +136,26 @@ def _relu_theta(qstar, q):
     return 2.0 * np.arcsin(np.sqrt(0.5 * (1.0 - c)))
 
 
-def _relu_t(qstar, q):
+def _relu_t(qstar, q, out=None):
     theta = _relu_theta(qstar, q)
-    return (qstar / (2.0 * math.pi)) * (np.sin(theta) + (math.pi - theta) * np.cos(theta))
+    scale, sines = qstar / (2.0 * math.pi), np.sin(theta)
+    if out is None:
+        return scale * (sines + (math.pi - theta) * np.cos(theta))
+    np.add(sines, (math.pi - theta) * np.cos(theta), out=out)
+    return np.multiply(scale, out, out=out)
 
 
-def _relu_tdot(qstar, q):
-    return (math.pi - _relu_theta(qstar, q)) / (2.0 * math.pi)
+def _relu_tdot(qstar, q, out=None):
+    theta = _relu_theta(qstar, q)
+    if out is None:
+        return (math.pi - theta) / (2.0 * math.pi)
+    return np.divide(np.subtract(math.pi, theta, out=out), 2.0 * math.pi, out=out)
 
 
-def _relu_tddot(qstar, q):
+def _relu_tddot(qstar, q, out=None):
     # E[delta(u) delta(v)]: the density of (u, v) at the origin
-    return 1.0 / (2.0 * math.pi * qstar * np.sin(_relu_theta(qstar, q)))
+    density = 2.0 * math.pi * qstar * np.sin(_relu_theta(qstar, q))
+    return 1.0 / density if out is None else np.divide(1.0, density, out=out)
 
 
 _CLOSED = {
@@ -155,7 +168,7 @@ _CLOSED = {
 # quadrature backend
 
 
-def _quad_smooth(phi, qstar, q, nodes):
+def _quad_smooth(phi, qstar, q, nodes, out=None):
     """Tensor Gauss-Hermite for E[phi(u) phi(v)], Cholesky-whitened.
 
     Evaluates the full nodes x nodes rule over chunks of entries holding at
@@ -178,7 +191,7 @@ def _quad_smooth(phi, qstar, q, nodes):
         b = l22[s : s + chunk, None, None]
         v = sqrt2 * (a * x[:, None] + b * x)  # (entries, outer, inner)
         acc[s : s + chunk] = ((phi(v) @ w)[:, None, :] @ pu).ravel()
-    return acc.reshape(q.shape) / math.pi
+    return np.divide(acc.reshape(q.shape), math.pi, out=out)
 
 
 def _relu_quad_pieces(kappa, nodes):
@@ -217,21 +230,23 @@ def _relu_reflect(qstar, q):
     return c, p2, m2, np.sqrt(m2 / p2)
 
 
-def _quad_relu_t(qstar, q, nodes):
+def _quad_relu_t(qstar, q, nodes, out=None):
     c, p2, m2, kappa = _relu_reflect(qstar, q)
     _, l1, l2 = _relu_quad_pieces(kappa, nodes)
     ex2 = 0.5 + l1 / _SQRT_PI
     ey2 = 0.5 - l2 / _SQRT_PI
     # E[relu(u) relu(v)] = c*qstar/2 + the same expectation at correlation -c
-    return np.minimum(c, 0.0) * qstar / 2.0 + qstar * (p2 * ex2 - m2 * ey2)
+    return np.add(np.minimum(c, 0.0) * qstar / 2.0, qstar * (p2 * ex2 - m2 * ey2), out=out)
 
 
-def _quad_relu_tdot(qstar, q, nodes):
+def _quad_relu_tdot(qstar, q, nodes, out=None):
     c, _, _, kappa = _relu_reflect(qstar, q)
     l0, _, _ = _relu_quad_pieces(kappa, nodes)
     p = 0.5 - l0 / (2.0 * _SQRT_PI)
     # P(u>0, v>0) at correlation c equals 1/2 - P(u>0, v>0) at -c
-    return np.where(c < 0.0, 0.5 - p, p)
+    out = np.subtract(0.5, p, out=np.empty(np.shape(c)) if out is None else out)
+    np.copyto(out, p, where=~(c < 0.0))
+    return out
 
 
 # phi and its first two derivatives, for the Gauss-Hermite route (Price's
@@ -325,7 +340,7 @@ def _tanh_table(qstar, order):
         f = np.insert(f, range(1, f.size), [sample(j, n) for j in range(1, n // 2, 2)])
 
 
-def _clenshaw(coef, c, odd: bool):
+def _clenshaw(coef, c, odd: bool, out=None):
     """sum_k coef[k] T_(2k + odd)(c), by Clenshaw's recurrence in y = T_2(c).
 
     Both T_2k(c) = T_k(y) and T_(2k+1)(c) obey t_(k+1) = 2y t_k - t_(k-1), so
@@ -338,37 +353,43 @@ def _clenshaw(coef, c, odd: bool):
     for a in coef[:0:-1]:
         b1, b2 = a + y2 * b1 - b2, b1
     b0 = coef[0] + y2 * b1 - b2
-    return c * (b0 - b1) if odd else b0 - y * b1
+    if out is None:
+        return c * (b0 - b1) if odd else b0 - y * b1
+    if odd:
+        return np.multiply(c, np.subtract(b0, b1, out=out), out=out)
+    return np.subtract(b0, np.multiply(y, b1, out=out), out=out)
 
 
-def _map(activation, backend, nodes, qstar, order, q):
+def _map(activation, backend, nodes, qstar, order, q, out=None):
     """The order-th map E[phi^(order)(u) phi^(order)(v)] at ``q``, a float or an array.
 
     The one rule behind every map value; ``q`` lies inside [-qstar, qstar].
     A smooth map without a closed form takes the backend's 1-D rule
     ``_edge`` at |c| = 1, c = q/qstar, and the Tanh table or tensor
-    Gauss-Hermite elsewhere.
+    Gauss-Hermite elsewhere.  Every rule computes the values of an array
+    ``q`` in ``out`` when given (a float array of its shape), with the same
+    bits.
     """
     if activation in _CLOSED and (
         backend == "closed" or (activation is Activation.RELU and order == 2)
     ):
-        return _CLOSED[activation][order](qstar, q)
+        return _CLOSED[activation][order](qstar, q, out)
     if activation is Activation.RELU:
-        return (_quad_relu_t, _quad_relu_tdot)[order](qstar, q, nodes)
+        return (_quad_relu_t, _quad_relu_tdot)[order](qstar, q, nodes, out)
     phi, odd = _PHI[activation][order], order != 1
     c = q / qstar
     scalar = isinstance(c, float)
     if scalar and abs(c) == 1.0:  # no numpy call, and no table, on the diagonal
         return _edge(phi, qstar, backend, nodes) * (c if odd else 1.0)
     if backend == "closed":
-        out = _clenshaw(_tanh_table(qstar, order), c, odd)
+        values = _clenshaw(_tanh_table(qstar, order), c, odd, out)
     else:
-        out = _quad_smooth(phi, qstar, q, nodes)
+        values = _quad_smooth(phi, qstar, q, nodes, out)
     if not scalar:
         on = np.abs(c) == 1.0
         if on.any():
-            out[on] = _edge(phi, qstar, backend, nodes) * (c[on] if odd else 1.0)
-    return out
+            values[on] = _edge(phi, qstar, backend, nodes) * (c[on] if odd else 1.0)
+    return values
 
 
 def diag_second_moment(activation: Activation, q: float, nodes: int = 128, backend: str = "closed"):
@@ -436,27 +457,31 @@ class ActivationKernel:
             raise CovarianceDomainError("t_ddot needs |q_ab| strictly inside (-qstar, qstar)")
         return np.clip(q, -self.qstar, self.qstar)
 
-    def _evaluate(self, order: int, q_ab):
+    def _evaluate(self, order: int, q_ab, out=None):
         """The order-th map E[phi^(order)(u) phi^(order)(v)] at ``q_ab``.
 
         ReLU's phi'' is a delta, so its order-2 map is the closed form on
         either backend and needs |q_ab| strictly inside (-qstar, qstar).
+        An array's values go to ``out`` when given: a float array of its
+        shape, which saves the map's own result array.
         """
         scalar = np.isscalar(q_ab) or np.ndim(q_ab) == 0
+        if out is not None and (scalar or out.shape != np.shape(q_ab) or out.dtype != float):
+            raise ValueError(f"out must be a float array of the shape {np.shape(q_ab)} of q_ab")
         q = self._check_domain(q_ab, strict=self.activation is Activation.RELU and order == 2)
-        out = _map(self.activation, self.backend, self.nodes, self.qstar, order,
-                   float(q) if scalar else q)
-        return float(out) if scalar else np.asarray(out)
+        values = _map(self.activation, self.backend, self.nodes, self.qstar, order,
+                      float(q) if scalar else q, out)
+        return float(values) if scalar else np.asarray(values)
 
     # -- the three maps ----------------------------------------------------
 
-    def t_map(self, q_ab):
-        """E[phi(u) phi(v)]; accepts scalars or arrays of off-diagonals."""
-        return self._evaluate(0, q_ab)
+    def t_map(self, q_ab, out=None):
+        """E[phi(u) phi(v)]; accepts scalars or arrays of off-diagonals (an array's to ``out``)."""
+        return self._evaluate(0, q_ab, out)
 
-    def t_dot(self, q_ab):
-        """E[phi'(u) phi'(v)], the derivative of t_map in q_ab."""
-        return self._evaluate(1, q_ab)
+    def t_dot(self, q_ab, out=None):
+        """E[phi'(u) phi'(v)], the derivative of t_map in q_ab (an array's to ``out``)."""
+        return self._evaluate(1, q_ab, out)
 
     def t_ddot(self, q_ab):
         """E[phi''(u) phi''(v)], the second derivative of t_map in q_ab."""

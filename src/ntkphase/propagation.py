@@ -27,27 +27,32 @@ the state tile by tile through the kernel's own ``t_map`` and ``t_dot``,
 which check each tile's covariance domain (one min/max pass for an
 in-domain tile) and clip a tile's overshoot entry by entry, as one check
 of the whole state would; only when a tile fails does the step check the
-whole state, so the error quotes its global maximum.  Each tile is a run
-of whole sample pairs of about ``_TILE_ENTRIES`` entries, so every pass
-stays in cache; the tiles are cached, so a small state pays for its
-entries.  Each entry sees the same operations in the same order as in one
-pass over the whole state, and every Gaussian map acts entry by entry, so
-the result does not depend on the tile size.  A readout is one reduction
-of the stored layout: a pooled block's mean is the mean over it.
+state from that tile on (every earlier tile passed), so the error quotes
+its global maximum.  Each tile is a run of whole sample pairs of about
+``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles are
+cached, so a small state pays for its entries.  Each entry sees the same
+operations in the same order as in one pass over the whole state, and
+every Gaussian map acts entry by entry, so the result does not depend on
+the tile size.  A readout is one reduction of the stored layout: a pooled
+block's mean is the mean over it.
 
 ``step_cnn`` computes a state from the one before alone, into new arrays
-or into the ones it is given, which may be the old state's own NTK.  The
-depth walk behind ``propagate_fcn`` and ``propagate_cnn`` owns one state
-and allocates three state-sized arrays in all: after its first step it
-steps the NTK in place and the NNGP into the other of two buffers (the
-checks read the old one), and hands each depth to ``emit`` as reached.  The
-NNGP update reads only the NNGP, so once a step returns the NNGP bit for
-bit, every later step returns it again, the domain and drift checks see
-the same input, and T_dot at it is already known.  From there the walk
-computes ``sigma_w2 * T_dot`` once and steps the NTK alone, ``nngp +
-A(sigma_w2 * T_dot * ntk)``, over the same tiles and in the same order as
-the full step; once that returns the NTK too, the state repeats and the
-walk stops stepping.  Every state it hands out holds the full steps' bits.
+or into the ones it is given, which may be the old state's own: each tile
+forms its new NNGP in a tile buffer and compares it with the old tile, and
+only then writes the NTK tile and the NNGP tile.  The new state says
+whether its NNGP came back bit for bit (``nngp_fixed``).  The depth walk
+behind ``propagate_fcn`` and ``propagate_cnn`` owns one state and holds two
+state-sized arrays, its NNGP and NTK: its first step writes new arrays, or
+the start's own when the caller hands the start over, and every later step
+is in place; it allocates its two tile buffers once and hands each depth to
+``emit`` as reached.  The NNGP update reads only the NNGP, so once a step
+returns the NNGP bit for bit, every later step returns it again, the
+domain and drift checks see the same input, and T_dot at it is already
+known.  From there the walk computes ``sigma_w2 * T_dot`` once, a third
+array, and steps the NTK alone in place, ``nngp + A(sigma_w2 * T_dot *
+ntk)``, over the same tiles and in the same order as the full step; once
+that returns the NTK too, the state repeats and the walk stops stepping
+and drops its buffers.  Every state it hands out holds the full steps' bits.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -133,7 +138,9 @@ class CnnKernel:
     a]`` is the covariance between pixel a of sample i and pixel (a + o) mod
     d of sample j.  The offset axis holds all d offsets, or offset 0 alone,
     which is all a flatten readout reads; ``block`` and pooling need every
-    offset.
+    offset.  ``nngp_fixed`` says whether the step that made the state
+    returned its input's NNGP bit for bit, so that every later step returns
+    it too.
     """
 
     nngp: np.ndarray  # (n_pairs, n_offsets, d)
@@ -141,6 +148,7 @@ class CnnKernel:
     m: int
     filter_halfwidth: int
     depth: int
+    nngp_fixed: bool = False
 
     def pair_index(self, i: int, j: int) -> int:
         i, j = min(i, j), max(i, j)
@@ -210,7 +218,7 @@ def _upper(m: int) -> np.ndarray:
 
 
 def _as_pairs(kp: KernelPair) -> CnnKernel:
-    """A dense pair as the one-pixel, window-one convolutional kernel: its upper triangle."""
+    """A dense pair as the one-pixel, window-one CNN kernel: a copy of its upper triangle."""
     m = kp.nngp.shape[0]
     nngp, ntk = (K[_upper(m)].reshape(-1, 1, 1) for K in (kp.nngp, kp.ntk))
     return CnnKernel(nngp, ntk, m, filter_halfwidth=0, depth=kp.depth)
@@ -227,33 +235,41 @@ def _check_depths(depths: Sequence[int], start: int) -> None:
         raise ValueError(f"depths must be at least {start} and strictly increasing: {list(depths)}")
 
 
-def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit):
+def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit,
+          own: bool):
     """Step ``ck`` repeatedly, yielding ``emit`` of the state at each requested depth.
 
-    Once a full ``step_cnn`` returns the NNGP bit for bit (``_nngp_fixed``),
-    the walk caches ``sigma_w2 * T_dot`` at it and advances the NTK alone
-    (``_frozen_step``) into ``spare``; once that returns the NTK bit for
-    bit, the walk hands that state out at each deeper depth without stepping.
+    Every step writes the walk's own arrays in place, and ``ck``'s when
+    ``own``; otherwise the first step writes new arrays.  Once a full
+    ``step_cnn`` returns the NNGP bit for bit (``nngp_fixed``), the walk
+    caches ``sigma_w2 * T_dot`` at it and advances the NTK alone
+    (``_frozen_step``); once that returns the NTK bit for bit, the walk hands
+    that state out at each deeper depth without stepping.  One pair of tile
+    buffers serves every step, and the maps write into it: glibc hands a
+    tile-sized array made and freed in each step back to the system (by
+    munmap or by trimming the heap top) until a larger free raises its
+    thresholds, so every step would fault its pages in again.
     """
+    scratch = np.empty(_scratch_shape(ck))
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
-    spare = None  # the walk's state-sized array that ck does not hold, once there is one
-    own = False  # whether ck's arrays are the walk's, not the caller's
     repeated = False  # whether the last step returned the whole state bit for bit
     for target in depths:
         while ck.depth < target and not repeated:
             if wtd is not None:
-                new = _frozen_step(ck, wtd, out=spare)  # the NNGP is shared
-                repeated = all(np.array_equal(ck.ntk[s], new.ntk[s]) for s, _ in _pair_tiles(ck))
-                spare = ck.ntk
-            else:  # the first step writes new arrays, never the caller's
-                if own and spare is None:
-                    spare = np.empty_like(ck.nngp)
-                new = step_cnn(ck, h, k, out=(spare, ck.ntk) if own else None)
-                if _nngp_fixed(ck, new):
-                    wtd = k.t_dot(new.nngp)
-                    wtd *= h.sigma_w2  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
-                spare = ck.nngp if own else None
-            ck, own = new, True
+                repeated = _frozen_step(ck, wtd, scratch)
+                ck = replace(ck, depth=ck.depth + 1)
+                if repeated:  # no step follows, so the buffers go
+                    scratch = wtd = None
+                continue
+            out = None
+            if own:  # the depth-0 state may hold one array as both kernels
+                out = (ck.nngp, np.empty_like(ck.nngp) if ck.ntk is ck.nngp else ck.ntk)
+            ck, own = step_cnn(ck, h, k, out=out, scratch=scratch), True
+            if ck.nngp_fixed:
+                wtd = np.empty_like(ck.nngp)
+                for s, _ in _pair_tiles(ck):  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
+                    k.t_dot(ck.nngp[s], out=wtd[s])
+                    wtd[s] *= h.sigma_w2
         yield emit(replace(ck, depth=target))
 
 
@@ -262,7 +278,7 @@ def propagate_fcn(
 ) -> List[KernelPair]:
     """Propagate and collect the states at the requested (strictly increasing) depths."""
     flat = lambda ck: readout(ck, ReadoutMode.FLATTEN)
-    return list(propagate_cnn(_as_pairs(kp), h, k, depths, emit=flat))
+    return list(propagate_cnn(_as_pairs(kp), h, k, depths, emit=flat, own_start=True))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +299,8 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     A diagonal shift of a block moves both pixel indices together, so on
     the offset layout it is a circular shift along the position (last)
     axis; each offset is averaged on its own.  The result goes to ``out``
-    (C-contiguous, the shape of ``K``, not overlapping it) when given.
+    (C-contiguous floats of the shape of ``K``, not overlapping it) when
+    given.
 
     Entry a gets ``(K[a] + (K[a+1] + K[a-1]) + (K[a+2] + K[a-2]) + ...) *
     (1 / (2k + 1))`` (mod d), a copy at halfwidth 0.  Each pair sum is one add
@@ -295,8 +312,11 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     _check_window(K.shape[-1], halfwidth)
     if out is None:
         out = np.empty_like(K)
-    elif out.shape != K.shape or not out.flags.c_contiguous or np.may_share_memory(out, K):
-        raise ValueError(f"out must be a C-contiguous array of shape {K.shape} not overlapping K")
+    elif (out.shape != K.shape or out.dtype != float or not out.flags.c_contiguous
+          or np.may_share_memory(out, K)):
+        raise ValueError(
+            f"out must be a C-contiguous float array of shape {K.shape} not overlapping K"
+        )
     if halfwidth == 0:
         np.copyto(out, K)
         return out
@@ -312,18 +332,29 @@ def apply_A(K: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _gather_square(X: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
-    """Copy of X whose trailing d x d entry [r, c] is the flat entry ``flat_index[r, c]``."""
-    flat = X.reshape(*X.shape[:-2], -1)
-    return np.take(flat, flat_index.ravel(), axis=-1).reshape(X.shape)
+def _gather_square(X: np.ndarray, flat_index: np.ndarray, out: np.ndarray | None = None):
+    """X's trailing d x d blocks gathered: entry [..., r, c] is the flat ``flat_index[r, c]``.
+
+    The result goes to new memory, or to ``out`` (C-contiguous floats of
+    shape ``X.shape[:-2] + flat_index.shape``) when given.
+    """
+    lead = X.shape[:-2]
+    out = np.empty(lead + flat_index.shape) if out is None else out
+    flat = X.reshape(*lead, -1)
+    np.take(flat, flat_index.ravel(), axis=-1, out=out.reshape(*lead, -1), mode="clip")
+    return out
+
+
+def _offset_index(d: int, n_offsets: int) -> np.ndarray:
+    """Flat d x d block index of each offset-layout entry ``[o, a]`` (the first ``n_offsets``)."""
+    o, a = np.indices((n_offsets, d))
+    return a * d + (a + o) % d
 
 
 def blocks_to_offsets(blocks: np.ndarray) -> np.ndarray:
     """(..., d, d) blocks to the offset layout: ``[..., o, a] = B[..., a, (a + o) mod d]``."""
     blocks = np.asarray(blocks, dtype=float)
-    d = blocks.shape[-1]
-    o, a = np.indices((d, d))
-    return _gather_square(blocks, a * d + (a + o) % d)
+    return _gather_square(blocks, _offset_index(blocks.shape[-1], blocks.shape[-1]))
 
 
 def offsets_to_blocks(K: np.ndarray) -> np.ndarray:
@@ -346,25 +377,47 @@ def fourier_eigs(d: int, halfwidth: int) -> np.ndarray:
     return np.cos(2.0 * math.pi * np.outer(q, beta) / d).sum(axis=1) / (2 * halfwidth + 1)
 
 
-def init_cnn_kernels(X: np.ndarray, halfwidth: int) -> CnnKernel:
-    """Input-layer kernels (every offset) from channel second moments; the NTK is the NNGP array."""
+def init_cnn_kernels(
+    X: np.ndarray, halfwidth: int, n_pairs: int | None = None, n_offsets: int | None = None
+) -> CnnKernel:
+    """Input-layer kernels from channel second moments; the NTK is the NNGP array.
+
+    The state holds the first ``n_pairs`` sample pairs in pair order (all by
+    default) and the first ``n_offsets`` pixel offsets of each (all by
+    default; 1 is all a flatten readout reads).  It is formed tile by tile,
+    each tile's Gram blocks gathered straight into the offset layout; a
+    pair's bits do not depend on which pairs it is formed with.
+    """
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
     _check_window(d, halfwidth)
     i, j = np.triu_indices(m)  # pair_index order
-    nngp = np.matmul(X[i].transpose(0, 2, 1), X[j])  # the Gram blocks, divided in place
-    nngp /= n_ch
-    nngp = blocks_to_offsets(nngp)
+    n_pairs = len(i) if n_pairs is None else n_pairs
+    n_offsets = d if n_offsets is None else n_offsets
+    if not (0 <= n_pairs <= len(i) and 1 <= n_offsets <= d):
+        raise ValueError(f"cannot store {n_pairs} of {len(i)} pairs and {n_offsets} of {d} offsets")
+    index = _offset_index(d, n_offsets)
+    nngp = np.empty((n_pairs, n_offsets, d))
+    for s, _ in _tile_plan(m, n_pairs, d * d, _TILE_ENTRIES):  # tiles of Gram blocks
+        gram = np.matmul(X[i[s]].transpose(0, 2, 1), X[j[s]])
+        gram /= n_ch
+        _gather_square(gram, index, out=nngp[s])
     return CnnKernel(nngp=nngp, ntk=nngp, m=m, filter_halfwidth=halfwidth, depth=0)
 
 
 @lru_cache(maxsize=16)
 def _tile_plan(m: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple:
-    """Runs of whole sample pairs of about ``tile_entries`` entries, each with its (i, i) rows."""
+    """Runs of whole sample pairs of about ``tile_entries`` entries, each with its (i, i) rows.
+
+    The plan is shared by every caller, so its row arrays are read-only.
+    """
     per_tile = max(1, tile_entries // pair_size)
     diag = np.array([i * m - i * (i - 1) // 2 for i in range(m)])  # pair_index(i, i)
     tiles = [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
-    return tuple((t, diag[(t.start <= diag) & (diag < t.stop)] - t.start) for t in tiles)
+    plan = tuple((t, diag[(t.start <= diag) & (diag < t.stop)] - t.start) for t in tiles)
+    for _, rows in plan:
+        rows.flags.writeable = False
+    return plan
 
 
 def _pair_tiles(ck: CnnKernel) -> tuple:
@@ -372,8 +425,15 @@ def _pair_tiles(ck: CnnKernel) -> tuple:
     return _tile_plan(ck.m, ck.nngp.shape[0], math.prod(ck.nngp.shape[1:]), _TILE_ENTRIES)
 
 
+def _scratch_shape(ck: CnnKernel) -> tuple:
+    """The shape of a step's two tile buffers, each of the largest tile of ``ck``'s state."""
+    tiles = _pair_tiles(ck)
+    return (2, tiles[0][0].stop if tiles else 0, *ck.nngp.shape[1:])
+
+
 def step_cnn(
-    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, out: tuple | None = None
+    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, out: tuple | None = None,
+    scratch: np.ndarray | None = None,
 ) -> CnnKernel:
     """One convolutional layer (at one pixel and window one, the FCN layer): maps, then averaging.
 
@@ -381,84 +441,101 @@ def step_cnn(
     each pass stays in cache; every entry sees the operations, in order, of
     the untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
     T_dot(K) * ntk)``, so the result does not depend on the tile size.
-    The new state holds new arrays, or the given ``out = (nngp, ntk)``:
-    C-contiguous floats of its shape that share no memory with each other
-    or with ``ck``, but ``ntk`` may be ``ck.ntk``: each tile forms
-    ``sigma_w2 * T_dot * ntk`` before it writes that tile, so the in-place
-    bits are the same, though a step that raises may leave it part written.
+    Each tile forms its new NNGP in a tile buffer and compares it with the
+    old tile (until one differs), then writes the NTK tile and the NNGP
+    tile; the new state's ``nngp_fixed`` says whether every tile came back
+    bit for bit.  The new state holds new arrays, or the given ``out =
+    (nngp, ntk)``: C-contiguous floats of its shape that share no memory
+    with each other, each the state's own array of its kind (the step is
+    then in place, with the same bits) or sharing no memory with the
+    state.  A step that raises may leave ``out`` part written.  The tile
+    buffers, one for the new NNGP and one for the maps' values, are
+    ``scratch`` when given (floats of the shape ``_scratch_shape(ck)``,
+    sharing no memory with the state or ``out``; the maps and ``apply_A``
+    refuse a wrong shape or type before anything is written), so that a
+    walk allocates them once, else new ones.
     """
     if h.activation is not k.activation:
         raise ValueError(f"h steps {h.activation.value} layers but k maps {k.activation.value}")
     hw = ck.filter_halfwidth
-    if out and (np.may_share_memory(*out) or np.may_share_memory(out[0], ck.ntk)
-                or out[1] is not ck.ntk and np.may_share_memory(out[1], ck.ntk) or any(
-                    a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
-                    or np.may_share_memory(a, ck.nngp) for a in out)):
+    if out and (np.may_share_memory(*out) or any(
+            a.shape != ck.nngp.shape or a.dtype != float or not a.flags.c_contiguous
+            or a is not own and (np.may_share_memory(a, ck.nngp) or np.may_share_memory(a, ck.ntk))
+            for a, own in zip(out, (ck.nngp, ck.ntk)))):
         raise ValueError(f"out must be two C-contiguous float arrays of shape {ck.nngp.shape} "
-                         "sharing no memory with each other or the state, but for its own NTK")
+                         "sharing no memory with each other, each the state's own array of its "
+                         "kind or sharing none with the state")
+    if scratch is None:
+        scratch = np.empty(_scratch_shape(ck))
+    elif any(np.may_share_memory(scratch, a) for a in (ck.nngp, ck.ntk, *(out or ()))):
+        raise ValueError("scratch must share no memory with the state or out")
     nngp, ntk = out or (np.empty_like(ck.nngp), np.empty_like(ck.nngp))
     drift = 0.0  # the largest so far; a NaN stays
+    fixed = True  # whether every tile so far came back bit for bit
     try:
         for s, rows in _pair_tiles(ck):
-            q, tile_nngp, tile_ntk = ck.nngp[s], nngp[s], ntk[s]
-            apply_A(k.t_map(q), hw, out=tile_nngp)
-            tile_nngp *= h.sigma_w2
-            tile_nngp += h.sigma_b2
+            q = ck.nngp[s]
+            new, mapped = scratch[:, :len(q)]
+            apply_A(k.t_map(q, out=mapped), hw, out=new)
+            new *= h.sigma_w2
+            new += h.sigma_b2
             if rows.size:  # offset 0 of (i, i): the pixel variances
-                drift = np.abs(tile_nngp[rows, 0] - k.qstar).max(initial=drift)
-                tile_nngp[rows, 0] = k.qstar
-            td = k.t_dot(q)
+                drift = np.abs(new[rows, 0] - k.qstar).max(initial=drift)
+                new[rows, 0] = k.qstar
+            fixed = fixed and np.array_equal(new, q)
+            td = k.t_dot(q, out=mapped)
             td *= h.sigma_w2
             td *= ck.ntk[s]
+            tile_ntk = ntk[s]
             apply_A(td, hw, out=tile_ntk)
-            tile_ntk += tile_nngp
-    except CovarianceDomainError:  # a tile reaches past the domain, so the whole state does
-        k._check_domain(ck.nngp)  # and raises again, quoting its global maximum
+            tile_ntk += new
+            nngp[s] = new
+    except CovarianceDomainError:  # tile s reaches past the domain and no earlier tile does,
+        k._check_domain(ck.nngp[s.start:])  # so this raises again, quoting the global maximum
+        raise
     if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1)
+    return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1, nngp_fixed=fixed)
 
 
-def _nngp_fixed(old: CnnKernel, new: CnnKernel) -> bool:
-    """Whether a step returned the NNGP bit for bit, so every later step returns it too.
+def _frozen_step(ck: CnnKernel, wtd: np.ndarray, scratch: np.ndarray) -> bool:
+    """``step_cnn`` in place on a state whose NNGP is its own image, with ``wtd = sigma_w2 *
+    T_dot(nngp)``; returns whether the NTK came back bit for bit.
 
-    ``np.array_equal`` of the two NNGPs, taken tile by tile over
-    ``_pair_tiles`` and stopping at the first unequal tile, so it builds no
-    temporary the size of the state.
+    The NNGP carries over; each tile of the NTK gets ``nngp + A(wtd * ntk)``,
+    over the same tiles as the full step, so every entry sees its
+    operations.  As in ``step_cnn``, the new tile is formed in ``scratch``'s
+    tile buffers and compared with the old one before it is written.
     """
-    return all(np.array_equal(old.nngp[s], new.nngp[s]) for s, _ in _pair_tiles(old))
-
-
-def _frozen_step(ck: CnnKernel, wtd: np.ndarray, out: np.ndarray | None = None) -> CnnKernel:
-    """``step_cnn`` on a state whose NNGP is its own image, with ``wtd = sigma_w2 * T_dot(nngp)``.
-
-    The NNGP carries over; the NTK gets ``nngp + A(wtd * ntk)`` tile by tile
-    over the same tiles, so every entry sees the operations of the full step.
-    It goes to new arrays, or to ``out``, which must not overlap ``ck``.
-    """
-    nngp = ck.nngp
-    ntk = np.empty_like(nngp) if out is None else out
+    repeated = True
     for s, _ in _pair_tiles(ck):
-        tile_ntk = ntk[s]
-        apply_A(wtd[s] * ck.ntk[s], ck.filter_halfwidth, out=tile_ntk)
-        tile_ntk += nngp[s]
-    return CnnKernel(nngp, ntk, ck.m, ck.filter_halfwidth, ck.depth + 1)
+        tile_ntk = ck.ntk[s]
+        new, product = scratch[:, :len(tile_ntk)]
+        apply_A(np.multiply(wtd[s], tile_ntk, out=product), ck.filter_halfwidth, out=new)
+        new += ck.nngp[s]
+        repeated = repeated and np.array_equal(new, tile_ntk)
+        tile_ntk[...] = new
+    return repeated
 
 
 def propagate_cnn(
-    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit=None
+    ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[int], emit=None,
+    own_start: bool = False,
 ) -> Iterator:
     """Yield the state at each requested depth as it is reached; depths are checked at the call.
 
     With ``emit``, yield ``emit(state)`` instead: ``emit`` gets the walk's
     own state, which the next step overwrites, so it must keep no array of
     it.  Without it, each yielded state is a copy.  The walk never writes
-    to ``ck`` or to anything it has yielded."""
+    to anything it has yielded, nor to ``ck`` unless ``own_start``: a
+    caller that hands its start over, and reads it no more, lets the walk
+    step the start's arrays in place, so that the walk allocates no NNGP of
+    its own (and, for a start whose NTK is its NNGP, one NTK)."""
     _check_depths(depths, ck.depth)
     copied = lambda ck: replace(ck, nngp=ck.nngp.copy(), ntk=ck.ntk.copy())
-    return _walk(ck, h, k, depths, emit or copied)
+    return _walk(ck, h, k, depths, emit or copied, own_start)
 
 
 def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:

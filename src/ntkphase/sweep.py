@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -327,21 +327,24 @@ def _trajectory(
     mean-square ``qstar``, the solved variance fixed point, and the pixel
     variances (the FCN diagonal, offset 0 of each CNN pair (i, i)) are set
     to it, as ``step_cnn`` sets each later layer's.  Pixel offsets
-    evolve independently and flatten reads only offset 0, so cnn_f
-    propagates offset 0 alone.  The walk starts from one array (the depth-0
-    NTK is the NNGP), owns the only state and reads each depth out as it is
-    reached, so at most three state-sized arrays live at once.  Past the
-    depth where the NNGP or the whole state repeats, the walk reuses the
-    maps or stops stepping (see ``ntkphase.propagation``); the pairs keep
-    the full steps' bits.
+    evolve independently and flatten reads only offset 0, so cnn_f forms
+    and propagates offset 0 alone.  The walk starts from one array (the
+    depth-0 NTK is the NNGP), which it is handed and steps in place, and
+    reads each depth out as it is reached, so two state-sized arrays live
+    at once, three past the depth where the NNGP repeats.  From there the
+    walk reuses the maps, and past the depth where the whole state repeats
+    it stops stepping (see ``ntkphase.propagation``); the pairs keep the
+    full steps' bits.
 
     ``m`` (all samples by default) marks the first m samples as the train
     rows.  Without ``test_rows`` only the train rows' pairs propagate, into
-    m x m matrices.  With it, a CNN propagates the pairs (i, j) with i < m, a
-    prefix in pair order holding K_dd and K_td, and reads NaN in K_tt; an
-    FCN propagates every pair.  Every entry evolves on its own, so the kept
-    entries match those of the full run bit for bit; slicing ``X`` instead
-    would not, since a Gram of fewer rows may take another gemm path.
+    m x m matrices.  With it, a CNN forms and propagates only the pairs
+    (i, j) with i < m, a prefix in pair order holding K_dd and K_td, and
+    reads NaN in K_tt; an FCN propagates every pair.  Every entry evolves
+    on its own, so the kept entries match those of the full run bit for
+    bit.  A CNN pair's Gram block is its own product of two samples, but
+    the FCN Gram is one product of every row, so slicing ``X`` would not
+    keep its bits (fewer rows may take another gemm path).
     """
     k = ActivationKernel(h.activation, qstar)
     samples = None if test_rows else m  # the read-out matrices' samples; None for all
@@ -354,15 +357,16 @@ def _trajectory(
     if h.spatial_size != np.shape(X)[-1]:
         raise ValueError(f"spatial_size {h.spatial_size} is not the {np.shape(X)[-1]} pixels of X")
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
-    ck = init_cnn_kernels(normalize_inputs_cnn(X, qstar), filter_halfwidth)
+    X = normalize_inputs_cnn(X, qstar)[:samples]
+    n_pairs = None  # every pair of X, or with test rows the pairs (i, j) with i < m
+    if samples is None and m is not None:
+        n_pairs = m * len(X) - m * (m - 1) // 2
+    n_offsets = None if mode is ReadoutMode.POOL else 1
+    ck = init_cnn_kernels(X, filter_halfwidth, n_pairs, n_offsets)
     i, j = np.triu_indices(ck.m)  # pair order
-    keep = (i if test_rows else j) < (ck.m if m is None else m)
-    offsets = slice(None) if mode is ReadoutMode.POOL else slice(0, 1)
-    nngp = ck.nngp[keep, offsets]
-    nngp[(i == j)[keep], 0] = qstar  # the pixel variances, pinned as step_cnn pins each layer's
-    ck = replace(ck, nngp=nngp, ntk=nngp, m=samples or ck.m)
-    pairs = propagate_cnn(ck, h, k, depths, emit=functools.partial(readout, mode=mode))
-    del ck, nngp  # the walk drops the start array at its first step, unless a name here keeps it
+    ck.nngp[(i == j)[:len(ck.nngp)], 0] = qstar  # the pixel variances, as step_cnn pins them
+    pairs = propagate_cnn(ck, h, k, depths, emit=functools.partial(readout, mode=mode),
+                          own_start=True)
     return list(pairs)
 
 

@@ -479,3 +479,30 @@ class TestMapProperties:
         # the Erf variance map has its fixed point where q = 2 * second moment
         q = 0.8807506303959786
         assert 2.0 * float(diag_second_moment(Activation.ERF, q)) == pytest.approx(q, abs=1e-12)
+
+
+class TestMapIntoOut:
+    """A map writes an array's values into a given ``out`` with the bits of a new array."""
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("backend", ["closed", "quadrature"])
+    @pytest.mark.parametrize("name", ["t_map", "t_dot"])
+    def test_out_holds_the_new_array_bits(self, activation, backend, name):
+        qstar = 1.3
+        k = ActivationKernel(activation, qstar, backend, nodes=32)
+        q = np.linspace(-0.99, 0.99, 24).reshape(2, 3, 4) * qstar
+        q[0, 0, 0] = qstar  # the edge, where a smooth map takes its 1-D rule
+        out = np.full_like(q, np.nan)
+        assert getattr(k, name)(q, out=out) is out
+        np.testing.assert_array_equal(out, getattr(k, name)(q))
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "scalar"])
+    def test_out_must_be_a_float_array_of_q_shape(self, bad):
+        k = ActivationKernel(Activation.ERF, 1.0)
+        q, out = {
+            "shape": (np.zeros(4), np.empty(5)),
+            "dtype": (np.zeros(4), np.zeros(4, dtype=np.float32)),  # would round to single
+            "scalar": (0.5, np.empty(())),
+        }[bad]
+        with pytest.raises(ValueError, match="out must be"):
+            k.t_map(q, out=out)

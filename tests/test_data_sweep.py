@@ -394,10 +394,10 @@ def _count_array_entries(monkeypatch):
     """Array entries mapped by ``t_map`` and ``t_dot`` from now on, counted in the returned dict."""
     entries = {"t_map": 0, "t_dot": 0}
     for name in entries:
-        def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+        def counted(self, q_ab, out=None, _name=name, _map=getattr(ActivationKernel, name)):
             if np.ndim(q_ab):  # the phase analysis maps scalars
                 entries[_name] += np.size(q_ab)
-            return _map(self, q_ab)
+            return _map(self, q_ab, out)
 
         monkeypatch.setattr(ActivationKernel, name, counted)
     return entries

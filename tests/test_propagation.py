@@ -42,7 +42,7 @@ from ntkphase import (
     step_cnn,
     step_fcn,
 )
-from ntkphase import propagation
+from ntkphase import propagation, sweep
 from ntkphase.data import cnn_inputs, normals, shift_register_inputs
 from ntkphase.propagation import CnnKernel, KernelPair, blocks_to_offsets, offsets_to_blocks
 from ntkphase.spectra import fit_rate
@@ -71,9 +71,9 @@ def _count_map_entries(monkeypatch):
     """Entries mapped by ``t_map`` and ``t_dot`` from now on, counted in the returned dict."""
     entries = {"t_map": 0, "t_dot": 0}
     for name in entries:
-        def counted(self, q_ab, _name=name, _map=getattr(ActivationKernel, name)):
+        def counted(self, q_ab, out=None, _name=name, _map=getattr(ActivationKernel, name)):
             entries[_name] += np.size(q_ab)
-            return _map(self, q_ab)
+            return _map(self, q_ab, out)
 
         monkeypatch.setattr(ActivationKernel, name, counted)
     return entries
@@ -434,6 +434,14 @@ class TestConvolutionOperator:
         with pytest.raises(ValueError, match="C-contiguous"):
             apply_A(K, 1, out=np.empty((3, 6, 5)))
 
+    def test_out_must_hold_floats(self):
+        # a float32 out took the window sums rounded to single precision, up to 1.1e-7 off
+        K = normals(2, (3, 6, 6))
+        out = np.zeros(K.shape, dtype=np.float32)
+        with pytest.raises(ValueError, match="float array"):
+            apply_A(K, 1, out=out)
+        assert not out.any()
+
     @pytest.mark.parametrize("overlap", ["same", "shifted_view"])
     def test_out_must_not_overlap_K(self, overlap):
         buf = normals(2, (4, 4, 8))
@@ -564,15 +572,24 @@ class TestTiledStepCnn:
                     i = np.arange(m)
                     assert diag == list(i * m - i * (i - 1) // 2)
 
+    def test_the_cached_plan_is_read_only(self):
+        # every step of a shape shares one plan: a write to its rows would move later steps' pins
+        plan = propagation._tile_plan(4, 10, 6, 12)
+        rows = [rows for _, rows in plan if rows.size]
+        assert rows
+        for r in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                r[0] = 0
+
     def test_the_plan_follows_the_tile_size(self, monkeypatch):
         # the plan is cached, so a plan that ignored _TILE_ENTRIES would keep its first tiles
         h, k, ck = self.state("erf", "cnn_p")  # 15 pairs
         calls = []
         t_map = ActivationKernel.t_map
 
-        def counted(self, q_ab):
+        def counted(self, q_ab, out=None):
             calls.append(len(q_ab))
-            return t_map(self, q_ab)
+            return t_map(self, q_ab, out)
 
         monkeypatch.setattr(ActivationKernel, "t_map", counted)
         for tile_entries, tiles in ((2**16, 1), (1, 15), (4 * ck.nngp[0].size, 4), (2**16, 1)):
@@ -628,6 +645,23 @@ class TestTiledStepCnn:
         with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
             step_cnn(replace(ck, nngp=nngp), h, k)
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_overshoot_in_a_later_tile_quotes_the_old_global_maximum(self, monkeypatch, in_place):
+        # the tiles before the failing one passed, and an in-place step has written
+        # them already: the error reads the old state from the failing tile on
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
+        h, k, ck = self.state("erf", "cnn_p")
+        ck = step_cnn(ck, h, k)  # an NTK apart from the NNGP
+        nngp = ck.nngp.copy()
+        nngp[5, 1, 0] = 1.1 * k.qstar  # the first failing tile
+        nngp[-1, 1, 0] = 1.3 * k.qstar  # the larger one in the last tile
+        before = nngp.copy()
+        ck = replace(ck, nngp=nngp)
+        with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
+            step_cnn(ck, h, k, out=(ck.nngp, ck.ntk) if in_place else None)
+        assert np.array_equal(nngp[:5], before[:5]) is not in_place
+        np.testing.assert_array_equal(nngp[5:], before[5:])
+
     def test_drift_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
         h, k, ck = self.state("erf", "cnn_p")
@@ -655,20 +689,32 @@ def _freeze_depth(states):
     return next(d for d in range(1, len(states)) if np.array_equal(states[d].nngp, states[d - 1].nngp))
 
 
+def _never_fixed(monkeypatch):
+    """From now on every step reports a moved NNGP, so the walk takes full steps only."""
+    step = propagation.step_cnn
+    monkeypatch.setattr(propagation, "step_cnn",
+                        lambda *args, **kwargs: replace(step(*args, **kwargs), nngp_fixed=False))
+
+
 class TestFrozenWalk:
     """Once a step returns the NNGP bit for bit, the walk steps the NTK alone."""
 
     @pytest.mark.parametrize("changed", [None, 0, -1])
-    def test_nngp_fixed_is_array_equal_over_every_tile(self, monkeypatch, changed):
-        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", ck.nngp[0].size)  # one pair per tile
-        assert len(propagation._pair_tiles(ck)) == 15
-        new = ck.nngp.copy()
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_the_step_flags_a_one_ulp_change_in_any_tile(self, monkeypatch, changed, in_place):
+        h, k, ck0, _ = TestReusedBuffers.case("frozen")
+        loop = _full_steps(ck0, h, k, 200)
+        freeze = _freeze_depth(loop)
+        assert [ck.nngp_fixed for ck in loop] == [d >= freeze for d in range(201)]
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
+        nngp = loop[freeze].nngp.copy()  # a step returns it bit for bit
+        assert len(propagation._pair_tiles(loop[freeze])) == 6
         if changed is not None:  # one entry of the first or the last pair, by one ulp
-            new[changed, 1, 2] = np.nextafter(new[changed, 1, 2], np.inf)
-        fixed = propagation._nngp_fixed(ck, replace(ck, nngp=new))
-        assert fixed is (changed is None)
-        assert fixed == np.array_equal(ck.nngp, new)
+            nngp[changed, 1, 2] = np.nextafter(nngp[changed, 1, 2], np.inf)
+        ck = replace(loop[freeze], nngp=nngp.copy(), ntk=loop[freeze].ntk.copy())
+        new = step_cnn(ck, h, k, out=(ck.nngp, ck.ntk) if in_place else None)
+        assert new.nngp_fixed is (changed is None)
+        assert new.nngp_fixed == np.array_equal(new.nngp, nngp)
 
     def test_no_map_runs_after_the_freeze(self, monkeypatch):
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4)  # 15 pairs in 4 tiles
@@ -728,7 +774,7 @@ class TestFrozenWalk:
         monkeypatch.setattr(propagation, "step_cnn", counted)
         pairs = _trajectory(h, k.qstar, X, depths, 1)
         assert stepped == list(range(freeze))  # the step to `freeze` returns the NNGP unchanged
-        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        _never_fixed(monkeypatch)
         full = _trajectory(h, k.qstar, X, depths, 1)
         assert len(stepped) == freeze + 200
         for a, b in zip(pairs, full, strict=True):
@@ -769,14 +815,17 @@ class TestFrozenWalk:
         assert peaks[(1, 2, 4, 8)] - peaks[(1,)] < state_bytes / 4, (peaks, state_bytes)
 
     def test_a_multi_tile_cnn_trajectory_peaks_below_two_states(self):
-        # the walk owns the only state, steps it in place with one spare NNGP
-        # buffer and reads each depth out tile by tile
+        # the walk forms its start tile by tile, steps it in place (the NNGP in
+        # the start's array) with two tile buffers, and reads each depth out as
+        # reached: one NNGP and one NTK, the buffers and one tile besides
         h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=32)
         qstar = analyze(h).qstar
         X = cnn_inputs(24, 4, 32, seed=0)
         start = init_cnn_kernels(normalize_inputs_cnn(X, qstar), 1)
-        state_bytes = start.nngp.nbytes + start.ntk.nbytes  # 300 pairs x 32 x 32, twice
-        assert len(propagation._pair_tiles(start)) > 1
+        state_bytes = 2 * start.nngp.nbytes  # 300 pairs x 32 x 32, twice
+        tiles = propagation._pair_tiles(start)
+        assert len(tiles) > 1
+        tile_bytes = start.nngp[tiles[0][0]].nbytes
         del start
         depths = (1, 2, 4, 8)
         _trajectory(h, qstar, X, depths, 1)  # first-call allocations out of the way
@@ -786,7 +835,7 @@ class TestFrozenWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * state_bytes, (peak, state_bytes)
+        assert peak < state_bytes + 3 * tile_bytes, (peak, state_bytes, tile_bytes)
 
     def test_the_walk_stops_at_a_repeated_state(self, monkeypatch):
         # the ordered point of the fcn_erf_sweep benchmark at seed 1: the NNGP
@@ -811,7 +860,7 @@ class TestFrozenWalk:
         pairs = _trajectory(h, qstar, X, depths, 1, 128, test_rows=True)
         assert steps == [("full", d) for d in range(59)] + [("frozen", d) for d in range(59, 66)]
         steps.clear()
-        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        _never_fixed(monkeypatch)
         full = _trajectory(h, qstar, X, depths, 1, 128, test_rows=True)
         assert steps == [("full", d) for d in range(512)]
         for a, b in zip(pairs, full, strict=True):
@@ -848,9 +897,9 @@ class TestFrozenWalk:
             steps.append("full")
             return step(ck, *args, **kwargs)
 
-        def frozen_counted(ck, wtd, **kwargs):
+        def frozen_counted(*args):
             steps.append("frozen")
-            return frozen_step(ck, wtd, **kwargs)
+            return frozen_step(*args)
 
         monkeypatch.setattr(propagation, "step_cnn", counted)
         monkeypatch.setattr(propagation, "_frozen_step", frozen_counted)
@@ -858,7 +907,7 @@ class TestFrozenWalk:
         stopped = len(steps)
         assert "frozen" in steps  # the default depths reach past the freeze
         steps.clear()
-        monkeypatch.setattr(propagation, "_nngp_fixed", lambda old, new: False)
+        _never_fixed(monkeypatch)
         full = run_sweep(cfg, tmp_path / "full", formats=("csv", "json"))
         assert "frozen" not in steps
         assert stopped < len(steps)  # and past the repeat, where the walk stops stepping
@@ -938,52 +987,126 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(new.nngp, ref.nngp)
         np.testing.assert_array_equal(new.ntk, ref.ntk)
 
+    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
+    @pytest.mark.parametrize("which", ["both", "nngp", "ntk"])
+    def test_a_step_into_the_state_s_own_arrays_keeps_the_out_of_place_bits(
+        self, monkeypatch, tile_pairs, which
+    ):
+        # both kernels in place; or, on a state of one array as both kernels
+        # (as at depth 0), either kernel into that array
+        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
+        if tile_pairs:
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * ck.nngp[0].size)
+        ck = replace(ck, nngp=ck.nngp.copy(), ntk=ck.nngp.copy())
+        if which == "both":  # a state of two arrays, both stepped in place
+            ck = step_cnn(ck, h, k)
+        ref = step_cnn(ck, h, k)
+        if which != "both":
+            ck = replace(ck, ntk=ck.nngp)
+        out = {"both": (ck.nngp, ck.ntk), "nngp": (ck.nngp, np.empty_like(ck.nngp)),
+               "ntk": (np.empty_like(ck.nngp), ck.ntk)}[which]
+        new = step_cnn(ck, h, k, out=out)
+        assert new.nngp is out[0] and new.ntk is out[1]
+        np.testing.assert_array_equal(new.nngp, ref.nngp)
+        np.testing.assert_array_equal(new.ntk, ref.ntk)
+
     @pytest.mark.parametrize("bad", [
-        "shape", "order", "dtype", "nngp_as_ntk", "ntk_as_nngp", "ntk_view", "one_array", "view",
-        "each_other",
+        "shape", "order", "dtype", "nngp_as_ntk", "ntk_as_nngp", "ntk_view", "one_array_twice",
+        "view", "each_other",
     ])
     def test_step_rejects_arrays_it_cannot_write(self, bad):
         h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        if bad != "one_array_twice":  # a state of two arrays
+            ck = step_cnn(ck, h, k)
         shape = ck.nngp.shape
         fresh = np.empty(shape)
-        if bad == "one_array":  # a state whose NTK is its NNGP may not step that NTK in place
-            ck = replace(ck, ntk=ck.nngp)
         out = {
             "shape": (np.empty(shape[:-1] + (shape[-1] + 1,)), fresh),
             "order": (np.empty(shape[::-1]).T, fresh),  # Fortran order
             "dtype": (np.empty(shape, dtype=np.float32), fresh),
-            "nngp_as_ntk": (fresh, ck.nngp),  # the NNGP is read after its tile's NTK is written
+            "nngp_as_ntk": (fresh, ck.nngp),  # in place means each kernel into its own array
             "ntk_as_nngp": (ck.ntk, fresh),
-            "ntk_view": (fresh, ck.ntk[:]),  # in place means the state's own NTK array
-            "one_array": (fresh, ck.ntk),
+            "ntk_view": (fresh, ck.ntk[:]),  # ... the state's own array, not a view of it
+            "one_array_twice": (ck.nngp, ck.ntk),  # one array cannot take both new kernels
             "view": (ck.nngp[:], fresh),
             "each_other": (fresh, fresh),
         }[bad]
+        before = (ck.nngp.copy(), ck.ntk.copy())
         with pytest.raises(ValueError, match="out must be"):
             step_cnn(ck, h, k, out=out)
+        np.testing.assert_array_equal(ck.nngp, before[0])
+        np.testing.assert_array_equal(ck.ntk, before[1])
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "state", "out"])
+    def test_step_rejects_a_tile_buffer_it_cannot_use(self, bad):
+        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # one tile of 15 pairs
+        out = (np.full_like(ck.nngp, np.nan), np.full_like(ck.nngp, np.nan))
+        before = ck.nngp.copy()
+        scratch = {
+            "shape": np.empty((2, 14, *ck.nngp.shape[1:])),  # a pair short of the tile
+            "dtype": np.empty((2, *ck.nngp.shape), dtype=np.float32),
+            "state": ck.ntk,
+            "out": out[1],
+        }[bad]
+        with pytest.raises(ValueError, match="must"):
+            step_cnn(ck, h, k, out=out, scratch=scratch)
+        np.testing.assert_array_equal(ck.nngp, before)
+        assert np.isnan(out[0]).all() and np.isnan(out[1]).all()  # nothing written
 
     @pytest.mark.parametrize("name", ["cnn_p", "frozen"])
     @pytest.mark.parametrize("far", [True, False])
-    def test_a_walk_with_emit_steps_out_of_place_once(self, monkeypatch, name, far):
+    @pytest.mark.parametrize("own_start", [False, True])
+    def test_a_walk_steps_out_of_place_once_unless_it_owns_its_start(
+        self, monkeypatch, name, far, own_start
+    ):
         h, k, ck0, depths = self.case(name)
         depths = depths[-1:] if far else depths
         out_of_place = []
+        step = propagation.step_cnn
+
+        def spy(ck, *args, out=None, **kwargs):
+            out_of_place.append(out is None)
+            return step(ck, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(propagation, "step_cnn", spy)
+        emitted = list(propagate_cnn(ck0, h, k, depths, emit=lambda ck: ck.depth,
+                                     own_start=own_start))
+        assert emitted == depths
+        assert 0 < len(out_of_place) <= depths[-1]
+        assert out_of_place[0] is not own_start and sum(out_of_place) == (not own_start)
+
+    @pytest.mark.parametrize("own_start", [False, True])
+    def test_a_walk_holds_two_state_sized_arrays_and_three_past_the_freeze(
+        self, monkeypatch, own_start
+    ):
+        h, k, ck0, depths = self.case("frozen")
+        freeze = depths[2]
+        assert ck0.ntk is ck0.nngp  # a start of one array, as a trajectory's
+        held = {}  # depth stepped from -> every array the step read or wrote, kept alive
         step, frozen_step = propagation.step_cnn, propagation._frozen_step
 
-        def spy(ck, *args, out=None):
-            out_of_place.append(out is None)
-            return step(ck, *args, out=out)
+        def spy(ck, *args, **kwargs):
+            new = step(ck, *args, **kwargs)
+            held[ck.depth] = [ck.nngp, ck.ntk, new.nngp, new.ntk]
+            return new
 
-        def frozen_spy(ck, wtd, out=None):
-            out_of_place.append(out is None)
-            return frozen_step(ck, wtd, out=out)
+        def frozen_spy(ck, wtd, scratch):
+            held[ck.depth] = [ck.nngp, ck.ntk, wtd]
+            return frozen_step(ck, wtd, scratch)
 
         monkeypatch.setattr(propagation, "step_cnn", spy)
         monkeypatch.setattr(propagation, "_frozen_step", frozen_spy)
-        emitted = list(propagate_cnn(ck0, h, k, depths, emit=lambda ck: ck.depth))
-        assert emitted == depths
-        assert 0 < len(out_of_place) <= depths[-1]
-        assert out_of_place[0] and sum(out_of_place) == 1
+        list(propagate_cnn(ck0, h, k, depths, emit=lambda ck: None, own_start=own_start))
+        assert sorted(held) == list(range(len(held))) and len(held) > freeze + 1
+
+        def buffers(arrays):  # distinct state-sized buffers, other than the caller's start
+            arrays = [a for a in arrays if a.shape == ck0.nngp.shape and a is not ck0.nngp]
+            return len({a.__array_interface__["data"][0] for a in arrays})
+
+        before = [a for d in range(freeze) for a in held[d]]
+        assert buffers(before) == (1 if own_start else 2)  # with the start: two
+        assert buffers([a for arrays in held.values() for a in arrays]) == buffers(before) + 1
+        assert (held[freeze - 1][2] is ck0.nngp) is own_start  # the NNGP steps in the start
 
 
 class TestOffsetStorage:
@@ -1283,3 +1406,50 @@ class TestCnnInit:
         X = cnn_inputs(2, 4, 3, seed=0)
         with pytest.raises(WindowError):
             init_cnn_kernels(X, 2)
+
+    @pytest.mark.parametrize("n_pairs, n_offsets", [(-1, None), (4, None), (None, 0), (None, 6)])
+    def test_init_rejects_pairs_or_offsets_it_does_not_have(self, n_pairs, n_offsets):
+        X = cnn_inputs(2, 4, 5, seed=0)  # 3 pairs, 5 offsets
+        with pytest.raises(ValueError, match="cannot store"):
+            init_cnn_kernels(X, 1, n_pairs, n_offsets)
+
+    @staticmethod
+    def whole_start(X, qstar, m, test_rows, pool):
+        """A trajectory's start cut from the Gram of every pair, gathered to every offset."""
+        X = normalize_inputs_cnn(X, qstar)
+        i, j = np.triu_indices(len(X))
+        blocks = np.matmul(X[i].transpose(0, 2, 1), X[j])
+        blocks /= X.shape[1]
+        keep = (i if test_rows else j) < (len(X) if m is None else m)
+        nngp = blocks_to_offsets(blocks)[keep, :None if pool else 1]
+        nngp[(i == j)[keep], 0] = qstar
+        return nngp
+
+    @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
+    @pytest.mark.parametrize("m, test_rows", [(None, False), (4, False), (4, True)])
+    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
+    def test_a_trajectory_starts_from_the_kept_pairs_bit_for_bit(
+        self, monkeypatch, architecture, m, test_rows, tile_pairs
+    ):
+        # the start forms only the kept pairs (and offset 0 alone for cnn_f),
+        # tile by tile, yet holds the bits of the whole start cut down
+        d = 6
+        h = Hyperparams(1.5, 0.5, "erf", architecture=architecture, spatial_size=d)
+        qstar = analyze(h).qstar
+        X = cnn_inputs(7, 5, d, seed=3)  # 28 pairs
+        if tile_pairs:
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * d * d)
+        starts = []
+
+        def spy(ck, *args, **kwargs):
+            assert ck.ntk is ck.nngp and ck.depth == 0
+            starts.append(ck)
+            return iter(())
+
+        monkeypatch.setattr(sweep, "propagate_cnn", spy)
+        assert _trajectory(h, qstar, X, [1], 1, m, test_rows) == []
+        (start,) = starts
+        assert start.m == (7 if m is None or test_rows else m)
+        ref = self.whole_start(X, qstar, m, test_rows, architecture == "cnn_p")
+        assert start.nngp.shape == ref.shape
+        np.testing.assert_array_equal(start.nngp, ref)
