@@ -19,14 +19,18 @@ with pixel (a + o) mod d of the second.  The diagonal-averaging operator
 shifts both pixel indices together and the Gaussian maps act entry by
 entry, so every offset evolves on its own; a flatten readout reads only
 offset 0, and a kernel may carry offset 0 alone.  Pooling and
-``CnnKernel.block`` need every offset.
+``CnnKernel.block`` need every offset.  Every sample pair evolves on its
+own as well (the operator mixes positions within one pair's offset row),
+so a kernel may hold any run of the pair order (``first_pair`` on): the
+sweep's trajectories form, walk and read out one run of about a tile at a
+time, and never hold a whole state.
 
 ``apply_A`` sums each +-beta pair first, K[a] + (K[a+1] + K[a-1]) + ...,
 so reversed pixels round every window sum the same way.  ``step_cnn`` maps
 the state tile by tile through the kernel's own ``t_map`` and ``t_dot``,
 which check each tile's covariance domain (one min/max pass for an
 in-domain tile) and clip a tile's overshoot entry by entry, as one check
-of the whole state would; only when a tile fails does the step check the
+of the whole state would; only when a tile fails does the step read the
 state from that tile on (every earlier tile passed), so the error quotes
 its global maximum.  Each tile is a run of whole sample pairs of about
 ``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles are
@@ -44,7 +48,8 @@ whether its NNGP came back bit for bit (``nngp_fixed``).  The depth walk
 behind ``propagate_fcn`` and ``propagate_cnn`` owns one state and holds two
 state-sized arrays, its NNGP and NTK: its first step writes new arrays, or
 the start's own when the caller hands the start over, and every later step
-is in place; it allocates its two tile buffers once and hands each depth to
+is in place; it allocates its two tile buffers once (in one block with the
+NTK it makes for a handed-over start of one array) and hands each depth to
 ``emit`` as reached.  The NNGP update reads only the NNGP, so once a step
 returns the NNGP bit for bit, every later step returns it again, the
 domain and drift checks see the same input, and T_dot at it is already
@@ -53,6 +58,8 @@ array, and steps the NTK alone in place, ``nngp + A(sigma_w2 * T_dot *
 ntk)``, over the same tiles and in the same order as the full step; once
 that returns the NTK too, the state repeats and the walk stops stepping
 and drops its buffers.  Every state it hands out holds the full steps' bits.
+A walk of one run of pairs freezes and repeats when that run does, each
+exactly, so a run's states hold the whole state's bits for its pairs.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -133,14 +140,14 @@ class ResidualVariant(str, enum.Enum):
 class CnnKernel:
     """Pixel-pixel kernels of a 1-D convolutional network, stored by offset.
 
-    Only the upper triangle of sample pairs is stored (or a prefix of it in
-    pair order), and each pair by pixel offset: ``nngp[pair_index(i, j), o,
-    a]`` is the covariance between pixel a of sample i and pixel (a + o) mod
-    d of sample j.  The offset axis holds all d offsets, or offset 0 alone,
-    which is all a flatten readout reads; ``block`` and pooling need every
-    offset.  ``nngp_fixed`` says whether the step that made the state
-    returned its input's NNGP bit for bit, so that every later step returns
-    it too.
+    Only the upper triangle of sample pairs is stored, or a run of it in
+    pair order from pair ``first_pair`` on, and each pair by pixel offset:
+    ``nngp[pair_index(i, j), o, a]`` is the covariance between pixel a of
+    sample i and pixel (a + o) mod d of sample j.  The offset axis holds all
+    d offsets, or offset 0 alone, which is all a flatten readout reads;
+    ``block`` and pooling need every offset.  ``nngp_fixed`` says whether
+    the step that made the state returned its input's NNGP bit for bit, so
+    that every later step returns it too.
     """
 
     nngp: np.ndarray  # (n_pairs, n_offsets, d)
@@ -149,11 +156,12 @@ class CnnKernel:
     filter_halfwidth: int
     depth: int
     nngp_fixed: bool = False
+    first_pair: int = 0
 
     def pair_index(self, i: int, j: int) -> int:
         i, j = min(i, j), max(i, j)
-        row = i * self.m - (i * (i - 1)) // 2 + (j - i)
-        if i < 0 or j >= self.m or row >= len(self.nngp):
+        row = i * self.m - (i * (i - 1)) // 2 + (j - i) - self.first_pair
+        if i < 0 or j >= self.m or not 0 <= row < len(self.nngp):
             raise IndexError(f"pair ({i}, {j}) is not stored")
         return row
 
@@ -239,18 +247,32 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
           own: bool):
     """Step ``ck`` repeatedly, yielding ``emit`` of the state at each requested depth.
 
-    Every step writes the walk's own arrays in place, and ``ck``'s when
-    ``own``; otherwise the first step writes new arrays.  Once a full
-    ``step_cnn`` returns the NNGP bit for bit (``nngp_fixed``), the walk
-    caches ``sigma_w2 * T_dot`` at it and advances the NTK alone
-    (``_frozen_step``); once that returns the NTK bit for bit, the walk hands
-    that state out at each deeper depth without stepping.  One pair of tile
-    buffers serves every step, and the maps write into it: glibc hands a
-    tile-sized array made and freed in each step back to the system (by
-    munmap or by trimming the heap top) until a larger free raises its
-    thresholds, so every step would fault its pages in again.
+    ``ck`` may hold every pair or one run of them; the freeze and the
+    repeat below are its own pairs', and each is exact.  Every step writes
+    the walk's own arrays in place, and ``ck``'s when ``own``; otherwise the
+    first step writes new arrays.  Once a full ``step_cnn`` returns the NNGP
+    bit for bit (``nngp_fixed``), the walk caches ``sigma_w2 * T_dot`` at it
+    and advances the NTK alone (``_frozen_step``); once that returns the NTK
+    bit for bit, the walk hands that state out at each deeper depth without
+    stepping.
+
+    One pair of tile buffers serves every step, and the maps write into it:
+    glibc hands a tile-sized array made and freed in each step back to the
+    system (by munmap or by trimming the heap top) until a larger free
+    raises its thresholds, so every step would fault its pages in again.
+    For the same reason the buffers share one block with the NTK that the
+    walk makes for an owned start of one array: the heap top is trimmed
+    past twice the largest block freed so far, and a trajectory that walks
+    run after run frees each run's NNGP, Gram tile and this block in turn,
+    so only a block of more than half of them keeps their pages from one
+    run to the next.  Once the state repeats, the NTK moves out of the
+    block, and the buffers go.
     """
-    scratch = np.empty(_scratch_shape(ck))
+    shape = _scratch_shape(ck)
+    tiles = math.prod(shape)
+    own_ntk = ck.nngp.size if own and ck.ntk is ck.nngp else 0  # the NTK the first step makes
+    block = np.empty(tiles + own_ntk)
+    scratch = block[:tiles].reshape(shape)
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
     repeated = False  # whether the last step returned the whole state bit for bit
     for target in depths:
@@ -260,10 +282,14 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
                 ck = replace(ck, depth=ck.depth + 1)
                 if repeated:  # no step follows, so the buffers go
                     scratch = wtd = None
+                    if own_ntk:  # the NTK leaves the block, so that the block can go
+                        ck = replace(ck, ntk=ck.ntk.copy())
+                    block = None
                 continue
             out = None
             if own:  # the depth-0 state may hold one array as both kernels
-                out = (ck.nngp, np.empty_like(ck.nngp) if ck.ntk is ck.nngp else ck.ntk)
+                out = (ck.nngp, block[tiles:].reshape(ck.nngp.shape) if ck.ntk is ck.nngp
+                       else ck.ntk)
             ck, own = step_cnn(ck, h, k, out=out, scratch=scratch), True
             if ck.nngp_fixed:
                 wtd = np.empty_like(ck.nngp)
@@ -378,41 +404,47 @@ def fourier_eigs(d: int, halfwidth: int) -> np.ndarray:
 
 
 def init_cnn_kernels(
-    X: np.ndarray, halfwidth: int, n_pairs: int | None = None, n_offsets: int | None = None
+    X: np.ndarray, halfwidth: int, pairs: slice | None = None, n_offsets: int | None = None
 ) -> CnnKernel:
     """Input-layer kernels from channel second moments; the NTK is the NNGP array.
 
-    The state holds the first ``n_pairs`` sample pairs in pair order (all by
-    default) and the first ``n_offsets`` pixel offsets of each (all by
-    default; 1 is all a flatten readout reads).  It is formed tile by tile,
-    each tile's Gram blocks gathered straight into the offset layout; a
-    pair's bits do not depend on which pairs it is formed with.
+    The state holds the run ``pairs = slice(start, stop)`` of the sample
+    pairs in pair order (all by default) and the first ``n_offsets`` pixel
+    offsets of each (all by default; 1 is all a flatten readout reads).  It
+    is formed tile by tile, each tile's Gram blocks gathered straight into
+    the offset layout; a pair's bits do not depend on which pairs it is
+    formed with.
     """
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
     _check_window(d, halfwidth)
     i, j = np.triu_indices(m)  # pair_index order
-    n_pairs = len(i) if n_pairs is None else n_pairs
+    pairs = slice(0, len(i)) if pairs is None else pairs
     n_offsets = d if n_offsets is None else n_offsets
-    if not (0 <= n_pairs <= len(i) and 1 <= n_offsets <= d):
-        raise ValueError(f"cannot store {n_pairs} of {len(i)} pairs and {n_offsets} of {d} offsets")
-    index = _offset_index(d, n_offsets)
-    nngp = np.empty((n_pairs, n_offsets, d))
-    for s, _ in _tile_plan(m, n_pairs, d * d, _TILE_ENTRIES):  # tiles of Gram blocks
+    if not (pairs.step in (None, 1) and 0 <= pairs.start <= pairs.stop <= len(i)
+            and 1 <= n_offsets <= d):
+        raise ValueError(f"cannot store pairs {pairs.start}:{pairs.stop}:{pairs.step} of "
+                         f"{len(i)} and {n_offsets} of {d} offsets")
+    i, j, index = i[pairs], j[pairs], _offset_index(d, n_offsets)
+    nngp = np.empty((len(i), n_offsets, d))
+    for s, _ in _tile_plan(m, pairs.start, len(i), d * d, _TILE_ENTRIES):  # tiles of Gram blocks
         gram = np.matmul(X[i[s]].transpose(0, 2, 1), X[j[s]])
         gram /= n_ch
         _gather_square(gram, index, out=nngp[s])
-    return CnnKernel(nngp=nngp, ntk=nngp, m=m, filter_halfwidth=halfwidth, depth=0)
+    return CnnKernel(nngp=nngp, ntk=nngp, m=m, filter_halfwidth=halfwidth, depth=0,
+                     first_pair=pairs.start)
 
 
 @lru_cache(maxsize=16)
-def _tile_plan(m: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple:
+def _tile_plan(m: int, first_pair: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple:
     """Runs of whole sample pairs of about ``tile_entries`` entries, each with its (i, i) rows.
 
-    The plan is shared by every caller, so its row arrays are read-only.
+    The runs cover the ``n_pairs`` pairs from ``first_pair`` on in pair
+    order, counted from ``first_pair``.  The plan is shared by every caller,
+    so its row arrays are read-only.
     """
     per_tile = max(1, tile_entries // pair_size)
-    diag = np.array([i * m - i * (i - 1) // 2 for i in range(m)])  # pair_index(i, i)
+    diag = np.array([i * m - i * (i - 1) // 2 - first_pair for i in range(m)])  # pair_index(i, i)
     tiles = [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
     plan = tuple((t, diag[(t.start <= diag) & (diag < t.stop)] - t.start) for t in tiles)
     for _, rows in plan:
@@ -420,9 +452,16 @@ def _tile_plan(m: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple
     return plan
 
 
+def _pair_runs(m: int, n_pairs: int, pair_size: int) -> List[slice]:
+    """The tiles of the first ``n_pairs`` pairs at the current ``_TILE_ENTRIES``: the runs of a
+    state of ``pair_size`` entries per pair that each fit in one tile."""
+    return [t for t, _ in _tile_plan(m, 0, n_pairs, pair_size, _TILE_ENTRIES)]
+
+
 def _pair_tiles(ck: CnnKernel) -> tuple:
     """The ``_tile_plan`` of ``ck``'s state at the current ``_TILE_ENTRIES``."""
-    return _tile_plan(ck.m, ck.nngp.shape[0], math.prod(ck.nngp.shape[1:]), _TILE_ENTRIES)
+    return _tile_plan(ck.m, ck.first_pair, ck.nngp.shape[0], math.prod(ck.nngp.shape[1:]),
+                      _TILE_ENTRIES)
 
 
 def _scratch_shape(ck: CnnKernel) -> tuple:
@@ -491,13 +530,12 @@ def step_cnn(
             tile_ntk += new
             nngp[s] = new
     except CovarianceDomainError:  # tile s reaches past the domain and no earlier tile does,
-        k._check_domain(ck.nngp[s.start:])  # so this raises again, quoting the global maximum
-        raise
+        raise k._domain_error(ck.nngp[s.start:])  # so the error quotes the global maximum
     if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
-    return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1, nngp_fixed=fixed)
+    return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1, nngp_fixed=fixed, first_pair=ck.first_pair)
 
 
 def _frozen_step(ck: CnnKernel, wtd: np.ndarray, scratch: np.ndarray) -> bool:
@@ -538,25 +576,40 @@ def propagate_cnn(
     return _walk(ck, h, k, depths, emit or copied, own_start)
 
 
-def readout(ck: CnnKernel, mode: ReadoutMode) -> KernelPair:
+def readout(ck: CnnKernel, mode: ReadoutMode, out: KernelPair | None = None) -> KernelPair:
     """Collapse spatial indices: flatten averages the block trace (offset 0
     over positions), pooling the whole block, which is the mean over the
-    stored layout (every offset at every position).  The pairs past a
-    state's stored prefix read NaN."""
+    stored layout (every offset at every position).
+
+    The result holds new m x m matrices, in which the pairs the state does
+    not store read NaN, or ``out``'s matrices, which get the state's pairs
+    (both (i, j) and (j, i)) and keep every other entry: so the runs of one
+    depth read out into one pair of matrices.
+    """
     flatten = ReadoutMode(mode) is ReadoutMode.FLATTEN
     n_offsets, d = ck.nngp.shape[1:]
     if not flatten and n_offsets != d:
         raise ValueError(f"pooling needs every pixel offset; this kernel stores {n_offsets} of {d}")
-    upper = _upper(ck.m)
+    i = np.arange(ck.m)
+    diag = i * ck.m - i * (i - 1) // 2  # pair_index(i, i)
+    first, stop = ck.first_pair, ck.first_pair + len(ck.nngp)
+    # the rows i of the pairs (i, j) to write, whose upper entries run in pair order from
+    # diag[r0]: every row of a new matrix, so that every entry is written, else the rows
+    # of the state's pairs
+    r0, r1 = ((0, ck.m) if out is None
+              else np.searchsorted(diag, [first, stop - 1], side="right") - [1, 0])
+    rows, upper = slice(r0, r1), _upper(ck.m)[r0:r1]
 
-    def square(K):
-        pairs = np.full(ck.m * (ck.m + 1) // 2, np.nan)
-        pairs[:len(K)] = K[:, 0].mean(axis=-1) if flatten else K.mean(axis=(-2, -1))
-        out = np.empty((ck.m, ck.m))
-        out[upper] = out.T[upper] = pairs
-        return out
+    def square(K, into):  # K's pairs into the matrix `into`, or into a new one
+        pairs = np.full(np.count_nonzero(upper), np.nan) if into is None else into[rows][upper]
+        pairs[first - diag[r0]:stop - diag[r0]] = (K[:, 0].mean(axis=-1) if flatten
+                                                  else K.mean(axis=(-2, -1)))
+        into = np.empty((ck.m, ck.m)) if into is None else into
+        into[rows][upper] = into.T[rows][upper] = pairs
+        return into
 
-    return KernelPair(nngp=square(ck.nngp), ntk=square(ck.ntk), depth=ck.depth)
+    nngp, ntk = (square(getattr(ck, kind), getattr(out, kind, None)) for kind in ("nngp", "ntk"))
+    return KernelPair(nngp, ntk, ck.depth)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .propagation import (
     ReadoutMode,
     _check_depths,
     _check_window,
+    _pair_runs,
     init_cnn_kernels,
     init_kernels,
     normalize_inputs,
@@ -328,13 +329,22 @@ def _trajectory(
     variances (the FCN diagonal, offset 0 of each CNN pair (i, i)) are set
     to it, as ``step_cnn`` sets each later layer's.  Pixel offsets
     evolve independently and flatten reads only offset 0, so cnn_f forms
-    and propagates offset 0 alone.  The walk starts from one array (the
-    depth-0 NTK is the NNGP), which it is handed and steps in place, and
-    reads each depth out as it is reached, so two state-sized arrays live
-    at once, three past the depth where the NNGP repeats.  From there the
-    walk reuses the maps, and past the depth where the whole state repeats
-    it stops stepping (see ``ntkphase.propagation``); the pairs keep the
-    full steps' bits.
+    and propagates offset 0 alone.
+
+    Each sample pair evolves on its own too, so a CNN state is walked run
+    by run: the kept pairs split into the runs of ``step_cnn``'s tile plan
+    (about ``_TILE_ENTRIES`` entries each), and each run is formed, walked
+    through every depth and read out into that depth's matrices before the
+    next run is formed.  A run's walk starts from one array (the depth-0
+    NTK is the NNGP), which it is handed and steps in place, so a
+    trajectory holds two run-sized arrays and two tile buffers at once, one
+    more past the depth where the run's NNGP repeats, and never a whole
+    state.  From there a run's walk reuses the maps, and past the depth
+    where the run repeats it stops stepping (see ``ntkphase.propagation``);
+    every freeze and repeat is exact, so the pairs keep the full steps'
+    bits.  When a run fails, the whole kept state is walked at once, which
+    raises the error of its first failing depth, quoting the state's
+    global maximum, as an undivided walk does.  An FCN state is walked whole.
 
     ``m`` (all samples by default) marks the first m samples as the train
     rows.  Without ``test_rows`` only the train rows' pairs propagate, into
@@ -358,16 +368,28 @@ def _trajectory(
         raise ValueError(f"spatial_size {h.spatial_size} is not the {np.shape(X)[-1]} pixels of X")
     mode = ReadoutMode.POOL if h.architecture is Architecture.CNN_P else ReadoutMode.FLATTEN
     X = normalize_inputs_cnn(X, qstar)[:samples]
-    n_pairs = None  # every pair of X, or with test rows the pairs (i, j) with i < m
+    n, d = len(X), h.spatial_size
+    n_pairs = n * (n + 1) // 2  # every pair of X, or with test rows the pairs (i, j) with i < m
     if samples is None and m is not None:
-        n_pairs = m * len(X) - m * (m - 1) // 2
-    n_offsets = None if mode is ReadoutMode.POOL else 1
-    ck = init_cnn_kernels(X, filter_halfwidth, n_pairs, n_offsets)
-    i, j = np.triu_indices(ck.m)  # pair order
-    ck.nngp[(i == j)[:len(ck.nngp)], 0] = qstar  # the pixel variances, as step_cnn pins them
-    pairs = propagate_cnn(ck, h, k, depths, emit=functools.partial(readout, mode=mode),
-                          own_start=True)
-    return list(pairs)
+        n_pairs = m * n - m * (m - 1) // 2
+    n_offsets = d if mode is ReadoutMode.POOL else 1
+    out = {depth: KernelPair(np.full((n, n), np.nan), np.full((n, n), np.nan), depth)
+           for depth in depths}
+    diagonal = np.equal(*np.triu_indices(n))  # whether each pair, in pair order, is an (i, i)
+
+    def walk(run: slice) -> None:  # form the run, walk it and read each depth out into `out`
+        ck = init_cnn_kernels(X, filter_halfwidth, run, n_offsets)
+        ck.nngp[diagonal[run], 0] = qstar  # the pixel variances, as step_cnn pins them
+        for _ in propagate_cnn(ck, h, k, depths, own_start=True,
+                               emit=lambda state: readout(state, mode, out=out[state.depth])):
+            pass
+
+    try:
+        for run in _pair_runs(n, n_pairs, n_offsets * d):
+            walk(run)
+    except NtkPhaseError:  # the whole state's walk raises the undivided walk's error
+        walk(slice(0, n_pairs))
+    return list(out.values())
 
 
 @_one_blas_thread()

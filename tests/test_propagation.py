@@ -15,6 +15,7 @@ from ntkphase import (
     DiagonalDriftError,
     Hyperparams,
     NonConvergenceError,
+    NtkPhaseError,
     OdeKernelState,
     ReadoutMode,
     ResidualVariant,
@@ -558,23 +559,26 @@ class TestTiledStepCnn:
     def test_tiles_cover_whole_pairs(self):
         for tile_entries in (1, 2, 7, 36, 2**16):
             for m in (1, 2, 5, 6):
-                n_pairs = m * (m + 1) // 2
-                for pair_size in (1, 2, 6, 36):
-                    plan = propagation._tile_plan(m, n_pairs, pair_size, tile_entries)
-                    tiles = [t for t, _ in plan]
-                    assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
-                    assert tiles[-1].stop == n_pairs
-                    sizes = [(t.stop - t.start) * pair_size for t in tiles]
-                    assert min(sizes) >= 1
-                    assert max(sizes) <= max(tile_entries, pair_size)
-                    # each (i, i) pair is planned once, in order, as a row of its tile
-                    diag = [t.start + r for t, rows in plan for r in rows]
-                    i = np.arange(m)
-                    assert diag == list(i * m - i * (i - 1) // 2)
+                n_all = m * (m + 1) // 2
+                for first in sorted({0, 1, n_all // 2, n_all - 1} & set(range(n_all))):
+                    n_pairs = n_all - first  # the run from pair `first` to the last
+                    for pair_size in (1, 2, 6, 36):
+                        plan = propagation._tile_plan(m, first, n_pairs, pair_size, tile_entries)
+                        tiles = [t for t, _ in plan]
+                        assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
+                        assert tiles[-1].stop == n_pairs
+                        sizes = [(t.stop - t.start) * pair_size for t in tiles]
+                        assert min(sizes) >= 1
+                        assert max(sizes) <= max(tile_entries, pair_size)
+                        # each (i, i) pair of the run is planned once, in order, as a row
+                        # of its tile, counted from the run's first pair
+                        diag = [first + t.start + r for t, rows in plan for r in rows]
+                        i = np.arange(m)
+                        assert diag == [p for p in i * m - i * (i - 1) // 2 if p >= first]
 
     def test_the_cached_plan_is_read_only(self):
         # every step of a shape shares one plan: a write to its rows would move later steps' pins
-        plan = propagation._tile_plan(4, 10, 6, 12)
+        plan = propagation._tile_plan(4, 0, 10, 6, 12)
         rows = [rows for _, rows in plan if rows.size]
         assert rows
         for r in rows:
@@ -814,18 +818,18 @@ class TestFrozenWalk:
                 tracemalloc.stop()
         assert peaks[(1, 2, 4, 8)] - peaks[(1,)] < state_bytes / 4, (peaks, state_bytes)
 
-    def test_a_multi_tile_cnn_trajectory_peaks_below_two_states(self):
-        # the walk forms its start tile by tile, steps it in place (the NNGP in
-        # the start's array) with two tile buffers, and reads each depth out as
-        # reached: one NNGP and one NTK, the buffers and one tile besides
+    @pytest.mark.parametrize("samples", [24, 40])
+    def test_a_multi_run_cnn_trajectory_peaks_at_a_few_tiles(self, samples):
+        # the trajectory walks one run of pairs (one step tile) through every
+        # depth before it forms the next: the run's NNGP and NTK and the two
+        # tile buffers, whatever the number of pairs (300 and 820 here)
         h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=32)
         qstar = analyze(h).qstar
-        X = cnn_inputs(24, 4, 32, seed=0)
+        X = cnn_inputs(samples, 4, 32, seed=0)
         start = init_cnn_kernels(normalize_inputs_cnn(X, qstar), 1)
-        state_bytes = 2 * start.nngp.nbytes  # 300 pairs x 32 x 32, twice
         tiles = propagation._pair_tiles(start)
-        assert len(tiles) > 1
-        tile_bytes = start.nngp[tiles[0][0]].nbytes
+        assert len(tiles) >= 5
+        tile_bytes = start.nngp[tiles[0][0]].nbytes  # 64 pairs x 32 x 32
         del start
         depths = (1, 2, 4, 8)
         _trajectory(h, qstar, X, depths, 1)  # first-call allocations out of the way
@@ -835,7 +839,7 @@ class TestFrozenWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < state_bytes + 3 * tile_bytes, (peak, state_bytes, tile_bytes)
+        assert peak < 5 * tile_bytes, (peak, tile_bytes)
 
     def test_the_walk_stops_at_a_repeated_state(self, monkeypatch):
         # the ordered point of the fcn_erf_sweep benchmark at seed 1: the NNGP
@@ -883,37 +887,108 @@ class TestFrozenWalk:
             np.testing.assert_array_equal(ck.nngp, loop[ck.depth].nngp)
             np.testing.assert_array_equal(ck.ntk, loop[ck.depth].ntk)
 
-    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
-    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f"])
+    @pytest.mark.parametrize("architecture, activation, run_pairs", [
+        *(pytest.param(arch, act, None, id=f"{arch}-{act}")
+          for arch in ("fcn", "cnn_f") for act in ("erf", "relu", "tanh")),
+        pytest.param("cnn_p", "erf", 32, id="cnn_p-erf-runs"),  # 174 kept pairs in 6 runs
+    ])
     def test_forced_full_steps_write_the_same_bytes(
-        self, monkeypatch, tmp_path, activation, architecture
+        self, monkeypatch, tmp_path, architecture, activation, run_pairs
     ):
         cfg = SweepConfig(activation=activation, architecture=architecture,
                           outputs=tuple(SweepOutput))
-        steps = []
+        if run_pairs:
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", run_pairs * cfg.spatial_size**2)
+        steps = []  # (kind, depth stepped from)
         step, frozen_step = propagation.step_cnn, propagation._frozen_step
 
         def counted(ck, *args, **kwargs):
-            steps.append("full")
+            steps.append(("full", ck.depth))
             return step(ck, *args, **kwargs)
 
-        def frozen_counted(*args):
-            steps.append("frozen")
-            return frozen_step(*args)
+        def frozen_counted(ck, *args):
+            steps.append(("frozen", ck.depth))
+            return frozen_step(ck, *args)
 
         monkeypatch.setattr(propagation, "step_cnn", counted)
         monkeypatch.setattr(propagation, "_frozen_step", frozen_counted)
         frozen = run_sweep(cfg, tmp_path / "frozen", formats=("csv", "json"))
         stopped = len(steps)
-        assert "frozen" in steps  # the default depths reach past the freeze
+        # the default depths reach past the freeze; each walk freezes where a
+        # full step is followed by a frozen one
+        freezes = {d for (a, _), (b, d) in zip(steps, steps[1:]) if (a, b) == ("full", "frozen")}
+        assert freezes
+        if run_pairs:  # the runs of some grid point freeze at different depths
+            assert len(freezes) > len(cfg.sigma_w2_grid)
         steps.clear()
         _never_fixed(monkeypatch)
         full = run_sweep(cfg, tmp_path / "full", formats=("csv", "json"))
-        assert "frozen" not in steps
+        assert all(kind == "full" for kind, _ in steps)
         assert stopped < len(steps)  # and past the repeat, where the walk stops stepping
         assert frozen.n_point_errors == full.n_point_errors
         assert [p.name for p in frozen.paths] == [p.name for p in full.paths]
         for a, b in zip(frozen.paths, full.paths):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
+class TestRunWalk:
+    """A CNN trajectory walks one run of pairs through every depth before it forms the next."""
+
+    @pytest.mark.parametrize("failure", ["domain", "drift"])
+    def test_a_failing_run_raises_the_whole_state_walk_s_error(self, monkeypatch, failure):
+        # run 0 fails at depth 5 and runs 1 and 3 at depth 3: the runs meet
+        # run 0's failure first, yet the error is the whole state's, from
+        # depth 3, quoting the larger of runs 1 and 3 (the state's maximum)
+        d = 6
+        h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=d)
+        k = ActivationKernel(Activation.ERF, analyze(h).qstar)
+        X = cnn_inputs(7, 5, d, seed=3)  # 28 pairs, (i, i) at 0, 7, 13, 18, 22, 25 and 27
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4 * d * d)  # runs of 4 pairs
+        # pair -> (depth, entry set to factor * q* before the step from it): an
+        # off-diagonal pair's offset 1 past the domain, or a pixel variance moved
+        offset, faults = {"domain": (1, {1: (5, 1.1), 5: (3, 1.2), 14: (3, 1.3)}),
+                          "drift": (0, {0: (5, 0.999), 7: (3, 0.998), 13: (3, 0.99)})}[failure]
+        faulted = []  # (first pair of the walk's state, depth)
+        step = propagation.step_cnn
+
+        def faulty(ck, *args, **kwargs):
+            for pair, (depth, factor) in faults.items():
+                row = pair - ck.first_pair
+                if ck.depth == depth and 0 <= row < len(ck.nngp):
+                    ck.nngp[row, offset, 0] = factor * k.qstar
+                    faulted.append((ck.first_pair, depth))
+            return step(ck, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "step_cnn", faulty)
+        start = TestCnnInit.whole_start(X, k.qstar, None, False, True)
+        with pytest.raises(NtkPhaseError) as whole:  # one walk of the whole state
+            list(propagate_cnn(CnnKernel(start, start, 7, 1, 0), h, k, [1, 8], own_start=True))
+        assert faulted == [(0, 3), (0, 3)]
+        faulted.clear()
+        with pytest.raises(NtkPhaseError) as runs:
+            _trajectory(h, k.qstar, X, [1, 8], 1)
+        assert faulted == [(0, 5), (0, 3), (0, 3)]  # run 0 failed, then the whole state
+        assert type(runs.value) is type(whole.value)
+        assert str(runs.value) == str(whole.value)
+        if failure == "domain":
+            assert f"up to {1.3 * k.qstar:.6g} " in str(whole.value)
+
+    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
+    @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
+    def test_one_pair_per_run_writes_the_same_bytes(
+        self, monkeypatch, tmp_path, activation, architecture
+    ):
+        # the default grid and depths: runs that freeze and repeat at an ordered
+        # point, near-critical and chaotic points, relu's error rows; on 4
+        # samples (7 kept pairs), so that one pair per run makes few walks
+        cfg = SweepConfig(activation=activation, architecture=architecture, m=2, n=2,
+                          outputs=tuple(SweepOutput))
+        whole = run_sweep(cfg, tmp_path / "whole", formats=("csv", "json"))
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+        runs = run_sweep(cfg, tmp_path / "runs", formats=("csv", "json"))
+        assert whole.n_point_errors == runs.n_point_errors
+        assert [p.name for p in whole.paths] == [p.name for p in runs.paths]
+        for a, b in zip(whole.paths, runs.paths):
             assert a.read_bytes() == b.read_bytes(), a.name
 
 
@@ -1192,6 +1267,28 @@ class TestReadout:
         assert kp.nngp.shape == kp.ntk.shape == (2, 2)
         assert np.isnan(kp.nngp).all() and np.isnan(kp.ntk).all()
 
+    @pytest.mark.parametrize("mode", list(ReadoutMode))
+    def test_runs_read_out_into_one_pair_of_matrices(self, mode):
+        # 5 samples: the rows start at pairs 0, 5, 9, 12 and 14
+        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        ck = replace(ck, ntk=2.0 * ck.nngp)
+        whole = readout(ck, mode)
+        i, j = np.triu_indices(5)
+        out = KernelPair(np.full((5, 5), 7.0), np.full((5, 5), 7.0), ck.depth)
+        for run in (slice(0, 4), slice(4, 5), slice(5, 11), slice(11, 15)):  # in and across rows
+            part = replace(ck, nngp=ck.nngp[run], ntk=ck.ntk[run], first_pair=run.start)
+            lone = readout(part, mode)
+            assert readout(part, mode, out=out).nngp is out.nngp
+            for kind in ("nngp", "ntk"):
+                got, want = getattr(lone, kind), getattr(whole, kind)
+                kept = np.zeros((5, 5), dtype=bool)
+                kept[i[run], j[run]] = kept[j[run], i[run]] = True
+                np.testing.assert_array_equal(got[kept], want[kept])
+                assert np.isnan(got[~kept]).all()
+                assert (getattr(out, kind)[j[run.stop:], i[run.stop:]] == 7.0).all()  # not yet read
+        np.testing.assert_array_equal(out.nngp, whole.nngp)
+        np.testing.assert_array_equal(out.ntk, whole.ntk)
+
     def test_pool_does_not_depend_on_the_tile_size(self, monkeypatch):
         _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
         for pairs in (1, 4, 15):
@@ -1407,11 +1504,29 @@ class TestCnnInit:
         with pytest.raises(WindowError):
             init_cnn_kernels(X, 2)
 
-    @pytest.mark.parametrize("n_pairs, n_offsets", [(-1, None), (4, None), (None, 0), (None, 6)])
-    def test_init_rejects_pairs_or_offsets_it_does_not_have(self, n_pairs, n_offsets):
+    @pytest.mark.parametrize("pairs, n_offsets", [
+        (slice(-1, 3), None), (slice(0, 4), None), (slice(2, 1), None), (slice(0, 3, 2), None),
+        (None, 0), (None, 6),
+    ])
+    def test_init_rejects_pairs_or_offsets_it_does_not_have(self, pairs, n_offsets):
         X = cnn_inputs(2, 4, 5, seed=0)  # 3 pairs, 5 offsets
         with pytest.raises(ValueError, match="cannot store"):
-            init_cnn_kernels(X, 1, n_pairs, n_offsets)
+            init_cnn_kernels(X, 1, pairs, n_offsets)
+
+    def test_a_run_of_pairs_holds_the_whole_start_s_rows(self):
+        X = normalize_inputs_cnn(cnn_inputs(4, 4, 5, seed=1), 1.0)  # 10 pairs
+        whole = init_cnn_kernels(X, 1)
+        run = init_cnn_kernels(X, 1, slice(3, 8))
+        assert run.first_pair == 3 and run.ntk is run.nngp
+        np.testing.assert_array_equal(run.nngp, whole.nngp[3:8])
+        i, j = np.triu_indices(4)
+        for p in range(10):
+            if 3 <= p < 8:
+                assert run.pair_index(i[p], j[p]) == p - 3
+                np.testing.assert_array_equal(run.block(j[p], i[p]), whole.block(j[p], i[p]))
+            else:
+                with pytest.raises(IndexError, match="not stored"):
+                    run.pair_index(i[p], j[p])
 
     @staticmethod
     def whole_start(X, qstar, m, test_rows, pool):
@@ -1447,9 +1562,11 @@ class TestCnnInit:
             return iter(())
 
         monkeypatch.setattr(sweep, "propagate_cnn", spy)
-        assert _trajectory(h, qstar, X, [1], 1, m, test_rows) == []
-        (start,) = starts
-        assert start.m == (7 if m is None or test_rows else m)
+        (kp,) = _trajectory(h, qstar, X, [1], 1, m, test_rows)
+        assert kp.depth == 1 and np.isnan(kp.nngp).all()  # no run was walked
+        for start in starts:  # one start per run, which fits in one step tile
+            assert start.m == (7 if m is None or test_rows else m)
+            assert len(propagation._pair_tiles(start)) == 1
+        assert [s.first_pair for s in starts] == [0, *np.cumsum([len(s.nngp) for s in starts])[:-1]]
         ref = self.whole_start(X, qstar, m, test_rows, architecture == "cnn_p")
-        assert start.nngp.shape == ref.shape
-        np.testing.assert_array_equal(start.nngp, ref)
+        np.testing.assert_array_equal(np.concatenate([s.nngp for s in starts]), ref)
