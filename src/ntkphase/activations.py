@@ -450,16 +450,12 @@ class ActivationKernel:
             return q
         bound = self.qstar * (1.0 + _DOMAIN_SLACK)
         if np.any(np.abs(q) > bound):
-            raise self._domain_error(q)
+            raise CovarianceDomainError(
+                f"|q_ab| up to {np.max(np.abs(q)):.6g} exceeds qstar={self.qstar:.6g}"
+            )
         if strict and np.any(np.abs(q) >= self.qstar):
             raise CovarianceDomainError("t_ddot needs |q_ab| strictly inside (-qstar, qstar)")
         return np.clip(q, -self.qstar, self.qstar)
-
-    def _domain_error(self, q) -> CovarianceDomainError:
-        """The error of a ``q`` that reaches past the domain, quoting its largest |q_ab|."""
-        return CovarianceDomainError(
-            f"|q_ab| up to {np.max(np.abs(q)):.6g} exceeds qstar={self.qstar:.6g}"
-        )
 
     def _evaluate(self, order: int, q_ab, out=None):
         """The order-th map E[phi^(order)(u) phi^(order)(v)] at ``q_ab``.

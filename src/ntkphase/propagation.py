@@ -21,45 +21,39 @@ entry, so every offset evolves on its own; a flatten readout reads only
 offset 0, and a kernel may carry offset 0 alone.  Pooling and
 ``CnnKernel.block`` need every offset.  Every sample pair evolves on its
 own as well (the operator mixes positions within one pair's offset row),
-so a kernel may hold any run of the pair order (``first_pair`` on): the
-sweep's trajectories form, walk and read out one run of about a tile at a
-time, and never hold a whole state.
+so a kernel may hold any run of the pair order (``first_pair`` on).  The
+library's trajectories, ``propagate_fcn`` and the sweep's, split their
+pairs once (``_read_runs``), into runs of about ``_TILE_ENTRIES`` entries
+so that every pass stays in cache, and never hold a whole state.
 
 ``apply_A`` sums each +-beta pair first, K[a] + (K[a+1] + K[a-1]) + ...,
-so reversed pixels round every window sum the same way.  ``step_cnn`` maps
-the state tile by tile through the kernel's own ``t_map`` and ``t_dot``,
-which check each tile's covariance domain (one min/max pass for an
-in-domain tile) and clip a tile's overshoot entry by entry, as one check
-of the whole state would; only when a tile fails does the step read the
-state from that tile on (every earlier tile passed), so the error quotes
-its global maximum.  Each tile is a run of whole sample pairs of about
-``_TILE_ENTRIES`` entries, so every pass stays in cache; the tiles are
-cached, so a small state pays for its entries.  Each entry sees the same
-operations in the same order as in one pass over the whole state, and
-every Gaussian map acts entry by entry, so the result does not depend on
-the tile size.  A readout is one reduction of the stored layout: a pooled
-block's mean is the mean over it.
+so reversed pixels round every window sum the same way.  ``step_cnn``
+makes one pass over the state it is handed (a direct call on a state
+larger than a run too), through the kernel's own ``t_map`` and ``t_dot``,
+which check its covariance domain and clip an overshoot entry by entry.
+A readout is one reduction of the stored layout (a pooled block's mean is
+the mean over it), written to each pair's two matrix entries by index.
 
 ``step_cnn`` computes a state from the one before alone, into new arrays
-or into the ones it is given, which may be the old state's own: each tile
-forms its new NNGP in a tile buffer and compares it with the old tile, and
-only then writes the NTK tile and the NNGP tile.  The new state says
-whether its NNGP came back bit for bit (``nngp_fixed``).  The depth walk
-behind ``propagate_fcn`` and ``propagate_cnn`` owns one state and holds two
+or into the ones it is given, which may be the old state's own: it forms
+its new NNGP in a buffer and compares it with the old one, and only then
+writes the NTK and the NNGP.  The new state says whether its NNGP came
+back bit for bit (``nngp_fixed``).  The depth walk behind
+``propagate_fcn`` and ``propagate_cnn`` owns one state and holds two
 state-sized arrays, its NNGP and NTK: its first step writes new arrays, or
 the start's own when the caller hands the start over, and every later step
-is in place; it allocates its two tile buffers once (in one block with the
-NTK it makes for a handed-over start of one array) and hands each depth to
-``emit`` as reached.  The NNGP update reads only the NNGP, so once a step
-returns the NNGP bit for bit, every later step returns it again, the
-domain and drift checks see the same input, and T_dot at it is already
-known.  From there the walk computes ``sigma_w2 * T_dot`` once, a third
-array, and steps the NTK alone in place, ``nngp + A(sigma_w2 * T_dot *
-ntk)``, over the same tiles and in the same order as the full step; once
-that returns the NTK too, the state repeats and the walk stops stepping
-and drops its buffers.  Every state it hands out holds the full steps' bits.
-A walk of one run of pairs freezes and repeats when that run does, each
-exactly, so a run's states hold the whole state's bits for its pairs.
+is in place; it allocates the step's two buffers once (in one block with
+the NTK it makes for a handed-over start of one array) and hands each
+depth to ``emit`` as reached.  The NNGP update reads only the NNGP, so
+once a step returns the NNGP bit for bit, every later step returns it
+again, the domain and drift checks see the same input, and T_dot at it is
+already known.  From there the walk computes ``sigma_w2 * T_dot`` once, a
+third array, and steps the NTK alone in place, ``nngp + A(sigma_w2 *
+T_dot * ntk)``, in the full step's order; once that returns the NTK too,
+the state repeats and the walk stops stepping and drops its buffers.
+Every state it hands out holds the full steps' bits.  A walk of one run
+of pairs freezes and repeats when that run does, each exactly, so a run's
+states hold the whole state's bits for its pairs.
 
 Depth bookkeeping: the starting pair sets the NTK equal to the input NNGP,
 so a state at ``depth`` steps corresponds to layer index ``depth + 1`` of
@@ -78,8 +72,8 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 from .activations import ActivationKernel, _relu_t, _relu_tdot
-from .errors import (CovarianceDomainError, DiagonalDriftError, NonConvergenceError,
-                     WindowError, ZeroRowError)
+from .errors import (DiagonalDriftError, NonConvergenceError, NtkPhaseError, WindowError,
+                     ZeroRowError)
 from .phase import Hyperparams
 
 __all__ = [
@@ -109,7 +103,7 @@ __all__ = [
 
 _DIAG_DRIFT_TOL = 1e-8
 _FLOW_BOUND = 1e300  # plain-flow diagonal cap: the solver's sums need headroom below 1.8e308
-_TILE_ENTRIES = 2**16  # kernel entries per step_cnn tile: a few passes fit in L2
+_TILE_ENTRIES = 2**16  # kernel entries per run of a trajectory: a few passes fit in L2
 
 
 def paper_layer(depth: int) -> int:
@@ -218,18 +212,35 @@ def init_kernels(X: np.ndarray) -> KernelPair:
 
 
 @lru_cache(maxsize=8)
-def _upper(m: int) -> np.ndarray:
-    """Read-only mask of an m x m upper triangle; in C order its entries are the pair order."""
-    mask = np.triu(np.ones((m, m), dtype=bool))
-    mask.flags.writeable = False
-    return mask
+def _pair_order(m: int) -> tuple:
+    """Read-only ``(upper, lower, diag)`` of m samples: pair p, (i, j) with i <= j, is the flat
+    entry ``upper[p] = i * m + j`` of an m x m matrix and ``lower[p] = j * m + i``, and the
+    pairs (i, i) are the pairs ``diag``, in order."""
+    i, j = np.triu_indices(m)
+    table = (i * m + j, j * m + i, np.flatnonzero(i == j))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
-def _as_pairs(kp: KernelPair) -> CnnKernel:
-    """A dense pair as the one-pixel, window-one CNN kernel: a copy of its upper triangle."""
+@lru_cache(maxsize=16)
+def _diagonal_rows(m: int, first_pair: int, n_pairs: int) -> np.ndarray:
+    """Read-only rows of the pairs (i, i) in a state of the ``n_pairs`` pairs from ``first_pair``
+    on; a walk looks them up at every step."""
+    diag = _pair_order(m)[2]
+    rows = diag[diag.searchsorted(first_pair):diag.searchsorted(first_pair + n_pairs)] - first_pair
+    rows.flags.writeable = False
+    return rows
+
+
+def _as_pairs(kp: KernelPair, run: slice = slice(None)) -> CnnKernel:
+    """The run ``run`` of a dense pair's upper triangle, copied, as the one-pixel, window-one CNN
+    kernel (of one array when the pair's NTK is its NNGP)."""
     m = kp.nngp.shape[0]
-    nngp, ntk = (K[_upper(m)].reshape(-1, 1, 1) for K in (kp.nngp, kp.ntk))
-    return CnnKernel(nngp, ntk, m, filter_halfwidth=0, depth=kp.depth)
+    upper = _pair_order(m)[0][run]
+    nngp = np.take(kp.nngp, upper).reshape(-1, 1, 1)
+    ntk = nngp if kp.ntk is kp.nngp else np.take(kp.ntk, upper).reshape(-1, 1, 1)
+    return CnnKernel(nngp, ntk, m, filter_halfwidth=0, depth=kp.depth, first_pair=run.start or 0)
 
 
 def step_fcn(kp: KernelPair, h: Hyperparams, k: ActivationKernel) -> KernelPair:
@@ -252,27 +263,25 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
     the walk's own arrays in place, and ``ck``'s when ``own``; otherwise the
     first step writes new arrays.  Once a full ``step_cnn`` returns the NNGP
     bit for bit (``nngp_fixed``), the walk caches ``sigma_w2 * T_dot`` at it
-    and advances the NTK alone (``_frozen_step``); once that returns the NTK
-    bit for bit, the walk hands that state out at each deeper depth without
-    stepping.
+    in one pass and advances the NTK alone (``_frozen_step``); once that
+    returns the NTK bit for bit, the walk hands that state out at each
+    deeper depth without stepping.
 
-    One pair of tile buffers serves every step, and the maps write into it:
-    glibc hands a tile-sized array made and freed in each step back to the
+    One pair of state-sized buffers serves every step, and the maps write
+    into it: glibc hands an array made and freed in each step back to the
     system (by munmap or by trimming the heap top) until a larger free
     raises its thresholds, so every step would fault its pages in again.
     For the same reason the buffers share one block with the NTK that the
     walk makes for an owned start of one array: the heap top is trimmed
     past twice the largest block freed so far, and a trajectory that walks
-    run after run frees each run's NNGP, Gram tile and this block in turn,
+    run after run frees each run's NNGP, Gram blocks and this block in turn,
     so only a block of more than half of them keeps their pages from one
     run to the next.  Once the state repeats, the NTK moves out of the
     block, and the buffers go.
     """
-    shape = _scratch_shape(ck)
-    tiles = math.prod(shape)
-    own_ntk = ck.nngp.size if own and ck.ntk is ck.nngp else 0  # the NTK the first step makes
-    block = np.empty(tiles + own_ntk)
-    scratch = block[:tiles].reshape(shape)
+    own_ntk = own and ck.ntk is ck.nngp  # the first step makes the NTK, in the block
+    block = np.empty((3 if own_ntk else 2, *ck.nngp.shape))
+    scratch = block[:2]
     wtd = None  # sigma_w2 * T_dot at the fixed NNGP, once it is reached
     repeated = False  # whether the last step returned the whole state bit for bit
     for target in depths:
@@ -288,23 +297,48 @@ def _walk(ck: CnnKernel, h: Hyperparams, k: ActivationKernel, depths: Sequence[i
                 continue
             out = None
             if own:  # the depth-0 state may hold one array as both kernels
-                out = (ck.nngp, block[tiles:].reshape(ck.nngp.shape) if ck.ntk is ck.nngp
-                       else ck.ntk)
+                out = (ck.nngp, block[2] if ck.ntk is ck.nngp else ck.ntk)
             ck, own = step_cnn(ck, h, k, out=out, scratch=scratch), True
-            if ck.nngp_fixed:
-                wtd = np.empty_like(ck.nngp)
-                for s, _ in _pair_tiles(ck):  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
-                    k.t_dot(ck.nngp[s], out=wtd[s])
-                    wtd[s] *= h.sigma_w2
+            if ck.nngp_fixed:  # step_cnn's multiply order: (sigma_w2 * T_dot) * ntk
+                wtd = k.t_dot(ck.nngp)
+                wtd *= h.sigma_w2
         yield emit(replace(ck, depth=target))
 
 
 def propagate_fcn(
     kp: KernelPair, h: Hyperparams, k: ActivationKernel, depths: Sequence[int]
 ) -> List[KernelPair]:
-    """Propagate and collect the states at the requested (strictly increasing) depths."""
-    flat = lambda ck: readout(ck, ReadoutMode.FLATTEN)
-    return list(propagate_cnn(_as_pairs(kp), h, k, depths, emit=flat, own_start=True))
+    """Propagate and collect the states at the requested (strictly increasing) depths; the
+    pairs are copied out of ``kp`` and walked run by run (``_read_runs``)."""
+    m = kp.nngp.shape[0]
+
+    def walk(run: slice, out: dict) -> None:
+        flat = lambda ck: readout(ck, ReadoutMode.FLATTEN, out=out[ck.depth])
+        for _ in propagate_cnn(_as_pairs(kp, run), h, k, depths, emit=flat, own_start=True):
+            pass
+
+    return _read_runs(m, m * (m + 1) // 2, 1, depths, walk)
+
+
+def _read_runs(m: int, n_pairs: int, pair_size: int, depths: Sequence[int],
+               walk) -> List[KernelPair]:
+    """The m x m matrices at ``depths`` of the first ``n_pairs`` pairs, of ``pair_size``
+    entries each, walked run by run (``_pair_runs``); pairs not walked read NaN.
+
+    ``walk(run, out)`` forms the run ``run`` of the pairs, walks it through
+    every depth and reads each depth out into ``out[depth]``, before the
+    next run is formed.  When a run fails, the whole state is walked at
+    once, which raises the error of its first failing depth, quoting the
+    state's global maximum, as an undivided walk does.
+    """
+    out = {depth: KernelPair(np.full((m, m), np.nan), np.full((m, m), np.nan), depth)
+           for depth in depths}
+    try:
+        for run in _pair_runs(n_pairs, pair_size):
+            walk(run, out)
+    except NtkPhaseError:  # the whole state's walk raises the undivided walk's error
+        walk(slice(0, n_pairs), out)
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -409,65 +443,39 @@ def init_cnn_kernels(
     """Input-layer kernels from channel second moments; the NTK is the NNGP array.
 
     The state holds the run ``pairs = slice(start, stop)`` of the sample
-    pairs in pair order (all by default) and the first ``n_offsets`` pixel
-    offsets of each (all by default; 1 is all a flatten readout reads).  It
-    is formed tile by tile, each tile's Gram blocks gathered straight into
-    the offset layout; a pair's bits do not depend on which pairs it is
-    formed with.
+    pairs in pair order (all by default; an open start is 0 and an open
+    stop the pair count) and the first ``n_offsets`` pixel offsets of each
+    (all by default; 1 is all a flatten readout reads).  It is formed in
+    runs of Gram blocks of about ``_TILE_ENTRIES`` entries, each gathered
+    straight into the offset layout; a pair's bits do not depend on which
+    pairs it is formed with.
     """
     X = np.asarray(X, dtype=float)
     m, n_ch, d = X.shape
     _check_window(d, halfwidth)
-    i, j = np.triu_indices(m)  # pair_index order
-    pairs = slice(0, len(i)) if pairs is None else pairs
+    upper = _pair_order(m)[0]
+    pairs = slice(None) if pairs is None else pairs
+    start = 0 if pairs.start is None else pairs.start
+    stop = len(upper) if pairs.stop is None else pairs.stop
     n_offsets = d if n_offsets is None else n_offsets
-    if not (pairs.step in (None, 1) and 0 <= pairs.start <= pairs.stop <= len(i)
-            and 1 <= n_offsets <= d):
+    if not (pairs.step in (None, 1) and 0 <= start <= stop <= len(upper) and 1 <= n_offsets <= d):
         raise ValueError(f"cannot store pairs {pairs.start}:{pairs.stop}:{pairs.step} of "
-                         f"{len(i)} and {n_offsets} of {d} offsets")
-    i, j, index = i[pairs], j[pairs], _offset_index(d, n_offsets)
+                         f"{len(upper)} and {n_offsets} of {d} offsets")
+    (i, j), index = np.divmod(upper[start:stop], m), _offset_index(d, n_offsets)
     nngp = np.empty((len(i), n_offsets, d))
-    for s, _ in _tile_plan(m, pairs.start, len(i), d * d, _TILE_ENTRIES):  # tiles of Gram blocks
+    for s in _pair_runs(len(i), d * d):  # runs of Gram blocks
         gram = np.matmul(X[i[s]].transpose(0, 2, 1), X[j[s]])
         gram /= n_ch
         _gather_square(gram, index, out=nngp[s])
     return CnnKernel(nngp=nngp, ntk=nngp, m=m, filter_halfwidth=halfwidth, depth=0,
-                     first_pair=pairs.start)
+                     first_pair=start)
 
 
-@lru_cache(maxsize=16)
-def _tile_plan(m: int, first_pair: int, n_pairs: int, pair_size: int, tile_entries: int) -> tuple:
-    """Runs of whole sample pairs of about ``tile_entries`` entries, each with its (i, i) rows.
-
-    The runs cover the ``n_pairs`` pairs from ``first_pair`` on in pair
-    order, counted from ``first_pair``.  The plan is shared by every caller,
-    so its row arrays are read-only.
-    """
-    per_tile = max(1, tile_entries // pair_size)
-    diag = np.array([i * m - i * (i - 1) // 2 - first_pair for i in range(m)])  # pair_index(i, i)
-    tiles = [slice(s, min(s + per_tile, n_pairs)) for s in range(0, n_pairs, per_tile)]
-    plan = tuple((t, diag[(t.start <= diag) & (diag < t.stop)] - t.start) for t in tiles)
-    for _, rows in plan:
-        rows.flags.writeable = False
-    return plan
-
-
-def _pair_runs(m: int, n_pairs: int, pair_size: int) -> List[slice]:
-    """The tiles of the first ``n_pairs`` pairs at the current ``_TILE_ENTRIES``: the runs of a
-    state of ``pair_size`` entries per pair that each fit in one tile."""
-    return [t for t, _ in _tile_plan(m, 0, n_pairs, pair_size, _TILE_ENTRIES)]
-
-
-def _pair_tiles(ck: CnnKernel) -> tuple:
-    """The ``_tile_plan`` of ``ck``'s state at the current ``_TILE_ENTRIES``."""
-    return _tile_plan(ck.m, ck.first_pair, ck.nngp.shape[0], math.prod(ck.nngp.shape[1:]),
-                      _TILE_ENTRIES)
-
-
-def _scratch_shape(ck: CnnKernel) -> tuple:
-    """The shape of a step's two tile buffers, each of the largest tile of ``ck``'s state."""
-    tiles = _pair_tiles(ck)
-    return (2, tiles[0][0].stop if tiles else 0, *ck.nngp.shape[1:])
+def _pair_runs(n_pairs: int, pair_size: int) -> List[slice]:
+    """Runs of whole pairs, of about ``_TILE_ENTRIES`` entries (one pair at least), that cover
+    ``n_pairs`` pairs of ``pair_size`` entries each, in order."""
+    per_run = max(1, _TILE_ENTRIES // pair_size)
+    return [slice(s, min(s + per_run, n_pairs)) for s in range(0, n_pairs, per_run)]
 
 
 def step_cnn(
@@ -476,23 +484,21 @@ def step_cnn(
 ) -> CnnKernel:
     """One convolutional layer (at one pixel and window one, the FCN layer): maps, then averaging.
 
-    Runs tile by tile over whole sample pairs, planned once per shape, so
-    each pass stays in cache; every entry sees the operations, in order, of
-    the untiled ``sigma_w2 * A(T(K)) + sigma_b2`` and ``nngp + A(sigma_w2 *
-    T_dot(K) * ntk)``, so the result does not depend on the tile size.
-    Each tile forms its new NNGP in a tile buffer and compares it with the
-    old tile (until one differs), then writes the NTK tile and the NNGP
-    tile; the new state's ``nngp_fixed`` says whether every tile came back
-    bit for bit.  The new state holds new arrays, or the given ``out =
-    (nngp, ntk)``: C-contiguous floats of its shape that share no memory
-    with each other, each the state's own array of its kind (the step is
-    then in place, with the same bits) or sharing no memory with the
-    state.  A step that raises may leave ``out`` part written.  The tile
-    buffers, one for the new NNGP and one for the maps' values, are
-    ``scratch`` when given (floats of the shape ``_scratch_shape(ck)``,
-    sharing no memory with the state or ``out``; the maps and ``apply_A``
-    refuse a wrong shape or type before anything is written), so that a
-    walk allocates them once, else new ones.
+    One pass over the state, ``sigma_w2 * A(T(K)) + sigma_b2`` with the
+    pixel variances (offset 0 of each pair (i, i)) set to q*, and ``nngp +
+    A(sigma_w2 * T_dot(K) * ntk)``; a state larger than a trajectory's run
+    is stepped in one pass too.  The new NNGP is formed in a buffer and
+    compared with the old one, then the NTK and the NNGP are written; the
+    new state's ``nngp_fixed`` says whether the NNGP came back bit for bit.
+    The new state holds new arrays, or the given ``out = (nngp, ntk)``:
+    C-contiguous floats of its shape that share no memory with each other,
+    each the state's own array of its kind (the step is then in place, with
+    the same bits) or sharing no memory with the state.  A step that raises
+    writes nothing to ``out``.  The two buffers, one for the new NNGP and
+    one for the maps' values, are ``scratch`` when given (floats of shape
+    ``(2, *ck.nngp.shape)``, sharing no memory with the state or ``out``;
+    the maps and ``apply_A`` refuse a wrong shape or type before anything
+    is written), so that a walk allocates them once, else new ones.
     """
     if h.activation is not k.activation:
         raise ValueError(f"h steps {h.activation.value} layers but k maps {k.activation.value}")
@@ -505,36 +511,28 @@ def step_cnn(
                          "sharing no memory with each other, each the state's own array of its "
                          "kind or sharing none with the state")
     if scratch is None:
-        scratch = np.empty(_scratch_shape(ck))
+        scratch = np.empty((2, *ck.nngp.shape))
     elif any(np.may_share_memory(scratch, a) for a in (ck.nngp, ck.ntk, *(out or ()))):
         raise ValueError("scratch must share no memory with the state or out")
-    nngp, ntk = out or (np.empty_like(ck.nngp), np.empty_like(ck.nngp))
-    drift = 0.0  # the largest so far; a NaN stays
-    fixed = True  # whether every tile so far came back bit for bit
-    try:
-        for s, rows in _pair_tiles(ck):
-            q = ck.nngp[s]
-            new, mapped = scratch[:, :len(q)]
-            apply_A(k.t_map(q, out=mapped), hw, out=new)
-            new *= h.sigma_w2
-            new += h.sigma_b2
-            if rows.size:  # offset 0 of (i, i): the pixel variances
-                drift = np.abs(new[rows, 0] - k.qstar).max(initial=drift)
-                new[rows, 0] = k.qstar
-            fixed = fixed and np.array_equal(new, q)
-            td = k.t_dot(q, out=mapped)
-            td *= h.sigma_w2
-            td *= ck.ntk[s]
-            tile_ntk = ntk[s]
-            apply_A(td, hw, out=tile_ntk)
-            tile_ntk += new
-            nngp[s] = new
-    except CovarianceDomainError:  # tile s reaches past the domain and no earlier tile does,
-        raise k._domain_error(ck.nngp[s.start:])  # so the error quotes the global maximum
+    new, mapped = scratch
+    apply_A(k.t_map(ck.nngp, out=mapped), hw, out=new)
+    new *= h.sigma_w2
+    new += h.sigma_b2
+    rows = _diagonal_rows(ck.m, ck.first_pair, len(ck.nngp))
+    drift = np.abs(new[rows, 0] - k.qstar).max(initial=0.0)
     if not drift <= _DIAG_DRIFT_TOL:  # a NaN drift fails too
         raise DiagonalDriftError(
             f"NNGP diagonal drifted {drift:.3e} from qstar={k.qstar:.6g}"
         )
+    new[rows, 0] = k.qstar
+    fixed = np.array_equal(new, ck.nngp)
+    td = k.t_dot(ck.nngp, out=mapped)
+    td *= h.sigma_w2
+    td *= ck.ntk
+    nngp, ntk = out or (np.empty_like(ck.nngp), np.empty_like(ck.nngp))
+    apply_A(td, hw, out=ntk)
+    ntk += new
+    nngp[...] = new
     return CnnKernel(nngp, ntk, ck.m, hw, ck.depth + 1, nngp_fixed=fixed, first_pair=ck.first_pair)
 
 
@@ -542,19 +540,16 @@ def _frozen_step(ck: CnnKernel, wtd: np.ndarray, scratch: np.ndarray) -> bool:
     """``step_cnn`` in place on a state whose NNGP is its own image, with ``wtd = sigma_w2 *
     T_dot(nngp)``; returns whether the NTK came back bit for bit.
 
-    The NNGP carries over; each tile of the NTK gets ``nngp + A(wtd * ntk)``,
-    over the same tiles as the full step, so every entry sees its
-    operations.  As in ``step_cnn``, the new tile is formed in ``scratch``'s
-    tile buffers and compared with the old one before it is written.
+    The NNGP carries over, and the NTK gets ``nngp + A(wtd * ntk)``, in one
+    pass, so every entry sees the full step's operations.  As in
+    ``step_cnn``, the new NTK is formed in ``scratch``'s buffers and
+    compared with the old one before it is written.
     """
-    repeated = True
-    for s, _ in _pair_tiles(ck):
-        tile_ntk = ck.ntk[s]
-        new, product = scratch[:, :len(tile_ntk)]
-        apply_A(np.multiply(wtd[s], tile_ntk, out=product), ck.filter_halfwidth, out=new)
-        new += ck.nngp[s]
-        repeated = repeated and np.array_equal(new, tile_ntk)
-        tile_ntk[...] = new
+    new, product = scratch
+    apply_A(np.multiply(wtd, ck.ntk, out=product), ck.filter_halfwidth, out=new)
+    new += ck.nngp
+    repeated = np.array_equal(new, ck.ntk)
+    ck.ntk[...] = new
     return repeated
 
 
@@ -581,31 +576,25 @@ def readout(ck: CnnKernel, mode: ReadoutMode, out: KernelPair | None = None) -> 
     over positions), pooling the whole block, which is the mean over the
     stored layout (every offset at every position).
 
-    The result holds new m x m matrices, in which the pairs the state does
-    not store read NaN, or ``out``'s matrices, which get the state's pairs
-    (both (i, j) and (j, i)) and keep every other entry: so the runs of one
-    depth read out into one pair of matrices.
+    Each stored pair's mean goes to its entries (i, j) and (j, i) of new
+    m x m matrices, in which the pairs the state does not store read NaN,
+    or of ``out``'s matrices (C-contiguous), which keep every other entry:
+    so the runs of one depth read out into one pair of matrices.
     """
     flatten = ReadoutMode(mode) is ReadoutMode.FLATTEN
     n_offsets, d = ck.nngp.shape[1:]
     if not flatten and n_offsets != d:
         raise ValueError(f"pooling needs every pixel offset; this kernel stores {n_offsets} of {d}")
-    i = np.arange(ck.m)
-    diag = i * ck.m - i * (i - 1) // 2  # pair_index(i, i)
-    first, stop = ck.first_pair, ck.first_pair + len(ck.nngp)
-    # the rows i of the pairs (i, j) to write, whose upper entries run in pair order from
-    # diag[r0]: every row of a new matrix, so that every entry is written, else the rows
-    # of the state's pairs
-    r0, r1 = ((0, ck.m) if out is None
-              else np.searchsorted(diag, [first, stop - 1], side="right") - [1, 0])
-    rows, upper = slice(r0, r1), _upper(ck.m)[r0:r1]
+    if out is not None and not all(K.shape == (ck.m, ck.m) and K.flags.c_contiguous
+                                   for K in (out.nngp, out.ntk)):
+        raise ValueError(f"out must hold two C-contiguous {ck.m} x {ck.m} matrices")
+    run = slice(ck.first_pair, ck.first_pair + len(ck.nngp))
+    upper, lower = (entries[run] for entries in _pair_order(ck.m)[:2])
 
     def square(K, into):  # K's pairs into the matrix `into`, or into a new one
-        pairs = np.full(np.count_nonzero(upper), np.nan) if into is None else into[rows][upper]
-        pairs[first - diag[r0]:stop - diag[r0]] = (K[:, 0].mean(axis=-1) if flatten
-                                                  else K.mean(axis=(-2, -1)))
-        into = np.empty((ck.m, ck.m)) if into is None else into
-        into[rows][upper] = into.T[rows][upper] = pairs
+        into = np.full((ck.m, ck.m), np.nan) if into is None else into
+        flat = into.reshape(-1)  # a view: the matrix is C-contiguous
+        flat[upper] = flat[lower] = K[:, 0].mean(axis=-1) if flatten else K.mean(axis=(-2, -1))
         return into
 
     nngp, ntk = (square(getattr(ck, kind), getattr(out, kind, None)) for kind in ("nngp", "ntk"))

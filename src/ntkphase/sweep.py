@@ -60,7 +60,8 @@ from .propagation import (
     ReadoutMode,
     _check_depths,
     _check_window,
-    _pair_runs,
+    _diagonal_rows,
+    _read_runs,
     init_cnn_kernels,
     init_kernels,
     normalize_inputs,
@@ -331,20 +332,16 @@ def _trajectory(
     evolve independently and flatten reads only offset 0, so cnn_f forms
     and propagates offset 0 alone.
 
-    Each sample pair evolves on its own too, so a CNN state is walked run
-    by run: the kept pairs split into the runs of ``step_cnn``'s tile plan
-    (about ``_TILE_ENTRIES`` entries each), and each run is formed, walked
-    through every depth and read out into that depth's matrices before the
-    next run is formed.  A run's walk starts from one array (the depth-0
-    NTK is the NNGP), which it is handed and steps in place, so a
-    trajectory holds two run-sized arrays and two tile buffers at once, one
-    more past the depth where the run's NNGP repeats, and never a whole
-    state.  From there a run's walk reuses the maps, and past the depth
-    where the run repeats it stops stepping (see ``ntkphase.propagation``);
-    every freeze and repeat is exact, so the pairs keep the full steps'
-    bits.  When a run fails, the whole kept state is walked at once, which
-    raises the error of its first failing depth, quoting the state's
-    global maximum, as an undivided walk does.  An FCN state is walked whole.
+    Each sample pair evolves on its own too, so the kept pairs are walked
+    run by run (``_read_runs``, as ``propagate_fcn`` walks an FCN state):
+    each run is formed, pinned, walked through every depth and read out
+    into that depth's matrices before the next run is formed.  A run's walk
+    starts from one array (the depth-0 NTK is the NNGP), which it steps in
+    place, so a trajectory holds two run-sized arrays and the step's two
+    run-sized buffers at once, one more past the depth where the run's NNGP
+    repeats, and never a whole state.  Every freeze and repeat is exact
+    (see ``ntkphase.propagation``), so the pairs keep the full steps' bits,
+    and a failing run raises the whole state's error.
 
     ``m`` (all samples by default) marks the first m samples as the train
     rows.  Without ``test_rows`` only the train rows' pairs propagate, into
@@ -373,23 +370,15 @@ def _trajectory(
     if samples is None and m is not None:
         n_pairs = m * n - m * (m - 1) // 2
     n_offsets = d if mode is ReadoutMode.POOL else 1
-    out = {depth: KernelPair(np.full((n, n), np.nan), np.full((n, n), np.nan), depth)
-           for depth in depths}
-    diagonal = np.equal(*np.triu_indices(n))  # whether each pair, in pair order, is an (i, i)
 
-    def walk(run: slice) -> None:  # form the run, walk it and read each depth out into `out`
+    def walk(run: slice, out: dict) -> None:  # form the run, walk it, read each depth into `out`
         ck = init_cnn_kernels(X, filter_halfwidth, run, n_offsets)
-        ck.nngp[diagonal[run], 0] = qstar  # the pixel variances, as step_cnn pins them
+        ck.nngp[_diagonal_rows(n, run.start, len(ck.nngp)), 0] = qstar  # as step_cnn pins them
         for _ in propagate_cnn(ck, h, k, depths, own_start=True,
                                emit=lambda state: readout(state, mode, out=out[state.depth])):
             pass
 
-    try:
-        for run in _pair_runs(n, n_pairs, n_offsets * d):
-            walk(run)
-    except NtkPhaseError:  # the whole state's walk raises the undivided walk's error
-        walk(slice(0, n_pairs))
-    return list(out.values())
+    return _read_runs(n, n_pairs, n_offsets * d, depths, walk)
 
 
 @_one_blas_thread()

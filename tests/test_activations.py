@@ -139,7 +139,7 @@ class TestQuadratureBackend:
         ("erf", "quadrature", 128),
     ], ids=["128", "200", "closed", "erf-128"])
     def test_array_entry_does_not_depend_on_its_position(self, activation, backend, nodes):
-        # a CNN kernel holding fewer pixel offsets, or a tile holding one
+        # a CNN kernel holding fewer pixel offsets, or a run holding one
         # entry, must map its entries to the same bits as the whole state
         k = ActivationKernel(activation, 1.0, backend, nodes)
         grid = np.concatenate([np.linspace(-0.95, 0.95, 11),

@@ -537,57 +537,56 @@ class TestStepCnn:
         assert math.exp(fit.slope) == pytest.approx(rho1 * rep.chi_c, rel=0.05)
 
 
-def _step_cnn_untiled(ck, h, k):
-    """The layer step as one pass over the whole state (the tiled step's oracle)."""
-    nngp = h.sigma_w2 * apply_A(k.t_map(ck.nngp), ck.filter_halfwidth) + h.sigma_b2
-    i = np.arange(ck.m)
-    nngp[i * ck.m - i * (i - 1) // 2, 0] = k.qstar
-    ntk = nngp + apply_A(h.sigma_w2 * k.t_dot(ck.nngp) * ck.ntk, ck.filter_halfwidth)
-    return replace(ck, nngp=nngp, ntk=ntk, depth=ck.depth + 1)
+class TestOnePassStep:
+    """``step_cnn`` makes one pass over the state it is handed; the runs of a trajectory are
+    planned once, by ``_pair_runs``."""
 
-
-class TestTiledStepCnn:
     @staticmethod
-    def state(activation, architecture, m=5, d=6, hw=1, backend="closed", nodes=128):
+    def state(activation, architecture, m=5, d=6, hw=1):
         h = Hyperparams(1.5, 0.5, activation, architecture=architecture, spatial_size=d)
-        k = ActivationKernel(h.activation, analyze(h, backend, nodes).qstar, backend, nodes)
+        k = ActivationKernel(h.activation, analyze(h).qstar)
         ck = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(m, 4, d, seed=m + d), k.qstar), hw)
         if architecture == "cnn_f":
             ck = replace(ck, nngp=ck.nngp[:, :1].copy(), ntk=ck.ntk[:, :1].copy())
         return h, k, ck
 
-    def test_tiles_cover_whole_pairs(self):
+    def test_runs_cover_whole_pairs(self, monkeypatch):
         for tile_entries in (1, 2, 7, 36, 2**16):
-            for m in (1, 2, 5, 6):
-                n_all = m * (m + 1) // 2
-                for first in sorted({0, 1, n_all // 2, n_all - 1} & set(range(n_all))):
-                    n_pairs = n_all - first  # the run from pair `first` to the last
-                    for pair_size in (1, 2, 6, 36):
-                        plan = propagation._tile_plan(m, first, n_pairs, pair_size, tile_entries)
-                        tiles = [t for t, _ in plan]
-                        assert [t.start for t in tiles] == [0] + [t.stop for t in tiles[:-1]]
-                        assert tiles[-1].stop == n_pairs
-                        sizes = [(t.stop - t.start) * pair_size for t in tiles]
-                        assert min(sizes) >= 1
-                        assert max(sizes) <= max(tile_entries, pair_size)
-                        # each (i, i) pair of the run is planned once, in order, as a row
-                        # of its tile, counted from the run's first pair
-                        diag = [first + t.start + r for t, rows in plan for r in rows]
-                        i = np.arange(m)
-                        assert diag == [p for p in i * m - i * (i - 1) // 2 if p >= first]
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
+            for n_pairs in (1, 2, 15, 21):
+                for pair_size in (1, 2, 6, 36):
+                    runs = propagation._pair_runs(n_pairs, pair_size)
+                    assert [r.start for r in runs] == [0] + [r.stop for r in runs[:-1]]
+                    assert runs[-1].stop == n_pairs
+                    sizes = [(r.stop - r.start) * pair_size for r in runs]
+                    assert min(sizes) >= 1
+                    assert max(sizes) <= max(tile_entries, pair_size)
 
-    def test_the_cached_plan_is_read_only(self):
-        # every step of a shape shares one plan: a write to its rows would move later steps' pins
-        plan = propagation._tile_plan(4, 0, 10, 6, 12)
-        rows = [rows for _, rows in plan if rows.size]
-        assert rows
-        for r in rows:
+    def test_a_run_s_pixel_variance_rows_count_from_its_first_pair(self):
+        # runs that start past pair 0, within and across rows: the rows of the
+        # (i, i) pairs are counted from the run's first pair
+        for m in (1, 2, 5, 6):
+            i, j = np.triu_indices(m)
+            for first in range(len(i)):
+                for stop in range(first, len(i) + 1):
+                    rows = propagation._diagonal_rows(m, first, stop - first)
+                    assert list(rows) == [p - first for p in range(first, stop) if i[p] == j[p]]
+                    with pytest.raises(ValueError, match="read-only"):  # shared by every step
+                        rows[...] = 0
+
+    def test_the_cached_pair_order_is_read_only(self):
+        # every step and readout of m samples shares one table: a write to it would
+        # move later pins and readouts
+        for table in propagation._pair_order(4):
+            assert table.size
             with pytest.raises(ValueError, match="read-only"):
-                r[0] = 0
+                table[0] = 0
 
-    def test_the_plan_follows_the_tile_size(self, monkeypatch):
-        # the plan is cached, so a plan that ignored _TILE_ENTRIES would keep its first tiles
-        h, k, ck = self.state("erf", "cnn_p")  # 15 pairs
+    def test_the_runs_follow_the_tile_size(self, monkeypatch):
+        # a trajectory maps each run once per step, so the map calls count the runs
+        h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=6)
+        k = ActivationKernel(Activation.ERF, analyze(h).qstar)
+        X = cnn_inputs(5, 4, 6, seed=11)  # 15 pairs of 36 entries
         calls = []
         t_map = ActivationKernel.t_map
 
@@ -596,42 +595,11 @@ class TestTiledStepCnn:
             return t_map(self, q_ab, out)
 
         monkeypatch.setattr(ActivationKernel, "t_map", counted)
-        for tile_entries, tiles in ((2**16, 1), (1, 15), (4 * ck.nngp[0].size, 4), (2**16, 1)):
+        for tile_entries, runs in ((2**16, 1), (1, 15), (4 * 36, 4), (2**16, 1)):
             monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
             calls.clear()
-            step_cnn(ck, h, k)
-            assert len(calls) == tiles and sum(calls) == 15  # tiles of whole pairs, every pair once
-
-    @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
-    @pytest.mark.parametrize("architecture, d, hw", [
-        ("cnn_p", 6, 1), ("cnn_p", 5, 2), ("cnn_f", 6, 1), ("cnn_f", 1, 0),
-    ])
-    def test_step_does_not_depend_on_the_tile_size(
-        self, monkeypatch, activation, architecture, d, hw
-    ):
-        h, k, ck0 = self.state(activation, architecture, d=d, hw=hw)
-        pair_size = ck0.nngp[0].size
-        # one pair, a run that does not divide the 15 pairs, the whole state
-        for tile_entries in (1, 4 * pair_size, ck0.nngp.size):
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_entries)
-            ck, ref = ck0, ck0
-            for _ in range(3):
-                ck, ref = step_cnn(ck, h, k), _step_cnn_untiled(ref, h, k)
-                np.testing.assert_array_equal(ck.nngp, ref.nngp)
-                np.testing.assert_array_equal(ck.ntk, ref.ntk)
-            assert ck.depth == 3
-
-    @pytest.mark.parametrize("nodes", [32, 33])
-    def test_quadrature_step_does_not_depend_on_the_tile_size(self, monkeypatch, nodes):
-        # one-entry tiles: each flatten pair alone maps to its bits in the whole state
-        h, k, ck0 = self.state("tanh", "cnn_f", d=1, hw=0, backend="quadrature", nodes=nodes)
-        assert ck0.nngp[0].size == 1
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
-        ck, ref = ck0, ck0
-        for _ in range(3):
-            ck, ref = step_cnn(ck, h, k), _step_cnn_untiled(ref, h, k)
-            np.testing.assert_array_equal(ck.nngp, ref.nngp)
-            np.testing.assert_array_equal(ck.ntk, ref.ntk)
+            _trajectory(h, k.qstar, X, [1], 1)
+            assert len(calls) == runs and sum(calls) == 15  # runs of whole pairs, every pair once
 
     def test_step_leaves_its_input_unchanged(self):
         h, k, ck = self.state("erf", "cnn_p")
@@ -640,44 +608,42 @@ class TestTiledStepCnn:
         np.testing.assert_array_equal(ck.nngp, before[0])
         np.testing.assert_array_equal(ck.ntk, before[1])
 
-    def test_overshoot_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
+    def test_overshoot_quotes_the_state_s_maximum(self):
         h, k, ck = self.state("erf", "cnn_p")
         nngp = ck.nngp.copy()
         nngp[0, 1, 0] = 1.1 * k.qstar
-        nngp[-1, 1, 0] = 1.3 * k.qstar  # the larger one in the last tile
+        nngp[-1, 1, 0] = 1.3 * k.qstar  # the larger one in the last pair
         with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
             step_cnn(replace(ck, nngp=nngp), h, k)
 
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_overshoot_in_a_later_tile_quotes_the_old_global_maximum(self, monkeypatch, in_place):
-        # the tiles before the failing one passed, and an in-place step has written
-        # them already: the error reads the old state from the failing tile on
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
-        h, k, ck = self.state("erf", "cnn_p")
-        ck = step_cnn(ck, h, k)  # an NTK apart from the NNGP
-        nngp = ck.nngp.copy()
-        nngp[5, 1, 0] = 1.1 * k.qstar  # the first failing tile
-        nngp[-1, 1, 0] = 1.3 * k.qstar  # the larger one in the last tile
-        before = nngp.copy()
-        ck = replace(ck, nngp=nngp)
-        with pytest.raises(CovarianceDomainError, match=f"up to {1.3 * k.qstar:.6g} "):
-            step_cnn(ck, h, k, out=(ck.nngp, ck.ntk) if in_place else None)
-        assert np.array_equal(nngp[:5], before[:5]) is not in_place
-        np.testing.assert_array_equal(nngp[5:], before[5:])
-
-    def test_drift_in_the_last_tile_quotes_the_global_maximum(self, monkeypatch):
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+    def test_drift_quotes_the_largest_drift(self):
         h, k, ck = self.state("erf", "cnn_p")
         nngp = ck.nngp.copy()
-        nngp[0, 0] *= 0.999  # pair (0, 0), the first tile
-        nngp[-1, 0] *= 0.99  # pair (m-1, m-1), the last tile, drifts further
+        nngp[0, 0] *= 0.999  # pair (0, 0), the first pair
+        nngp[-1, 0] *= 0.99  # pair (m-1, m-1), the last pair, drifts further
         drifted = replace(ck, nngp=nngp)
         ref = h.sigma_w2 * apply_A(k.t_map(nngp), ck.filter_halfwidth) + h.sigma_b2
         first, last = (np.max(np.abs(ref[p, 0] - k.qstar)) for p in (0, -1))
         assert last > first > 1e-8
         with pytest.raises(DiagonalDriftError, match=f"drifted {last:.3e} from"):
             step_cnn(drifted, h, k)
+
+    @pytest.mark.parametrize("failure", ["domain", "drift"])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_a_failing_step_writes_nothing(self, failure, in_place):
+        h, k, ck = self.state("erf", "cnn_p")
+        ck = step_cnn(ck, h, k)  # an NTK apart from the NNGP
+        if failure == "domain":
+            ck.nngp[-1, 1, 0] = 1.3 * k.qstar
+        else:
+            ck.nngp[-1, 0] *= 0.99
+        out = (ck.nngp, ck.ntk) if in_place else (np.full_like(ck.nngp, 7.0),
+                                                   np.full_like(ck.nngp, 7.0))
+        before = [a.copy() for a in (ck.nngp, ck.ntk, *out)]
+        with pytest.raises((CovarianceDomainError, DiagonalDriftError)):
+            step_cnn(ck, h, k, out=out)
+        for a, b in zip((ck.nngp, ck.ntk, *out), before):
+            np.testing.assert_array_equal(a, b)
 
 
 def _full_steps(ck, h, k, depth):
@@ -705,14 +671,13 @@ class TestFrozenWalk:
 
     @pytest.mark.parametrize("changed", [None, 0, -1])
     @pytest.mark.parametrize("in_place", [False, True])
-    def test_the_step_flags_a_one_ulp_change_in_any_tile(self, monkeypatch, changed, in_place):
+    def test_the_step_flags_a_one_ulp_change_in_any_pair(self, changed, in_place):
         h, k, ck0, _ = TestReusedBuffers.case("frozen")
         loop = _full_steps(ck0, h, k, 200)
         freeze = _freeze_depth(loop)
         assert [ck.nngp_fixed for ck in loop] == [d >= freeze for d in range(201)]
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)  # one pair per tile
         nngp = loop[freeze].nngp.copy()  # a step returns it bit for bit
-        assert len(propagation._pair_tiles(loop[freeze])) == 6
+        assert len(nngp) == 6
         if changed is not None:  # one entry of the first or the last pair, by one ulp
             nngp[changed, 1, 2] = np.nextafter(nngp[changed, 1, 2], np.inf)
         ck = replace(loop[freeze], nngp=nngp.copy(), ntk=loop[freeze].ntk.copy())
@@ -721,7 +686,6 @@ class TestFrozenWalk:
         assert new.nngp_fixed == np.array_equal(new.nngp, nngp)
 
     def test_no_map_runs_after_the_freeze(self, monkeypatch):
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4)  # 15 pairs in 4 tiles
         h, rep, k = erf_setup(0.5, 0.05)
         m = 5
         pairs = m * (m + 1) // 2
@@ -741,11 +705,10 @@ class TestFrozenWalk:
             np.testing.assert_array_equal(kp.nngp, ref.nngp)
             np.testing.assert_array_equal(kp.ntk, ref.ntk)
 
-    def test_frozen_pool_steps_match_full_steps_pair_by_pair(self, monkeypatch):
-        # every offset, window 3, one pair per tile; the chaotic fixed point holds
-        # q* on the pixel diagonal and a smaller covariance elsewhere, so a tile
-        # stepped with another tile's T_dot would show
-        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+    def test_frozen_pool_steps_match_full_steps_pair_by_pair(self):
+        # every offset, window 3; the chaotic fixed point holds q* on the pixel
+        # diagonal and a smaller covariance elsewhere, so an entry stepped with
+        # another entry's T_dot would show
         h = Hyperparams(4.0, 0.5, "erf", architecture="cnn_p", spatial_size=6)
         k = ActivationKernel(Activation.ERF, analyze(h).qstar)
         ck0 = init_cnn_kernels(normalize_inputs_cnn(cnn_inputs(3, 4, 6, seed=1), k.qstar), 1)
@@ -819,18 +782,16 @@ class TestFrozenWalk:
         assert peaks[(1, 2, 4, 8)] - peaks[(1,)] < state_bytes / 4, (peaks, state_bytes)
 
     @pytest.mark.parametrize("samples", [24, 40])
-    def test_a_multi_run_cnn_trajectory_peaks_at_a_few_tiles(self, samples):
-        # the trajectory walks one run of pairs (one step tile) through every
-        # depth before it forms the next: the run's NNGP and NTK and the two
-        # tile buffers, whatever the number of pairs (300 and 820 here)
+    def test_a_multi_run_cnn_trajectory_peaks_at_a_few_runs(self, samples):
+        # the trajectory walks one run of pairs through every depth before it
+        # forms the next: the run's NNGP and NTK and the step's two run-sized
+        # buffers, whatever the number of pairs (300 and 820 here)
         h = Hyperparams(1.0, 0.5, "erf", architecture="cnn_p", spatial_size=32)
         qstar = analyze(h).qstar
         X = cnn_inputs(samples, 4, 32, seed=0)
-        start = init_cnn_kernels(normalize_inputs_cnn(X, qstar), 1)
-        tiles = propagation._pair_tiles(start)
-        assert len(tiles) >= 5
-        tile_bytes = start.nngp[tiles[0][0]].nbytes  # 64 pairs x 32 x 32
-        del start
+        runs = propagation._pair_runs(samples * (samples + 1) // 2, 32 * 32)
+        assert len(runs) >= 5
+        run_bytes = (runs[0].stop - runs[0].start) * 32 * 32 * 8  # 64 pairs x 32 x 32
         depths = (1, 2, 4, 8)
         _trajectory(h, qstar, X, depths, 1)  # first-call allocations out of the way
         tracemalloc.start()
@@ -839,7 +800,7 @@ class TestFrozenWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * tile_bytes, (peak, tile_bytes)
+        assert peak < 5 * run_bytes, (peak, run_bytes)
 
     def test_the_walk_stops_at_a_repeated_state(self, monkeypatch):
         # the ordered point of the fcn_erf_sweep benchmark at seed 1: the NNGP
@@ -931,23 +892,54 @@ class TestFrozenWalk:
             assert a.read_bytes() == b.read_bytes(), a.name
 
 
+# the kernel trajectories of the benchmark workloads (perfbench/workloads.py) at seed 1, one
+# grid point each: (SweepConfig fields, sigma_w2, sigma_b2, test_rows)
+_POOL = dict(activation="erf", architecture="cnn_p", depths=(1, 2, 4, 8, 16, 32, 64), m=24, n=8,
+             spatial_size=32, n_features=16)
+_WORKLOAD_TRAJECTORIES = {
+    "fcn_erf_sweep": (dict(activation="erf", m=128, n=32), 1.5, 0.05, True),
+    "tanh_cnn_flatten": (dict(activation="tanh", architecture="cnn_f", depths=(1, 2), m=6, n=2,
+                              spatial_size=8, n_features=8), 4.0, 0.5, True),
+    "erf_cnn_pool": (_POOL, 1.0, 0.5, True),
+    "erf_cnn_pool-train_rows": (_POOL, 4.0, 0.5, False),
+}
+
+
 class TestRunWalk:
-    """A CNN trajectory walks one run of pairs through every depth before it forms the next."""
+    """A trajectory walks one run of pairs through every depth before it forms the next."""
+
+    @staticmethod
+    def failing_start(architecture, qstar):
+        """(raw inputs, whole depth-0 state) of 7 samples: 28 pairs, (i, i) at 0, 7, 13, 18, 22,
+        25 and 27."""
+        if architecture == "fcn":
+            X = normals(3, (7, 5))
+            nngp = init_kernels(normalize_inputs(X, qstar)).nngp
+            np.fill_diagonal(nngp, qstar)
+            return X, propagation._as_pairs(KernelPair(nngp, nngp, 0))
+        X = cnn_inputs(7, 5, 6, seed=3)
+        nngp = TestCnnInit.whole_start(X, qstar, None, False, True)
+        return X, CnnKernel(nngp, nngp, 7, 1, 0)
 
     @pytest.mark.parametrize("failure", ["domain", "drift"])
-    def test_a_failing_run_raises_the_whole_state_walk_s_error(self, monkeypatch, failure):
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_p"])
+    def test_a_failing_run_raises_the_whole_state_walk_s_error(
+        self, monkeypatch, architecture, failure
+    ):
         # run 0 fails at depth 5 and runs 1 and 3 at depth 3: the runs meet
         # run 0's failure first, yet the error is the whole state's, from
         # depth 3, quoting the larger of runs 1 and 3 (the state's maximum)
-        d = 6
-        h = Hyperparams(1.5, 0.5, "erf", architecture="cnn_p", spatial_size=d)
+        d = 1 if architecture == "fcn" else 6
+        h = Hyperparams(1.5, 0.5, "erf", architecture=architecture, spatial_size=d)
         k = ActivationKernel(Activation.ERF, analyze(h).qstar)
-        X = cnn_inputs(7, 5, d, seed=3)  # 28 pairs, (i, i) at 0, 7, 13, 18, 22, 25 and 27
+        X, start = self.failing_start(architecture, k.qstar)
         monkeypatch.setattr(propagation, "_TILE_ENTRIES", 4 * d * d)  # runs of 4 pairs
         # pair -> (depth, entry set to factor * q* before the step from it): an
-        # off-diagonal pair's offset 1 past the domain, or a pixel variance moved
-        offset, faults = {"domain": (1, {1: (5, 1.1), 5: (3, 1.2), 14: (3, 1.3)}),
-                          "drift": (0, {0: (5, 0.999), 7: (3, 0.998), 13: (3, 0.99)})}[failure]
+        # off-diagonal pair's offset 1 (an FCN pair's one entry) past the
+        # domain, or a pixel variance moved
+        faults = {"domain": {1: (5, 1.1), 5: (3, 1.2), 14: (3, 1.3)},
+                  "drift": {0: (5, 0.999), 7: (3, 0.998), 13: (3, 0.99)}}[failure]
+        offset = 1 if failure == "domain" and d > 1 else 0
         faulted = []  # (first pair of the walk's state, depth)
         step = propagation.step_cnn
 
@@ -960,9 +952,8 @@ class TestRunWalk:
             return step(ck, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "step_cnn", faulty)
-        start = TestCnnInit.whole_start(X, k.qstar, None, False, True)
         with pytest.raises(NtkPhaseError) as whole:  # one walk of the whole state
-            list(propagate_cnn(CnnKernel(start, start, 7, 1, 0), h, k, [1, 8], own_start=True))
+            list(propagate_cnn(start, h, k, [1, 8], own_start=True))
         assert faulted == [(0, 3), (0, 3)]
         faulted.clear()
         with pytest.raises(NtkPhaseError) as runs:
@@ -974,13 +965,14 @@ class TestRunWalk:
             assert f"up to {1.3 * k.qstar:.6g} " in str(whole.value)
 
     @pytest.mark.parametrize("activation", ["erf", "relu", "tanh"])
-    @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
+    @pytest.mark.parametrize("architecture", ["fcn", "cnn_f", "cnn_p"])
     def test_one_pair_per_run_writes_the_same_bytes(
         self, monkeypatch, tmp_path, activation, architecture
     ):
         # the default grid and depths: runs that freeze and repeat at an ordered
         # point, near-critical and chaotic points, relu's error rows; on 4
-        # samples (7 kept pairs), so that one pair per run makes few walks
+        # samples (7 kept CNN pairs, 10 FCN pairs), so that one pair per run
+        # makes few walks
         cfg = SweepConfig(activation=activation, architecture=architecture, m=2, n=2,
                           outputs=tuple(SweepOutput))
         whole = run_sweep(cfg, tmp_path / "whole", formats=("csv", "json"))
@@ -990,6 +982,66 @@ class TestRunWalk:
         assert [p.name for p in whole.paths] == [p.name for p in runs.paths]
         for a, b in zip(whole.paths, runs.paths):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    @pytest.mark.parametrize("activation, sigma_w2, sigma_b2", [
+        ("erf", 0.5, 0.05), ("relu", 1.0, 0.5), ("tanh", 0.5, 0.05),
+    ])
+    def test_propagate_fcn_writes_the_same_bits_at_one_pair_per_run(
+        self, monkeypatch, activation, sigma_w2, sigma_b2
+    ):
+        # ordered points, where the state freezes and then repeats before depth 90
+        h = Hyperparams(sigma_w2, sigma_b2, activation)
+        k = ActivationKernel(h.activation, analyze(h).qstar)
+        start = init_kernels(normalize_inputs(normals(4, (6, 10)), k.qstar)).nngp  # 21 pairs
+        np.fill_diagonal(start, k.qstar)
+        depths = [1, 2, 30, 60, 90, 128]
+        repeats = []  # what each frozen step returned
+        frozen_step = propagation._frozen_step
+        monkeypatch.setattr(propagation, "_frozen_step",
+                            lambda *args: repeats.append(frozen_step(*args)) or repeats[-1])
+        whole = propagate_fcn(KernelPair(start, start, 0), h, k, depths)
+        assert repeats.count(True) == 1  # one walk, which froze and repeated
+        repeats.clear()
+        monkeypatch.setattr(propagation, "_TILE_ENTRIES", 1)
+        runs = propagate_fcn(KernelPair(start, start, 0), h, k, depths)
+        assert repeats.count(True) == 21  # every run froze and repeated on its own
+        for a, b in zip(whole, runs, strict=True):
+            assert a.depth == b.depth
+            np.testing.assert_array_equal(a.nngp, b.nngp)
+            np.testing.assert_array_equal(a.ntk, b.ntk)
+
+    @pytest.mark.parametrize("trajectory", [
+        *(f"default-{arch}-{act}" for arch in ("fcn", "cnn_f", "cnn_p")
+          for act in ("erf", "relu", "tanh")),
+        *_WORKLOAD_TRAJECTORIES,
+        "propagate_fcn-m400",  # 80 200 pairs, two runs
+    ])
+    def test_no_library_step_holds_more_than_a_run(self, monkeypatch, tmp_path, trajectory):
+        # only the whole-state walk after a failing run may, and none of these fails
+        sizes = []
+        step = propagation.step_cnn
+
+        def spy(ck, *args, **kwargs):
+            sizes.append(ck.nngp.size)
+            return step(ck, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "step_cnn", spy)
+        if trajectory.startswith("default-"):
+            _, arch, act = trajectory.split("-")
+            run_sweep(SweepConfig(activation=act, architecture=arch, outputs=tuple(SweepOutput)),
+                      tmp_path)
+        elif trajectory == "propagate_fcn-m400":
+            h, rep, k = erf_setup(1.5, 0.05)
+            start = init_kernels(normalize_inputs(normals(5, (400, 16)), rep.qstar)).nngp
+            np.fill_diagonal(start, rep.qstar)
+            propagate_fcn(KernelPair(start, start, 0), h, k, [1, 2, 4])
+        else:
+            fields, sw2, sb2, test_rows = _WORKLOAD_TRAJECTORIES[trajectory]
+            cfg = SweepConfig(**fields, sigma_w2_grid=(sw2,), sigma_b2_grid=(sb2,), seed=1)
+            h = sweep._hyperparams(cfg, sw2, sb2)
+            X, _ = _dataset(cfg)
+            _trajectory(h, analyze(h).qstar, X, cfg.depths, cfg.filter_halfwidth, cfg.m, test_rows)
+        assert sizes and max(sizes) <= propagation._TILE_ENTRIES
 
 
 class TestReusedBuffers:
@@ -1010,7 +1062,7 @@ class TestReusedBuffers:
             freeze = _freeze_depth(_full_steps(ck0, h, k, 200))
             assert 2 < freeze < 190
             return h, k, ck0, [1, 2, freeze, freeze + 5, 200]
-        h, k, ck0 = TestTiledStepCnn.state("erf", name)
+        h, k, ck0 = TestOnePassStep.state("erf", name)
         return h, k, ck0, [1, 2, 5, 9]
 
     @pytest.mark.parametrize("name", ["cnn_p", "cnn_f", "fcn", "frozen"])
@@ -1041,7 +1093,7 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(one.nngp, before)
 
     def test_step_returns_the_arrays_it_is_given(self):
-        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        h, k, ck = TestOnePassStep.state("erf", "cnn_p")
         out = (np.full_like(ck.nngp, np.nan), np.full_like(ck.ntk, np.nan))
         new = step_cnn(ck, h, k, out=out)
         assert new.nngp is out[0] and new.ntk is out[1]
@@ -1049,11 +1101,9 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(new.nngp, ref.nngp)
         np.testing.assert_array_equal(new.ntk, ref.ntk)
 
-    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
-    def test_step_writes_the_ntk_in_place_with_the_out_of_place_bits(self, monkeypatch, tile_pairs):
-        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
-        if tile_pairs:  # one pair, a run that does not divide the pairs; else the whole state
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * ck.nngp[0].size)
+    @pytest.mark.parametrize("name", ["cnn_p", "cnn_f", "fcn"])
+    def test_step_writes_the_ntk_in_place_with_the_out_of_place_bits(self, name):
+        h, k, ck, _ = self.case(name)
         ck = step_cnn(ck, h, k)  # an NTK that differs from the NNGP
         ref = step_cnn(ck, h, k)
         ntk = ck.ntk
@@ -1062,16 +1112,12 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(new.nngp, ref.nngp)
         np.testing.assert_array_equal(new.ntk, ref.ntk)
 
-    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
+    @pytest.mark.parametrize("name", ["cnn_p", "cnn_f", "fcn"])
     @pytest.mark.parametrize("which", ["both", "nngp", "ntk"])
-    def test_a_step_into_the_state_s_own_arrays_keeps_the_out_of_place_bits(
-        self, monkeypatch, tile_pairs, which
-    ):
+    def test_a_step_into_the_state_s_own_arrays_keeps_the_out_of_place_bits(self, name, which):
         # both kernels in place; or, on a state of one array as both kernels
         # (as at depth 0), either kernel into that array
-        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
-        if tile_pairs:
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * ck.nngp[0].size)
+        h, k, ck, _ = self.case(name)
         ck = replace(ck, nngp=ck.nngp.copy(), ntk=ck.nngp.copy())
         if which == "both":  # a state of two arrays, both stepped in place
             ck = step_cnn(ck, h, k)
@@ -1090,7 +1136,7 @@ class TestReusedBuffers:
         "view", "each_other",
     ])
     def test_step_rejects_arrays_it_cannot_write(self, bad):
-        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        h, k, ck = TestOnePassStep.state("erf", "cnn_p")
         if bad != "one_array_twice":  # a state of two arrays
             ck = step_cnn(ck, h, k)
         shape = ck.nngp.shape
@@ -1113,12 +1159,12 @@ class TestReusedBuffers:
         np.testing.assert_array_equal(ck.ntk, before[1])
 
     @pytest.mark.parametrize("bad", ["shape", "dtype", "state", "out"])
-    def test_step_rejects_a_tile_buffer_it_cannot_use(self, bad):
-        h, k, ck = TestTiledStepCnn.state("erf", "cnn_p")  # one tile of 15 pairs
+    def test_step_rejects_a_buffer_it_cannot_use(self, bad):
+        h, k, ck = TestOnePassStep.state("erf", "cnn_p")  # 15 pairs
         out = (np.full_like(ck.nngp, np.nan), np.full_like(ck.nngp, np.nan))
         before = ck.nngp.copy()
         scratch = {
-            "shape": np.empty((2, 14, *ck.nngp.shape[1:])),  # a pair short of the tile
+            "shape": np.empty((2, 14, *ck.nngp.shape[1:])),  # a pair short of the state
             "dtype": np.empty((2, *ck.nngp.shape), dtype=np.float32),
             "state": ck.ntk,
             "out": out[1],
@@ -1270,7 +1316,7 @@ class TestReadout:
     @pytest.mark.parametrize("mode", list(ReadoutMode))
     def test_runs_read_out_into_one_pair_of_matrices(self, mode):
         # 5 samples: the rows start at pairs 0, 5, 9, 12 and 14
-        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")
+        _, _, ck = TestOnePassStep.state("erf", "cnn_p")
         ck = replace(ck, ntk=2.0 * ck.nngp)
         whole = readout(ck, mode)
         i, j = np.triu_indices(5)
@@ -1289,16 +1335,25 @@ class TestReadout:
         np.testing.assert_array_equal(out.nngp, whole.nngp)
         np.testing.assert_array_equal(out.ntk, whole.ntk)
 
-    def test_pool_does_not_depend_on_the_tile_size(self, monkeypatch):
-        _, _, ck = TestTiledStepCnn.state("erf", "cnn_p")  # 15 pairs
-        for pairs in (1, 4, 15):
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", pairs * ck.nngp[0].size)
-            pooled = readout(ck, ReadoutMode.POOL)
-            for kind in ("nngp", "ntk"):
-                K, got = getattr(ck, kind), getattr(pooled, kind)[np.triu_indices(ck.m)]
-                np.testing.assert_array_equal(got, K.mean(axis=(-2, -1)))  # the layout mean
-                block_mean = offsets_to_blocks(K).mean(axis=(-2, -1))  # sums in another order
-                assert np.all(np.abs(got - block_mean) <= FEW_ULPS * np.abs(K).mean(axis=(-2, -1)))
+    @pytest.mark.parametrize("bad", ["shape", "order"])
+    def test_readout_rejects_matrices_it_cannot_write(self, bad):
+        # a pair's entries are written through a flat view of each matrix
+        _, _, ck = TestOnePassStep.state("erf", "cnn_p")  # 5 samples
+        K = {"shape": np.zeros((5, 6)), "order": np.zeros((5, 10))[:, ::2]}[bad]
+        with pytest.raises(ValueError, match="out must hold two C-contiguous 5 x 5 matrices"):
+            readout(ck, ReadoutMode.FLATTEN, out=KernelPair(np.zeros((5, 5)), K, ck.depth))
+
+    def test_pool_is_the_layout_mean(self):
+        _, _, ck = TestOnePassStep.state("erf", "cnn_p")  # 15 pairs
+        pooled = readout(ck, ReadoutMode.POOL)
+        for kind in ("nngp", "ntk"):
+            K, got = getattr(ck, kind), getattr(pooled, kind)
+            i, j = np.triu_indices(ck.m)
+            np.testing.assert_array_equal(got[i, j], K.mean(axis=(-2, -1)))  # the layout mean
+            np.testing.assert_array_equal(got[j, i], got[i, j])
+            block_mean = offsets_to_blocks(K).mean(axis=(-2, -1))  # sums in another order
+            bound = FEW_ULPS * np.abs(K).mean(axis=(-2, -1))
+            assert np.all(np.abs(got[i, j] - block_mean) <= bound)
 
     def test_uniform_blocks_make_flatten_equal_pool(self):
         ck = self.make_idealized(3.0, 3.0, 5)
@@ -1513,6 +1568,15 @@ class TestCnnInit:
         with pytest.raises(ValueError, match="cannot store"):
             init_cnn_kernels(X, 1, pairs, n_offsets)
 
+    @pytest.mark.parametrize("pairs, run", [
+        (slice(3, None), slice(3, 10)), (slice(None, 5), slice(0, 5)), (slice(None), slice(0, 10)),
+    ])
+    def test_init_reads_an_open_end_as_the_first_or_the_last_pair(self, pairs, run):
+        X = normalize_inputs_cnn(cnn_inputs(4, 4, 5, seed=1), 1.0)  # 10 pairs
+        ck = init_cnn_kernels(X, 1, pairs)
+        assert ck.first_pair == run.start
+        np.testing.assert_array_equal(ck.nngp, init_cnn_kernels(X, 1).nngp[run])
+
     def test_a_run_of_pairs_holds_the_whole_start_s_rows(self):
         X = normalize_inputs_cnn(cnn_inputs(4, 4, 5, seed=1), 1.0)  # 10 pairs
         whole = init_cnn_kernels(X, 1)
@@ -1542,18 +1606,18 @@ class TestCnnInit:
 
     @pytest.mark.parametrize("architecture", ["cnn_f", "cnn_p"])
     @pytest.mark.parametrize("m, test_rows", [(None, False), (4, False), (4, True)])
-    @pytest.mark.parametrize("tile_pairs", [1, 4, None])
+    @pytest.mark.parametrize("run_pairs", [1, 4, None])
     def test_a_trajectory_starts_from_the_kept_pairs_bit_for_bit(
-        self, monkeypatch, architecture, m, test_rows, tile_pairs
+        self, monkeypatch, architecture, m, test_rows, run_pairs
     ):
         # the start forms only the kept pairs (and offset 0 alone for cnn_f),
-        # tile by tile, yet holds the bits of the whole start cut down
+        # run by run, yet holds the bits of the whole start cut down
         d = 6
         h = Hyperparams(1.5, 0.5, "erf", architecture=architecture, spatial_size=d)
         qstar = analyze(h).qstar
         X = cnn_inputs(7, 5, d, seed=3)  # 28 pairs
-        if tile_pairs:
-            monkeypatch.setattr(propagation, "_TILE_ENTRIES", tile_pairs * d * d)
+        if run_pairs:
+            monkeypatch.setattr(propagation, "_TILE_ENTRIES", run_pairs * d * d)
         starts = []
 
         def spy(ck, *args, **kwargs):
@@ -1564,9 +1628,9 @@ class TestCnnInit:
         monkeypatch.setattr(sweep, "propagate_cnn", spy)
         (kp,) = _trajectory(h, qstar, X, [1], 1, m, test_rows)
         assert kp.depth == 1 and np.isnan(kp.nngp).all()  # no run was walked
-        for start in starts:  # one start per run, which fits in one step tile
+        for start in starts:  # one start per run, of at most _TILE_ENTRIES entries
             assert start.m == (7 if m is None or test_rows else m)
-            assert len(propagation._pair_tiles(start)) == 1
+            assert start.nngp.size <= propagation._TILE_ENTRIES
         assert [s.first_pair for s in starts] == [0, *np.cumsum([len(s.nngp) for s in starts])[:-1]]
         ref = self.whole_start(X, qstar, m, test_rows, architecture == "cnn_p")
         np.testing.assert_array_equal(np.concatenate([s.nngp for s in starts]), ref)
